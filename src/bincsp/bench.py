@@ -88,23 +88,22 @@ def tuple_table_bytes(model, value_width: int = 4) -> int:
 
 
 def _default_hybrid_subset(problem: Problem, max_arity: int = 5,
-                           budget: int = 200_000) -> list:
+                           budget: int = 200_000) -> tuple:
     """Constraints worth double-encoding: low arity and expandable within
-    budget; the rest stay intensional."""
+    budget; the rest stay intensional. Returns the subset and the tuple
+    lists expanded to test it, by constraint id, for the build to reuse."""
     from bincsp.core import CapacityError, materialize
-    subset = []
+    subset, expanded = [], {}
     for ci, c in enumerate(problem.constraints):
         if c.arity > max_arity:
             continue
-        if c.relation is not None:
-            subset.append(ci)
-            continue
-        try:
-            materialize(problem, c, budget)
-        except CapacityError:
-            continue
+        if c.relation is None:
+            try:
+                expanded[ci] = materialize(problem, c, budget)
+            except CapacityError:
+                continue
         subset.append(ci)
-    return subset
+    return subset, expanded
 
 
 def run_one(problem: Problem, algorithm: str, ordering: str, seed: int,
@@ -118,9 +117,11 @@ def run_one(problem: Problem, algorithm: str, ordering: str, seed: int,
     order = FIXED if ordering == "fixed" else DOM_DEG
     try:
         if spec.representation == "HYBRID":
-            subset = encode_subset if encode_subset is not None else \
-                _default_hybrid_subset(problem)
-            model = build_double(problem, subset)
+            if encode_subset is not None:
+                model = build_double(problem, encode_subset)
+            else:
+                subset, expanded = _default_hybrid_subset(problem)
+                model = build_double(problem, subset, expanded=expanded)
         elif spec.representation == "NONBINARY":
             model = problem
         else:

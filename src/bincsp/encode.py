@@ -83,7 +83,10 @@ class Decomposition:
 
     def fresh_counters(self, state: DomainState) -> list:
         mask = state.dual_masks[self.owner]
-        return [sum(1 for idx in mem if mask[idx]) for mem in self.members]
+        if state.dual_counts[self.owner] == len(mask):  # every tuple live
+            return list(map(len, self.members))
+        # masks hold 0/1 bytes, so summing them counts the live members
+        return [sum(map(mask.__getitem__, mem)) for mem in self.members]
 
     def __repr__(self):
         return (f"Decomposition(v{self.owner} wrt v{self.peer}, "
@@ -233,12 +236,14 @@ def piecewise_decomposition(enc: EncodedProblem, vi: int, vj: int) -> Decomposit
 
 
 def _make_duals(problem: Problem, constraint_ids: Sequence[int],
-                budget: int) -> list:
+                budget: int, expanded: Optional[dict] = None) -> list:
     sizes = [problem.domain_size(x) for x in range(problem.n)]
     duals = []
     for dual_id, ci in enumerate(constraint_ids):
         c = problem.constraints[ci]
-        tuples = materialize(problem, c, budget)
+        tuples = expanded.get(ci) if expanded else None
+        if tuples is None:
+            tuples = materialize(problem, c, budget)
         duals.append(DualVariable(dual_id, ci, c.scope, tuples, sizes))
     return duals
 
@@ -286,9 +291,12 @@ def build_de(problem: Problem, budget: int = DEFAULT_EXPANSION_BUDGET) -> Encode
 
 
 def build_double(problem: Problem, encoded_subset: Optional[Sequence[int]] = None,
-                 budget: int = DEFAULT_EXPANSION_BUDGET) -> EncodedProblem:
+                 budget: int = DEFAULT_EXPANSION_BUDGET,
+                 expanded: Optional[dict] = None) -> EncodedProblem:
     """Double encoding (hidden + dual constraint sets) of all constraints, or
-    of a subset; with a proper subset the rest stay non-binary (HYBRID)."""
+    of a subset; with a proper subset the rest stay non-binary (HYBRID).
+    `expanded` maps constraint ids to tuple lists already expanded by
+    `materialize`, which are used instead of expanding again."""
     all_ids = list(range(len(problem.constraints)))
     if encoded_subset is None:
         subset = all_ids
@@ -298,7 +306,7 @@ def build_double(problem: Problem, encoded_subset: Optional[Sequence[int]] = Non
             if not 0 <= ci < len(all_ids):
                 raise ValueError(f"constraint id {ci} out of range")
     kind = DOUBLE if subset == all_ids else HYBRID
-    duals = _make_duals(problem, subset, budget)
+    duals = _make_duals(problem, subset, budget, expanded)
     pairs = _make_pairs(problem, duals, with_decompositions=True)
     residual = [ci for ci in all_ids if ci not in set(subset)]
     return EncodedProblem(kind, problem, duals, _make_hidden(duals), pairs, residual)

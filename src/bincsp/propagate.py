@@ -7,11 +7,17 @@ The two engines therefore differ in micro-ops (per-position probes vs one
 dual-domain lookup) but never in checks, which is what the check-count
 comparisons rely on. PW-AC performs no tuple checks at all: its work is
 counter updates.
+
+AC-2001 on the binary views finds supports by index but counts checks and
+micro-ops exactly as the lexicographic scan would (see `Ac2001`), which
+relies on domain masks holding only 0 and 1 bytes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress, islice
 from typing import Iterable, Optional, Sequence
 
 from .core import Counters, DomainState, Problem, is_valid
@@ -403,44 +409,29 @@ def hac(enc: EncodedProblem, state: Optional[DomainState] = None,
 
 class DeView:
     """Binary view of the dual encoding: variables are the duals, one arc per
-    dual-dual constraint, compatibility is equal projection keys."""
+    dual-dual constraint, compatibility is equal projection keys.
+
+    index[arc][side] is a (group_of, members) table for revising that side:
+    the peer values compatible with value a are members[group_of[a]], in
+    ascending order. A dual-dual arc reuses its pair's decompositions.
+    """
 
     def __init__(self, enc: EncodedProblem):
         self.enc = enc
         self.bvars = [("dual", v.id) for v in enc.duals]
         self.arcs = [("pair", pair) for pair in enc.dual_pairs]
+        self.ends = [(pair.v1, pair.v2) for pair in enc.dual_pairs]
+        self.index = [_pair_index(pair) for pair in enc.dual_pairs]
         self._build_adjacency()
 
     def _build_adjacency(self):
         self.adjacency = [[] for _ in self.bvars]
-        for arc_id, (_, pair) in enumerate(self.arcs):
-            self.adjacency[self._bid(pair.v1)].append((arc_id, 0))
-            self.adjacency[self._bid(pair.v2)].append((arc_id, 1))
+        for arc_id, (b0, b1) in enumerate(self.ends):
+            self.adjacency[b0].append((arc_id, 0))
+            self.adjacency[b1].append((arc_id, 1))
 
-    def _bid(self, dual_id):
-        return dual_id
-
-    def endpoints(self, arc_id):
-        pair = self.arcs[arc_id][1]
-        return self._bid(pair.v1), self._bid(pair.v2)
-
-    def mask_count(self, b, state):
-        kind, ident = self.bvars[b]
-        if kind == "dual":
-            return state.dual_masks[ident], state.dual_counts
-        return state.masks[ident], state.counts
-
-    def init_size(self, b):
-        kind, ident = self.bvars[b]
-        return len(self.enc.duals[ident].tuples) if kind == "dual" else \
-            self.enc.problem.domain_size(ident)
-
-    def compat(self, arc_id, side, va, vb) -> bool:
-        """va on `side` of the arc against vb on the other side."""
-        pair = self.arcs[arc_id][1]
-        if side == 0:
-            return pair.keys1[va] == pair.keys2[vb]
-        return pair.keys2[va] == pair.keys1[vb]
+    def mask(self, b, state):
+        return state.dual_masks[b]
 
     def remove(self, b, val, state, counters, trail=None):
         kind, ident = self.bvars[b]
@@ -458,9 +449,16 @@ class DeView:
         return state.counts[ident]
 
 
+def _pair_index(pair):
+    return ((pair.side1.tuple_group, pair.side2.members),
+            (pair.side2.tuple_group, pair.side1.members))
+
+
 class DoubleView(DeView):
     """Binary view of the double encoding: originals + duals, hidden arcs
-    (projection equality) plus the dual-dual arcs."""
+    (projection equality) plus the dual-dual arcs. A hidden arc (v, x, pos)
+    indexes a tuple by its value at pos, and a value a of x by
+    tuples_by_pos_val[pos][a]."""
 
     def __init__(self, enc: EncodedProblem):
         self.enc = enc
@@ -469,104 +467,106 @@ class DoubleView(DeView):
         self._n = n
         self.arcs = [("hidden", h) for h in enc.hidden] + \
                     [("pair", pair) for pair in enc.dual_pairs]
-        self.adjacency = [[] for _ in self.bvars]
-        for arc_id, (kind, data) in enumerate(self.arcs):
-            if kind == "hidden":
-                v, x, pos = data
-                self.adjacency[self._n + v].append((arc_id, 0))
-                self.adjacency[x].append((arc_id, 1))
-            else:
-                self.adjacency[self._n + data.v1].append((arc_id, 0))
-                self.adjacency[self._n + data.v2].append((arc_id, 1))
+        self.ends = [(n + v, x) for v, x, pos in enc.hidden] + \
+                    [(n + pair.v1, n + pair.v2) for pair in enc.dual_pairs]
+        singletons = {}
+        self.index = []
+        for v, x, pos in enc.hidden:
+            dual = enc.duals[v]
+            size = enc.problem.domain_size(x)
+            if size not in singletons:
+                singletons[size] = [[b] for b in range(size)]
+            self.index.append((([t[pos] for t in dual.tuples], singletons[size]),
+                               (range(size), dual.tuples_by_pos_val[pos])))
+        self.index += [_pair_index(pair) for pair in enc.dual_pairs]
+        self._build_adjacency()
 
-    def endpoints(self, arc_id):
-        kind, data = self.arcs[arc_id]
-        if kind == "hidden":
-            v, x, pos = data
-            return self._n + v, x
-        return self._n + data.v1, self._n + data.v2
-
-    def compat(self, arc_id, side, va, vb) -> bool:
-        kind, data = self.arcs[arc_id]
-        if kind == "hidden":
-            v, x, pos = data
-            t = self.enc.duals[v].tuples
-            if side == 0:  # dual tuple va vs original value vb
-                return t[va][pos] == vb
-            return t[vb][pos] == va
-        pair = data
-        if side == 0:
-            return pair.keys1[va] == pair.keys2[vb]
-        return pair.keys2[va] == pair.keys1[vb]
+    def mask(self, b, state):
+        n = self._n
+        return state.masks[b] if b < n else state.dual_masks[b - n]
 
 
 class Ac2001:
-    """Generic AC-2001 with a variable-based queue over a binary view."""
+    """Generic AC-2001 with a variable-based queue over a binary view.
+
+    The support of a is looked up in the view's index: the first compatible
+    peer value after the stored pointer whose mask byte is live. Checks and
+    micro-ops are counted as the lexicographic scan over the peer's whole
+    domain would count them, from pointer + 1 up to the support (or to the
+    end): one check per live value, one micro-op per dead one. Masks hold
+    only 0 and 1 bytes, so the live values are `ymask.count(1, start, end)`.
+    Values of one group with equal pointers share one lookup per revision.
+    """
 
     def __init__(self, view, counters: Optional[Counters] = None,
                  pointers=None, trail=None):
         self.view = view
         self.counters = counters if counters is not None else Counters()
         if pointers is None:
-            pointers = [
-                [[-1] * view.init_size(view.endpoints(a)[0]),
-                 [-1] * view.init_size(view.endpoints(a)[1])]
-                for a in range(len(view.arcs))
-            ]
+            pointers = [[[-1] * len(side0[0]), [-1] * len(side1[0])]
+                        for side0, side1 in view.index]
         self.pointers = pointers
         self.trail = trail
 
-    def _set_pointer(self, arc_id, side, val, idx):
-        if self.trail is not None:
-            self.trail.append(("ap", arc_id, side, val, self.pointers[arc_id][side][val]))
-        self.pointers[arc_id][side][val] = idx
-
     def revise(self, arc_id, side, state) -> tuple:
         """Revise the `side` endpoint against the other; (deleted, remaining)."""
-        view, counters = self.view, self.counters
-        ends = view.endpoints(arc_id)
+        view, counters, trail = self.view, self.counters, self.trail
+        ends = view.ends[arc_id]
         bx, by = ends[side], ends[1 - side]
-        xmask, _ = view.mask_count(bx, state)
-        ymask, _ = view.mask_count(by, state)
-        ysize = view.init_size(by)
+        xmask = view.mask(bx, state)
+        ymask = view.mask(by, state)
+        group_of, members = view.index[arc_id][side]
+        pointers = self.pointers[arc_id][side]
+        ysize = len(ymask)
         log = counters.search_log
+        checks = microops = 0
         deleted = False
         remaining = None
-        for a in range(len(xmask)):
-            if not xmask[a]:
-                continue
-            ptr = self.pointers[arc_id][side][a]
+        # ymask does not change during the call, so the search result is a
+        # function of (group, pointer): values of one group share it
+        searched = {}
+        for a in compress(range(len(xmask)), xmask):
+            ptr = pointers[a]
             if ptr >= 0:
-                counters.microops += 1
+                microops += 1
                 if ymask[ptr]:
                     continue
-            found = -1
-            scanned = 0
-            for idx in range(ptr + 1, ysize):
-                if not ymask[idx]:
-                    counters.microops += 1
-                    continue
-                counters.checks += 1
-                scanned += 1
-                if view.compat(arc_id, side, a, idx):
-                    found = idx
-                    break
+            gid = group_of[a]
+            key = (gid, ptr)
+            hit = searched.get(key)
+            if hit is None:
+                found = -1
+                cands = members[gid]
+                for b in islice(cands, bisect_right(cands, ptr), None):
+                    if ymask[b]:
+                        found = b
+                        break
+                start = ptr + 1
+                end = found + 1 if found >= 0 else ysize
+                live = ymask.count(1, start, end)
+                hit = searched[key] = (found, live, end - start - live)
+            found, live, dead = hit
+            checks += live
+            microops += dead
             if log is not None:
                 log.append({"bvar": bx, "value": a, "arc": arc_id, "peer": by,
-                            "checks": scanned, "found": found >= 0})
+                            "checks": live, "found": found >= 0})
             if found >= 0:
-                self._set_pointer(arc_id, side, a, found)
+                if trail is not None:
+                    trail.append(("ap", arc_id, side, a, ptr))
+                pointers[a] = found
                 continue
-            remaining = view.remove(bx, a, state, counters, self.trail)
+            remaining = view.remove(bx, a, state, counters, trail)
             deleted = True
+        counters.checks += checks
+        counters.microops += microops
         return deleted, remaining
 
     def run(self, state, queue_seed=None) -> bool:
         view = self.view
         queue = _Queue()
         for b in range(len(view.bvars)):
-            mask, _ = view.mask_count(b, state)
-            if not any(mask):
+            if not any(view.mask(b, state)):
                 return False
 
         if queue_seed is None:
@@ -576,7 +576,7 @@ class Ac2001:
                     if deleted:
                         if remaining == 0:
                             return False
-                        queue.push(view.endpoints(arc_id)[side])
+                        queue.push(view.ends[arc_id][side])
         else:
             for b in queue_seed:
                 queue.push(b)
@@ -589,7 +589,7 @@ class Ac2001:
                 if deleted:
                     if remaining == 0:
                         return False
-                    queue.push(view.endpoints(arc_id)[side])
+                    queue.push(view.ends[arc_id][side])
         return True
 
 
@@ -748,12 +748,14 @@ class ValueSupports:
     def __init__(self, enc: EncodedProblem, state: DomainState):
         self.counts = []
         for v in enc.duals:
-            per_pos = []
-            for pos in range(v.arity):
-                bypv = v.tuples_by_pos_val[pos]
-                mask = state.dual_masks[v.id]
-                per_pos.append([sum(1 for i in idxs if mask[i]) for idxs in bypv])
-            self.counts.append(per_pos)
+            mask = state.dual_masks[v.id]
+            if state.dual_counts[v.id] == len(mask):  # every tuple live
+                self.counts.append([list(map(len, bypv)) for bypv in v.tuples_by_pos_val])
+                continue
+            # masks hold 0/1 bytes, so summing them counts the live tuples
+            live = mask.__getitem__
+            self.counts.append([[sum(map(live, idxs)) for idxs in bypv]
+                                for bypv in v.tuples_by_pos_val])
 
 
 class DoubleAc:

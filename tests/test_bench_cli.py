@@ -1,8 +1,12 @@
 import json
+from collections import Counter
 
+import bincsp.core as core
+import bincsp.encode as encode
 from bincsp.bench import run_bench, run_one, tuple_table_bytes
 from bincsp.cli import main
 from bincsp.encode import build_de
+from bincsp.gen import gen_rlfa
 from bincsp.interchange import CSV_HEADER, parse_report
 
 from cases import six_var_linear
@@ -171,3 +175,23 @@ def test_generator_families_reachable_from_bench(tmp_path):
     for spec in specs:
         p = instance_from_generator(spec, seed=1)
         assert p.n > 0 and p.constraints
+
+
+def test_mac_hybrid_expands_each_encoded_constraint_once(monkeypatch):
+    problem = gen_rlfa("prob1", 20, 1)
+    calls = Counter()
+    materialize = core.materialize
+
+    def counting(problem, c, *args):
+        calls[id(c)] += 1
+        return materialize(problem, c, *args)
+
+    monkeypatch.setattr(core, "materialize", counting)
+    monkeypatch.setattr(encode, "materialize", counting)
+    record, result = run_one(problem, "MAC-hybrid", "heuristic", 1, node_limit=100)
+    # every rlfa constraint is a separation predicate within the budget
+    assert len(calls) == len(problem.constraints) == 25
+    assert set(calls.values()) == {1}
+    assert (record.verdict, record.nodes, record.checks, record.microops,
+            record.removals, result.counters.group_updates) == \
+        ("SAT", 48, 0, 0, 27989, 96806)

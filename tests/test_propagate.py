@@ -1,12 +1,16 @@
 import itertools
+import random
 
 from bincsp.core import Constraint, Counters, DomainState, Problem, \
     ac1_fixpoint, enumerate_solutions
 from bincsp.encode import build_de, build_double, build_hve
 from bincsp.gen import ModelBParams, gen_model_b
-from bincsp.propagate import (BOTH, DUAL_DUAL, HIDDEN_ONLY, ac2001, double_ac,
-                              gac2001, hac, pwac, seed_assignment_hve,
-                              seed_assignment_nonbinary, sgac_check)
+from bincsp.propagate import (BOTH, DUAL_DUAL, HIDDEN_ONLY, Ac2001, DeView,
+                              DoubleView, PwAc, PwState, ValueSupports,
+                              ac2001, double_ac, gac2001, hac, pwac,
+                              seed_assignment_hve, seed_assignment_nonbinary,
+                              sgac_check)
+from bincsp import search
 
 from cases import appendix_a, example_42, example_51, six_var_linear
 
@@ -329,3 +333,148 @@ def test_pwac_no_empty_groups_means_zero_iterations():
     assert r.counters.tuple_removals == 0 and r.counters.group_updates == 0
     a = ac2001(enc)  # already arc consistent: the generic engine agrees
     assert a.consistent and a.counters.tuple_removals == 0
+
+
+def test_group_and_value_support_counts_match_live_members():
+    enc = build_double(gen_model_b(ModelBParams(10, 4, 3, 10, 40, 3)))
+    full = enc.fresh_state()
+    partial = enc.fresh_state()
+    for v in enc.duals:
+        for idx in range(0, len(v.tuples), 3):
+            partial.dual_masks[v.id][idx] = 0
+            partial.dual_counts[v.id] -= 1
+    for state in (full, partial):
+        engine = PwAc(enc)
+        engine.pw = PwState(enc, state)
+        engine.check_counters(state)  # raises on any counter off its live count
+        counts = ValueSupports(enc, state).counts
+        for v in enc.duals:
+            mask = state.dual_masks[v.id]
+            assert counts[v.id] == [[sum(1 for i in idxs if mask[i]) for idxs in bypv]
+                                    for bypv in v.tuples_by_pos_val]
+
+
+# ---------------------------------------------------------------------------
+# indexed AC-2001 against the lexicographic scan it replaces
+
+
+def _compatible(view, arc_id, side, a, b):
+    kind, data = view.arcs[arc_id]
+    if kind == "hidden":
+        v, _, pos = data
+        tuples = view.enc.duals[v].tuples
+        return tuples[a][pos] == b if side == 0 else tuples[b][pos] == a
+    keys_a, keys_b = (data.keys1, data.keys2) if side == 0 else (data.keys2, data.keys1)
+    return keys_a[a] == keys_b[b]
+
+
+class _ScanAc2001(Ac2001):
+    """Reference AC-2001: scan the peer domain from pointer + 1; each live
+    value is one check and each dead one a micro-op."""
+
+    def revise(self, arc_id, side, state):
+        view, counters = self.view, self.counters
+        bx, by = view.ends[arc_id][side], view.ends[arc_id][1 - side]
+        xmask, ymask = view.mask(bx, state), view.mask(by, state)
+        pointers = self.pointers[arc_id][side]
+        deleted, remaining = False, None
+        for a in range(len(xmask)):
+            if not xmask[a]:
+                continue
+            ptr = pointers[a]
+            if ptr >= 0:
+                counters.microops += 1
+                if ymask[ptr]:
+                    continue
+            found, scanned = -1, 0
+            for b in range(ptr + 1, len(ymask)):
+                if not ymask[b]:
+                    counters.microops += 1
+                    continue
+                counters.checks += 1
+                scanned += 1
+                if _compatible(view, arc_id, side, a, b):
+                    found = b
+                    break
+            if counters.search_log is not None:
+                counters.search_log.append({"bvar": bx, "value": a, "arc": arc_id,
+                                            "peer": by, "checks": scanned,
+                                            "found": found >= 0})
+            if found >= 0:
+                if self.trail is not None:
+                    self.trail.append(("ap", arc_id, side, a, ptr))
+                pointers[a] = found
+                continue
+            remaining = view.remove(bx, a, state, counters, self.trail)
+            deleted = True
+        return deleted, remaining
+
+
+def _indexed_suite():
+    """Model B instances from refuted at the root, through refuted or solved
+    after backtracking, to loose."""
+    for seed in range(32):
+        q = 24 + (seed * 5) % 40
+        if seed % 2 == 0:
+            yield gen_model_b(ModelBParams(10, 4, 3, 10, q, seed))
+        else:
+            yield gen_model_b(ModelBParams(8, 3, 4, 10, q, seed))
+
+
+def _scattered_pointers(view, state, seed):
+    """Arbitrary start pointers, so that values of one group differ."""
+    rng = random.Random(seed)
+    pointers = []
+    for ends in view.ends:
+        sizes = [len(view.mask(b, state)) for b in ends]
+        pointers.append([[rng.randrange(-1, sizes[1 - side]) for _ in range(sizes[side])]
+                         for side in (0, 1)])
+    return pointers
+
+
+def _ac2001_outcome(engine_cls, enc, pointer_seed=None):
+    view = DeView(enc) if enc.kind == "DE" else DoubleView(enc)
+    state = enc.fresh_state()
+    pointers = None if pointer_seed is None else \
+        _scattered_pointers(view, state, pointer_seed)
+    counters = Counters(search_log=[])
+    ok = engine_cls(view, counters, pointers).run(state)
+    return (ok, counters.checks, counters.microops, counters.value_removals,
+            counters.tuple_removals, state.domains_as_lists(),
+            state.dual_domains_as_lists(), counters.search_log)
+
+
+def test_indexed_ac2001_counts_like_the_linear_scan():
+    verdicts = set()
+    for seed, p in enumerate(_indexed_suite()):
+        for enc in (build_de(p), build_double(p)):
+            for pointer_seed in (None, seed):
+                fast = _ac2001_outcome(Ac2001, enc, pointer_seed)
+                assert fast == _ac2001_outcome(_ScanAc2001, enc, pointer_seed), \
+                    (p.name, enc.kind, pointer_seed)
+                verdicts.add(fast[0])
+    assert verdicts == {True, False}
+
+
+def test_indexed_mac2001_searches_like_the_linear_scan(monkeypatch):
+    """Node sequences and counters also cover pointer restores on backtrack."""
+    runs = [(i, p, algo, ordering) for i, p in enumerate(_indexed_suite())
+            for algo in ("MAC-2001", "MAC-2001d")
+            for ordering in (search.FIXED, search.DOM_DEG)]
+
+    def outcomes():
+        out = {}
+        for i, p, algo, ordering in runs:
+            r = search.solve(p, algo, ordering=ordering, record_nodes=True)
+            out[i, algo, ordering] = (r.verdict, r.node_paths, r.counters.snapshot())
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "Ac2001", _ScanAc2001)
+        expected = outcomes()
+    assert {v[0] for v in expected.values()} == {"SAT", "UNSAT"}
+    # nodes beyond the deepest path were left by backtracking
+    backtracks = sum(len(paths) - max(map(len, paths), default=0)
+                     for _, paths, _ in expected.values())
+    assert backtracks >= 20
+    assert outcomes() == expected
