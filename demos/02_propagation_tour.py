@@ -8,11 +8,10 @@ Three scenes:
   3. a wipeout that the hidden encoding detects checks earlier than GAC.
 """
 
-from bincsp import (Constraint, Counters, DomainState, Problem, ac2001,
-                    build_de, build_double, build_hve, double_ac, gac2001,
-                    hac, pwac, sgac_check)
-from bincsp.propagate import DUAL_DUAL, seed_assignment_hve, \
-    seed_assignment_nonbinary
+from bincsp import (DUAL_DUAL, Constraint, Counters, DomainState, Problem,
+                    ac2001, build_de, build_double, build_hve, double_ac,
+                    gac2001, hac, pwac, sgac_check)
+from bincsp.propagate import seed_assignment_hve, seed_assignment_nonbinary
 
 
 def scene_piecewise():

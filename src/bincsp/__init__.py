@@ -15,14 +15,13 @@ from .core import (CapacityError, Constraint, Counters, DomainState, Predicate,
                    expand_predicate, is_valid, lex_compare, project,
                    solution_check)
 from .encode import (Decomposition, DualVariable, EncodedProblem, build_de,
-                     build_double, build_hve, group_of, induced_assignment,
+                     build_double, build_hve, induced_assignment,
                      piecewise_decomposition)
-from .propagate import (BOTH, CONSISTENT, DUAL_DUAL, HIDDEN_ONLY, INCONSISTENT,
-                        PropagationResult, ac2001, double_ac, gac2001, hac,
-                        pwac, sgac_check)
-from .search import (ALGORITHMS, AlgorithmSpec, SearchResult,
-                     complete_dual_assignments, make_engine, prepare_model,
-                     solve)
+from .propagate import (CONSISTENT, INCONSISTENT, PropagationResult, ac2001,
+                        gac2001, hac, pwac, sgac_check)
+from .search import (ALGORITHMS, BOTH, DUAL_DUAL, HIDDEN_ONLY, AlgorithmSpec,
+                     SearchResult, complete_dual_assignments, double_ac,
+                     make_engine, prepare_model, solve)
 from .gen import (CrosswordSpec, ModelBParams, gen_clique_embedded,
                   gen_config_like, gen_crossword, gen_model_b,
                   gen_parity_chain, gen_rlfa, tshirt_problem)

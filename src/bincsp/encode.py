@@ -54,32 +54,22 @@ class Decomposition:
 
     Groups are keyed by the projection onto the shared variables, encoded as
     mixed-radix integers; group ids are dense per pair and shared with the
-    peer side, so the supporting group of id g is simply id g over there.
-    tuple_group makes group lookup a constant-time array read.
+    peer side, so the supporting group of id g is simply id g over there
+    (empty there if no peer tuple carries the key). tuple_group makes group
+    lookup a constant-time array read; members lists each group's tuple
+    indices in ascending order.
     """
 
-    def __init__(self, owner: int, peer: int, pair_index: int,
-                 shared_positions: Sequence[int], group_keys: Sequence[tuple],
-                 tuple_group: Sequence[int], members: Sequence[list]):
+    def __init__(self, owner: int, pair_index: int, tuple_group: Sequence[int],
+                 members: Sequence[list]):
         self.owner = owner
-        self.peer = peer
         self.pair_index = pair_index
-        self.shared_positions = tuple(shared_positions)
-        self.group_keys = list(group_keys)
         self.tuple_group = list(tuple_group)
         self.members = [list(m) for m in members]
-        self.peer_side: Optional[Decomposition] = None  # linked by the builder
 
     @property
     def group_count(self) -> int:
-        return len(self.group_keys)
-
-    def sup(self, gid: int) -> Optional[int]:
-        """Supporting group id on the peer side, or None if the peer never
-        realized the key (no tuple over there carries it)."""
-        if self.peer_side is not None and self.peer_side.members[gid]:
-            return gid
-        return None
+        return len(self.members)
 
     def fresh_counters(self, state: DomainState) -> list:
         mask = state.dual_masks[self.owner]
@@ -89,13 +79,8 @@ class Decomposition:
         return [sum(map(mask.__getitem__, mem)) for mem in self.members]
 
     def __repr__(self):
-        return (f"Decomposition(v{self.owner} wrt v{self.peer}, "
+        return (f"Decomposition(v{self.owner} in pair {self.pair_index}, "
                 f"{self.group_count} groups)")
-
-
-def group_of(dec: Decomposition, tuple_index: int) -> int:
-    """Group id of a tuple within a decomposition (constant-time lookup)."""
-    return dec.tuple_group[tuple_index]
 
 
 class DualPair:
@@ -167,12 +152,6 @@ class EncodedProblem:
         state.add_duals([len(v.tuples) for v in self.duals])
         return state
 
-    def dual_for_constraint(self, ci: int) -> Optional[DualVariable]:
-        for v in self.duals:
-            if v.constraint_index == ci:
-                return v
-        return None
-
     def tuple_table_bytes(self, value_width: int = 4) -> int:
         return sum(v.arity * len(v.tuples) * value_width for v in self.duals)
 
@@ -203,28 +182,16 @@ def build_decomposition(pair: DualPair, duals: Sequence[DualVariable],
     realized = sorted(set(keys1) | set(keys2))
     key_to_gid = {key: gid for gid, key in enumerate(realized)}
 
-    def decode(key):
-        vals = []
-        for r in reversed(radices):
-            vals.append(key % r)
-            key //= r
-        return tuple(reversed(vals))
-
-    group_keys = [decode(k) for k in realized]
-
-    def side(owner_dual, proj_keys, positions, owner, peer):
+    def side(proj_keys, owner):
         tuple_group = [key_to_gid[k] for k in proj_keys]
         members = [[] for _ in realized]
         for idx, gid in enumerate(tuple_group):
             members[gid].append(idx)
-        return Decomposition(owner, peer, pair.index, positions, group_keys,
-                             tuple_group, members)
+        return Decomposition(owner, pair.index, tuple_group, members)
 
     pair.keys1, pair.keys2 = keys1, keys2
-    pair.side1 = side(d1, keys1, pair.pos1, pair.v1, pair.v2)
-    pair.side2 = side(d2, keys2, pair.pos2, pair.v2, pair.v1)
-    pair.side1.peer_side = pair.side2
-    pair.side2.peer_side = pair.side1
+    pair.side1 = side(keys1, pair.v1)
+    pair.side2 = side(keys2, pair.v2)
 
 
 def piecewise_decomposition(enc: EncodedProblem, vi: int, vj: int) -> Decomposition:

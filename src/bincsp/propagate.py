@@ -1,4 +1,4 @@
-"""Arc consistency engines: GAC-2001, HAC, AC-2001, PW-AC and double-encoding AC.
+"""Arc consistency engines: GAC-2001, HAC, AC-2001 and PW-AC.
 
 Counting discipline shared by GAC-2001 and HAC: a support search scans the
 sorted tuple list from the stored pointer onward and every scanned index is
@@ -11,6 +11,12 @@ counter updates.
 AC-2001 on the binary views finds supports by index but counts checks and
 micro-ops exactly as the lexicographic scan would (see `Ac2001`), which
 relies on domain masks holding only 0 and 1 bytes.
+
+Propagation on the double encoding (PW-AC between duals plus the rule that
+an original value dies with its last supporting tuple) is
+`search.DoubleEngine`; `search.double_ac` is its root-only call. This module
+supplies its parts: `Hac`, `PwAc`, `ValueSupports` and, for hybrids,
+`Gac2001`.
 """
 
 from __future__ import annotations
@@ -134,11 +140,6 @@ def _pred_enum(problem, c, pos, a, state, after, tight0, counters):
     return rec(0, tight0)
 
 
-def predicate_has_valid_tuple(problem, c, state, counters=None) -> bool:
-    cnt = counters if counters is not None else Counters()
-    return _pred_enum(problem, c, -1, -1, state, (-1,) * c.arity, False, cnt) is not None
-
-
 def constraint_has_valid_tuple(problem, c, rel, state, counters=None) -> bool:
     """Any valid tuple left in the constraint? Micro-op cost only."""
     if rel is not None:
@@ -149,20 +150,28 @@ def constraint_has_valid_tuple(problem, c, rel, state, counters=None) -> bool:
             if all(masks[x][t[p]] for p, x in enumerate(c.scope)):
                 return True
         return False
-    return predicate_has_valid_tuple(problem, c, state, counters)
+    cnt = counters if counters is not None else Counters()
+    return _pred_enum(problem, c, -1, -1, state, (-1,) * c.arity, False, cnt) is not None
 
 
 class Gac2001:
     """Constraint-queue GAC-2001. Does not maintain tuple liveness; validity
-    is per-position work."""
+    is per-position work.
+
+    `remove_value(state, x, a)`, if given, replaces the default removal of a
+    value that lost its support (the double encoding passes one that also
+    deletes the tuples carrying the value); `remove` holds the one in use.
+    """
 
     def __init__(self, problem: Problem, counters: Optional[Counters] = None,
-                 supports: Optional[GacSupports] = None, trail=None):
+                 supports: Optional[GacSupports] = None, trail=None,
+                 remove_value=None):
         self.problem = problem
         self.counters = counters if counters is not None else Counters()
         self.supports = supports if supports is not None else GacSupports(problem)
         self.rels = [c.relation for c in problem.constraints]
         self.trail = trail
+        self.remove = remove_value if remove_value is not None else self.remove_value
 
     def _set_ext_pointer(self, ci, pos, a, idx):
         table = self.supports.ext[ci]
@@ -204,7 +213,7 @@ class Gac2001:
                 if t is not None:
                     self._set_pred_pointer(ci, pos, a, t)
                     continue
-            self.remove_value(state, x, a)
+            self.remove(state, x, a)
             deleted = True
         return deleted
 
@@ -275,10 +284,15 @@ def gac2001(problem: Problem, state: Optional[DomainState] = None,
 class Hac:
     """HAC: GAC-2001 adapted to the HVE. Tuple validity is a dual-domain
     lookup and value deletions eagerly delete the tuples carrying them from
-    every adjacent dual variable, reporting a dual wipeout at once."""
+    every adjacent dual variable, reporting a dual wipeout at once.
+
+    `delete_value(state, x, a) -> bool`, if given, replaces that deletion
+    (the double encoding passes one that maintains its group counters);
+    `delete` holds the deletion in use.
+    """
 
     def __init__(self, enc: EncodedProblem, counters: Optional[Counters] = None,
-                 supports=None, trail=None):
+                 supports=None, trail=None, delete_value=None):
         self.enc = enc
         self.counters = counters if counters is not None else Counters()
         if supports is None:
@@ -286,6 +300,7 @@ class Hac:
             supports = [[[-1] * sizes[x] for x in v.scope] for v in enc.duals]
         self.supports = supports
         self.trail = trail
+        self.delete = delete_value if delete_value is not None else self.delete_value
 
     def _set_pointer(self, v, pos, a, idx):
         if self.trail is not None:
@@ -339,7 +354,7 @@ class Hac:
                 self._set_pointer(v, pos, a, idx)
                 continue
             deleted = True
-            if not self.delete_value(state, x, a):
+            if not self.delete(state, x, a):
                 return True, True
         return deleted, False
 
@@ -732,12 +747,7 @@ def pwac(enc: EncodedProblem, state: Optional[DomainState] = None,
 
 
 # ---------------------------------------------------------------------------
-# AC on the double encoding
-
-
-HIDDEN_ONLY = "HIDDEN_ONLY"
-DUAL_DUAL = "DUAL_DUAL"
-BOTH = "BOTH"
+# Value supports for the double encoding
 
 
 class ValueSupports:
@@ -756,174 +766,6 @@ class ValueSupports:
             live = mask.__getitem__
             self.counts.append([[sum(map(live, idxs)) for idxs in bypv]
                                 for bypv in v.tuples_by_pos_val])
-
-
-class DoubleAc:
-    """AC on the double (or hybrid) encoding.
-
-    DUAL_DUAL/BOTH: PW-AC over the dual-dual constraints plus the rule that
-    an original value is deleted as soon as it loses all supporting tuples in
-    some adjacent dual; that rule enforces exactly the hidden constraints'
-    filtering, so BOTH reaches the same fixpoint. HIDDEN_ONLY ignores the
-    dual-dual constraints (HVE-level consistency). Residual non-binary
-    constraints of a hybrid are propagated by GAC-2001 over the shared
-    original domains, interleaved to a joint fixpoint.
-    """
-
-    def __init__(self, enc: EncodedProblem, counters: Optional[Counters] = None,
-                 trail=None):
-        self.enc = enc
-        self.counters = counters if counters is not None else Counters()
-        self.trail = trail
-        self.pw = PwAc(enc, self.counters, trail=trail,
-                       on_tuple_deleted=self._tuple_deleted)
-        self.vs: Optional[ValueSupports] = None
-        self.value_queue = _Queue()
-        self.wiped_original = False
-
-    # -- value-support bookkeeping
-
-    def init_value_supports(self, state: DomainState) -> None:
-        self.vs = ValueSupports(self.enc, state)
-        for v in self.enc.duals:
-            for pos, x in enumerate(v.scope):
-                counts = self.vs.counts[v.id][pos]
-                for a in range(len(counts)):
-                    if counts[a] == 0 and state.masks[x][a]:
-                        self.value_queue.push((x, a))
-
-    def _tuple_deleted(self, state: DomainState, v: int, idx: int) -> None:
-        if self.vs is None:
-            return
-        dual = self.enc.duals[v]
-        t = dual.tuples[idx]
-        for pos, x in enumerate(dual.scope):
-            counts = self.vs.counts[v][pos]
-            a = t[pos]
-            if self.trail is not None:
-                self.trail.append(("vs", v, pos, a))
-            counts[a] -= 1
-            self.counters.microops += 1
-            if counts[a] == 0 and state.masks[x][a]:
-                self.value_queue.push((x, a))
-
-    def delete_value(self, state: DomainState, x: int, a: int) -> bool:
-        if not state.masks[x][a]:
-            return True
-        if self.trail is not None:
-            self.trail.append(("ov", x, a))
-        state.remove_value(x, a)
-        self.counters.value_removals += 1
-        if state.counts[x] == 0:
-            self.wiped_original = True
-            return False
-        ok = True
-        enc = self.enc
-        for v_l in enc.duals_of_var[x]:
-            dual = enc.duals[v_l]
-            mask = state.dual_masks[v_l]
-            for idx in dual.tuples_by_pos_val[dual.position[x]][a]:
-                if mask[idx]:
-                    if not self.pw.delete_tuple(state, v_l, idx):
-                        ok = False
-        return ok
-
-    def drain(self, state: DomainState) -> bool:
-        """Joint fixpoint of the group queue and the value-support rule."""
-        while True:
-            if not self.pw.propagate(state):
-                return False
-            if not self.value_queue:
-                return True
-            x, a = self.value_queue.pop()
-            if state.masks[x][a]:
-                if not self.delete_value(state, x, a):
-                    return False
-
-    def run(self, state: DomainState, mode: str = BOTH,
-            residual_gac: bool = True) -> bool:
-        enc = self.enc
-        if any(state.dual_counts[v.id] == 0 for v in enc.duals):
-            return False
-        if mode == HIDDEN_ONLY:
-            ok = self._run_hidden(state, residual_gac)
-        else:
-            self.pw.init_counts(state)
-            self.init_value_supports(state)
-            ok = self.drain(state)
-            if ok and residual_gac and enc.residual_constraints:
-                ok = self._residual_rounds(state)
-        return ok
-
-    def _run_hidden(self, state: DomainState, residual_gac: bool) -> bool:
-        engine = Hac(self.enc, self.counters)
-        if not engine.run(state):
-            return False
-        if residual_gac and self.enc.residual_constraints:
-            return self._residual_rounds(state, hidden_engine=True)
-        return True
-
-    def _residual_rounds(self, state: DomainState, hidden_engine: bool = False) -> bool:
-        """Alternate residual GAC-2001 with encoding propagation until stable."""
-        enc = self.enc
-        problem = enc.problem
-        while True:
-            before = self.counters.value_removals
-            gac = Gac2001(problem, self.counters)
-            if not gac.run(state, constraint_subset=enc.residual_constraints):
-                return False
-            if self.counters.value_removals == before:
-                return True
-            # push residual deletions through the encoding
-            if hidden_engine:
-                eng = Hac(enc, self.counters)
-                sync_ok = self._sync_masks(state, eng=eng)
-                if not sync_ok or not eng.run(state):
-                    return False
-            else:
-                sync_ok = self._sync_masks(state, eng=None)
-                if not sync_ok or not self.drain(state):
-                    return False
-
-    def _sync_masks(self, state: DomainState, eng) -> bool:
-        """Re-establish the tuple-mask invariant after residual GAC deleted
-        original values without touching the duals."""
-        enc = self.enc
-        ok = True
-        for v in enc.duals:
-            mask = state.dual_masks[v.id]
-            for idx, t in enumerate(v.tuples):
-                if not mask[idx]:
-                    continue
-                if all(state.masks[x][t[pos]] for pos, x in enumerate(v.scope)):
-                    continue
-                if eng is not None:
-                    if self.trail is not None:
-                        self.trail.append(("dt", v.id, idx))
-                    mask[idx] = 0
-                    state.dual_counts[v.id] -= 1
-                    self.counters.tuple_removals += 1
-                    if state.dual_counts[v.id] == 0:
-                        ok = False
-                else:
-                    if not self.pw.delete_tuple(state, v.id, idx):
-                        ok = False
-        return ok
-
-
-def double_ac(enc: EncodedProblem, mode: str = BOTH,
-              state: Optional[DomainState] = None,
-              counters: Optional[Counters] = None) -> PropagationResult:
-    """AC on the double encoding in one of three modes: HIDDEN_ONLY (HVE-level
-    consistency), DUAL_DUAL (piecewise propagation between duals plus original
-    pruning) or BOTH (joint fixpoint; coincides with DUAL_DUAL)."""
-    if mode not in (HIDDEN_ONLY, DUAL_DUAL, BOTH):
-        raise ValueError(f"unknown double AC mode: {mode!r}")
-    if state is None:
-        state = enc.fresh_state()
-    engine = DoubleAc(enc, counters)
-    ok = engine.run(state, mode)
-    return PropagationResult(ok, state, engine.counters)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ node-sequence equality.
 A node is one value-assignment event; dead-end detection happens at the
 node after its lookahead. The node count of the backtrack-free dual
 completion at a SAT leaf is not included.
+
+Propagation on the double encoding lives in one place, `DoubleEngine`:
+`double_ac` is its root propagation, run on its own.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from .core import (Counters, DEFAULT_EXPANSION_BUDGET, DomainState, Problem,
                    solution_check)
 from .encode import (DE, DOUBLE, HVE, HYBRID, EncodedProblem, build_de,
                      build_double, build_hve, induced_assignment)
-from .propagate import (Ac2001, DeView, DoubleView, Gac2001, Hac, PwAc,
-                        ValueSupports, _Queue, constraint_has_valid_tuple)
+from .propagate import (Ac2001, DeView, DoubleView, Gac2001, Hac,
+                        PropagationResult, PwAc, ValueSupports, _Queue,
+                        constraint_has_valid_tuple)
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -175,22 +179,38 @@ class Engine:
                 raise _LimitHit(TIME_LIMIT)
 
     def _descend(self) -> bool:
+        """Depth-first search from the current state; True at a solution.
+
+        One stack frame per level, (variable, its remaining values, trail
+        mark), in place of recursion, so the depth is not bounded by the
+        interpreter's recursion limit. Nodes come in the recursive order.
+        """
         var = self.select_variable()
         if var is None:
             return True
-        for val in self.live_values(var):
-            mark = len(self.trail)
-            self.path.append((var, val))
-            if self.node_paths is not None:
-                self.node_paths.append(tuple(self.path))
-            self._tick()
-            ok = self.assign(var, val)
-            if ok:
-                ok = self.lookahead(var)
-            if ok and self._descend():
-                return True
-            self.path.pop()
-            self.undo_to(mark)
+        frames = [(var, iter(self.live_values(var)), len(self.trail))]
+        while frames:
+            var, values, mark = frames[-1]
+            for val in values:
+                self.path.append((var, val))
+                if self.node_paths is not None:
+                    self.node_paths.append(tuple(self.path))
+                self._tick()
+                if self.assign(var, val) and self.lookahead(var):
+                    child = self.select_variable()
+                    if child is None:
+                        return True
+                    frames.append((child, iter(self.live_values(child)),
+                                   len(self.trail)))
+                    break
+                self.path.pop()
+                self.undo_to(mark)
+            else:
+                # every value failed: the parent's current value fails too
+                frames.pop()
+                if frames:
+                    self.path.pop()
+                    self.undo_to(frames[-1][2])
         return False
 
     def solve(self) -> SearchResult:
@@ -252,39 +272,24 @@ def _undo(trail, mark, state, *, gac=None, hac_supports=None, ac_pointers=None,
             raise AssertionError(f"unknown trail tag {tag!r}")
 
 
-def lookahead_set(model, assigned, current, level):
-    """The constraint (or dual-variable) ids a forward-checking level looks
-    at after assigning `current`, plus the pass mode. MAC is level "MAC".
+def _fc_selected(scopes, assigned, currents, level):
+    """Constraint (or dual) ids selected by a forward-checking level, in
+    index order. `scopes` are sets; `currents` is the set of variables the
+    node just assigned.
 
-    Levels 0..1 run one pass, 2 and 4 one pass over wider sets, 3 and 5 a
-    fixpoint restricted to their sets; MAC propagates the whole model.
-    """
-    if isinstance(model, EncodedProblem):
-        scopes = [set(v.scope) for v in model.duals]
-    else:
-        scopes = [set(c.scope) for c in model.constraints]
-    if level == "MAC":
-        return list(range(len(scopes))), "fixpoint"
-    ids = _fc_selected(scopes, assigned, current, level)
-    return ids, "fixpoint" if level in (3, 5) else "one_pass"
-
-
-def _fc_selected(scopes, assigned, current, level):
-    """Constraint ids selected by a forward-checking level, in index order.
-
-    Levels 0/1: constraints with the current variable and exactly one
-    unassigned variable. Levels 2/3: the current variable and at least one
-    unassigned. Levels 4/5: at least one assigned (the current variable
-    counts) and at least one unassigned.
+    Levels 0/1: constraints with a current variable and exactly one
+    unassigned variable. Levels 2/3: a current variable and at least one
+    unassigned. Levels 4/5: at least one assigned (the current variables
+    count) and at least one unassigned.
     """
     out = []
     for ci, scope in enumerate(scopes):
         unassigned = sum(1 for x in scope if not assigned[x])
         if level in (0, 1):
-            if current in scope and unassigned == 1:
+            if unassigned == 1 and not scope.isdisjoint(currents):
                 out.append(ci)
         elif level in (2, 3):
-            if current in scope and unassigned >= 1:
+            if unassigned >= 1 and not scope.isdisjoint(currents):
                 out.append(ci)
         else:
             if unassigned >= 1 and len(scope) - unassigned >= 1:
@@ -370,7 +375,7 @@ class NonBinaryEngine(Engine):
                                 queue_seed=self.problem.constraints_of_var[var],
                                 assigned=self.assigned)
         level = spec.level
-        selected = _fc_selected(self.scopes, self.assigned, var, level)
+        selected = _fc_selected(self.scopes, self.assigned, {var}, level)
         if level in (0, 1, 2, 4):
             for ci in selected:
                 if not self._revise_constraint(ci):
@@ -467,9 +472,9 @@ class HveEngine(Engine):
 
     def delete_value(self, x, a) -> bool:
         if not self.track_pruned:
-            return self.hac.delete_value(self.state, x, a)
+            return self.hac.delete(self.state, x, a)
         before = {v: self.state.dual_counts[v] for v in self.enc.duals_of_var[x]}
-        ok = self.hac.delete_value(self.state, x, a)
+        ok = self.hac.delete(self.state, x, a)
         for v, cnt in before.items():
             if self.state.dual_counts[v] != cnt:
                 self.pruned_duals.append(v)
@@ -527,23 +532,6 @@ class HveEngine(Engine):
             return list(self.enc.duals[var[1]].scope)
         return [var]
 
-    def _selected_duals(self, current_vars, level) -> list:
-        out = []
-        currents = set(current_vars)
-        for v in self.enc.duals:
-            scope = v.scope
-            unassigned = sum(1 for x in scope if not self.assigned[x])
-            if level in (0, 1):
-                if currents & self.scopes[v.id] and unassigned == 1:
-                    out.append(v.id)
-            elif level in (2, 3):
-                if currents & self.scopes[v.id] and unassigned >= 1:
-                    out.append(v.id)
-            else:
-                if unassigned >= 1 and v.arity - unassigned >= 1:
-                    out.append(v.id)
-        return out
-
     def revise_dual(self, v) -> bool:
         """One revision pass of a dual against its unassigned originals;
         False on any wipeout (dual or original)."""
@@ -573,7 +561,8 @@ class HveEngine(Engine):
                 if not self.revise_dual(v):
                     return False
             return self._no_wiped_dual()
-        selected = self._selected_duals(current_vars, level)
+        selected = _fc_selected(self.scopes, self.assigned, set(current_vars),
+                                level)
         if level in (2, 4):
             for v in selected:
                 if not self.revise_dual(v):
@@ -616,7 +605,10 @@ def complete_dual_assignments(enc: EncodedProblem, state: DomainState) -> dict:
 
 
 class DoubleEngine(HveEngine):
-    """HVE machinery plus piecewise group counters; lookahead additionally
+    """The one propagator of the double encoding, for search and, through
+    `double_ac`, at the root alone.
+
+    HVE machinery plus piecewise group counters; lookahead additionally
     propagates through the dual-dual constraints. MAC mode adds the
     value-support rule (an original value dies with its last supporting
     tuple in some adjacent dual) and, for hybrids, residual GAC-2001."""
@@ -629,14 +621,15 @@ class DoubleEngine(HveEngine):
         self.use_value_rule = spec.scheme == "MAC"
         self.vs = ValueSupports(enc, self.state) if self.use_value_rule else None
         self.value_queue = _Queue()
-        self.residual_gac = (Gac2001(self.problem, self.counters, trail=self.trail)
+        self.residual_gac = (Gac2001(self.problem, self.counters, trail=self.trail,
+                                     remove_value=self._residual_remove)
                              if enc.residual_constraints else None)
         self._residual_wiped = False
 
     def _make_hac(self) -> Hac:
-        hac = Hac(self.enc, self.counters, trail=self.trail)
-        hac.delete_value = self._delete_value_via_pw  # tuple deletions must
-        return hac                                    # maintain group counters
+        # tuple deletions must maintain the group counters
+        return Hac(self.enc, self.counters, trail=self.trail,
+                   delete_value=self._delete_value_via_pw)
 
     def _delete_value_via_pw(self, state, x, a) -> bool:
         self.trail.append(("ov", x, a))
@@ -703,19 +696,12 @@ class DoubleEngine(HveEngine):
     def _residual_round(self):
         """One round of residual GAC; returns (consistent, deleted_anything)."""
         before = self.counters.value_removals
-        saved = self.residual_gac.remove_value
-        self.residual_gac.remove_value = (
-            lambda state, x, a: self._residual_remove(x, a))
-        try:
-            ok = self.residual_gac.run(
-                self.state, assigned=self.assigned,
-                constraint_subset=self.enc.residual_constraints)
-        finally:
-            self.residual_gac.remove_value = saved
+        ok = self.residual_gac.run(self.state, assigned=self.assigned,
+                                   constraint_subset=self.enc.residual_constraints)
         return ok and not self._residual_wiped, self.counters.value_removals > before
 
-    def _residual_remove(self, x, a):
-        if not self._delete_value_via_pw(self.state, x, a):
+    def _residual_remove(self, state, x, a):
+        if not self._delete_value_via_pw(state, x, a):
             self._residual_wiped = True
 
     def lookahead(self, var) -> bool:
@@ -732,7 +718,8 @@ class DoubleEngine(HveEngine):
                 if not self.revise_dual(v):
                     return False
             return self._no_wiped_dual()
-        selected = self._selected_duals(current_vars, level)
+        selected = _fc_selected(self.scopes, self.assigned, set(current_vars),
+                                level)
         sel = set(selected)
         if level in (2, 4):
             if not self._dual_pass(selected, sel):
@@ -785,6 +772,33 @@ class DoubleEngine(HveEngine):
         # drop queued work that referred to the undone deletions
         self.pw.queue = _Queue()
         self.value_queue = _Queue()
+
+
+HIDDEN_ONLY = "HIDDEN_ONLY"
+DUAL_DUAL = "DUAL_DUAL"
+BOTH = "BOTH"
+
+
+def double_ac(enc: EncodedProblem, mode: str = BOTH) -> PropagationResult:
+    """AC on the double (or hybrid) encoding: the root propagation of a MAC
+    `DoubleEngine`, in one of three modes.
+
+    DUAL_DUAL runs PW-AC between the duals plus the rule that an original
+    value dies with its last supporting tuple in some adjacent dual. That
+    rule enforces exactly the hidden constraints' filtering, so BOTH is the
+    same fixpoint and the same run. HIDDEN_ONLY (HVE-level consistency) runs
+    the engine on the encoding without its dual-dual constraints, where the
+    value rule alone is HAC's filtering. Residual non-binary constraints of
+    a hybrid are propagated by GAC-2001 to a joint fixpoint.
+    """
+    if mode not in (HIDDEN_ONLY, DUAL_DUAL, BOTH):
+        raise ValueError(f"unknown double AC mode: {mode!r}")
+    if mode == HIDDEN_ONLY:
+        enc = EncodedProblem(enc.kind, enc.problem, enc.duals, enc.hidden, [],
+                             enc.residual_constraints)
+    engine = DoubleEngine(enc, ALGORITHMS["MAC-PW-ACd"])
+    ok = engine.root_propagate()
+    return PropagationResult(ok, engine.state, engine.counters)
 
 
 # ---------------------------------------------------------------------------

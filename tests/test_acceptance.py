@@ -13,10 +13,10 @@ from bincsp.core import Counters, DomainState, ac1_fixpoint, \
 from bincsp.encode import build_de, build_double, build_hve
 from bincsp.gen import (CrosswordSpec, ModelBParams, gen_crossword,
                         gen_model_b, gen_parity_chain)
-from bincsp.propagate import (DUAL_DUAL, ac2001, double_ac, gac2001, hac,
-                              pwac, seed_assignment_hve,
-                              seed_assignment_nonbinary, sgac_check)
-from bincsp.search import FIXED, solve
+from bincsp.propagate import (ac2001, gac2001, hac, pwac,
+                              seed_assignment_hve, seed_assignment_nonbinary,
+                              sgac_check)
+from bincsp.search import DUAL_DUAL, FIXED, double_ac, solve
 from bincsp.words import WORDS
 
 from cases import appendix_a, example_42, example_51, prop_51, six_var_linear

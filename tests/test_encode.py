@@ -5,7 +5,7 @@ import pytest
 from bincsp.core import CapacityError, Constraint, Predicate, Problem, \
     enumerate_solutions
 from bincsp.encode import (DE, DOUBLE, HVE, HYBRID, build_de, build_double,
-                           build_hve, group_of, induced_assignment,
+                           build_hve, induced_assignment,
                            piecewise_decomposition)
 from bincsp.gen import CrosswordSpec, ModelBParams, gen_crossword, gen_model_b
 from bincsp.propagate import pwac
@@ -101,17 +101,18 @@ def test_hybrid_subset():
 
 def test_decomposition_example_41_groups():
     enc = build_de(example_41())
+    tuples = enc.duals[0].tuples
     dec12 = piecewise_decomposition(enc, 0, 1)
     # shared variable x1 in first position: three groups keyed (0), (1), (2)
     assert dec12.group_count == 3
-    assert dec12.group_keys == [(0,), (1,), (2,)]
+    assert [{tuples[i][0] for i in m} for m in dec12.members] == [{0}, {1}, {2}]
     assert all(len(m) == 9 for m in dec12.members)
     dec13 = piecewise_decomposition(enc, 0, 2)
     # v3 holds x3 in its last position; groups keyed on v1's last component
-    assert dec13.group_keys == [(0,), (1,), (2,)]
-    t = enc.duals[0].tuples.index((2, 0, 1))
-    assert dec12.group_keys[group_of(dec12, t)] == (2,)
-    assert dec13.group_keys[group_of(dec13, t)] == (1,)
+    assert [{tuples[i][2] for i in m} for m in dec13.members] == [{0}, {1}, {2}]
+    t = tuples.index((2, 0, 1))
+    assert dec12.tuple_group[t] == 2
+    assert dec13.tuple_group[t] == 1
 
 
 def test_decomposition_full_scope_overlap_gives_singleton_groups():
@@ -121,26 +122,11 @@ def test_decomposition_full_scope_overlap_gives_singleton_groups():
     enc = build_de(p)
     dec = piecewise_decomposition(enc, 0, 1)
     assert all(len(m) <= 1 for m in dec.members)
-    # keys realized on one side only still appear, with an empty member list
-    assert (1, 1) in dec.group_keys and (1, 0) in dec.group_keys
-
-
-def test_sup_links_are_symmetric_and_none_when_peer_missing():
-    p = Problem(["a", "b"], [[0, 1]] * 2,
-                [Constraint((0, 1), relation=[(0, 0), (1, 1)]),
-                 Constraint((0, 1), relation=[(0, 0), (1, 0)])])
-    enc = build_de(p)
-    dec = piecewise_decomposition(enc, 0, 1)
-    peer = dec.peer_side
-    for gid in range(dec.group_count):
-        s = dec.sup(gid)
-        if s is None:
-            assert not peer.members[gid]
-        else:
-            assert peer.sup(s) == gid or not dec.members[gid]
-    # (1, 1) exists only in c1; its support on c2's side is missing
-    gid = dec.group_keys.index((1, 1))
-    assert dec.sup(gid) is None
+    # keys realized on one side only still appear, with an empty member
+    # list: groups (0, 0), (1, 0), (1, 1), where (1, 0) exists only in c2
+    # and (1, 1) only in c1
+    assert dec.members == [[0], [], [1]]
+    assert piecewise_decomposition(enc, 1, 0).members == [[0], [1], []]
 
 
 def test_decomposition_partition_property():
@@ -148,7 +134,7 @@ def test_decomposition_partition_property():
     for pair in enc.dual_pairs:
         for side, keys_self, keys_peer in ((pair.side1, pair.keys1, pair.keys2),
                                            (pair.side2, pair.keys2, pair.keys1)):
-            peer_side = side.peer_side
+            peer_side = pair.side2 if side is pair.side1 else pair.side1
             for g1, mem1 in enumerate(side.members):
                 for g2, mem2 in enumerate(peer_side.members):
                     flags = {keys_self[i] == keys_peer[j]
@@ -156,14 +142,22 @@ def test_decomposition_partition_property():
                     assert len(flags) <= 1  # all cross pairs agree or none
 
 
-def test_group_of_matches_projection():
+def test_tuple_groups_match_projections():
+    """Two tuples, on either side of a pair, share a group iff their
+    projections on the shared variables are equal; members lists each
+    group's tuples in ascending order."""
     enc = build_de(example_42())
     for pair in enc.dual_pairs:
-        d1 = enc.duals[pair.v1]
-        for idx, t in enumerate(d1.tuples):
-            gid = group_of(pair.side1, idx)
-            key = tuple(t[pos] for pos in pair.pos1)
-            assert pair.side1.group_keys[gid] == key
+        tagged = []
+        for side, positions in ((pair.side1, pair.pos1), (pair.side2, pair.pos2)):
+            tuples = enc.duals[side.owner].tuples
+            tagged += [(side.tuple_group[idx], tuple(tuples[idx][p] for p in positions))
+                       for idx in range(len(tuples))]
+            assert side.members == [
+                [idx for idx, g in enumerate(side.tuple_group) if g == gid]
+                for gid in range(side.group_count)]
+        for (g1, key1), (g2, key2) in itertools.product(tagged, repeat=2):
+            assert (g1 == g2) == (key1 == key2), pair
 
 
 def test_round_trip_solutions_through_encodings():

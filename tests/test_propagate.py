@@ -5,12 +5,12 @@ from bincsp.core import Constraint, Counters, DomainState, Problem, \
     ac1_fixpoint, enumerate_solutions
 from bincsp.encode import build_de, build_double, build_hve
 from bincsp.gen import ModelBParams, gen_model_b
-from bincsp.propagate import (BOTH, DUAL_DUAL, HIDDEN_ONLY, Ac2001, DeView,
-                              DoubleView, PwAc, PwState, ValueSupports,
-                              ac2001, double_ac, gac2001, hac, pwac,
+from bincsp.propagate import (Ac2001, DeView, DoubleView, PwAc, PwState,
+                              ValueSupports, ac2001, gac2001, hac, pwac,
                               seed_assignment_hve, seed_assignment_nonbinary,
                               sgac_check)
 from bincsp import search
+from bincsp.search import BOTH, DUAL_DUAL, HIDDEN_ONLY, double_ac
 
 from cases import appendix_a, example_42, example_51, six_var_linear
 
@@ -291,7 +291,7 @@ def test_pwac_dual_domains_within_hac_surviving_tuples():
 def test_hidden_only_with_residuals_matches_flat_gac():
     # hybrid: half the constraints encoded; hidden-level AC plus residual
     # GAC must land on the flat GAC fixpoint for the original domains
-    from bincsp.propagate import HIDDEN_ONLY
+    from bincsp.search import HIDDEN_ONLY
     for p in _random_suite(20):
         subset = list(range(0, len(p.constraints), 2))
         enc = build_double(p, encoded_subset=subset)
@@ -303,7 +303,7 @@ def test_hidden_only_with_residuals_matches_flat_gac():
 
 
 def test_dual_dual_with_residuals_at_least_as_strong_as_flat_gac():
-    from bincsp.propagate import DUAL_DUAL
+    from bincsp.search import DUAL_DUAL
     for p in _random_suite(20):
         subset = list(range(0, len(p.constraints), 2))
         enc = build_double(p, encoded_subset=subset)
@@ -315,6 +315,24 @@ def test_dual_dual_with_residuals_at_least_as_strong_as_flat_gac():
             for x in range(p.n):
                 assert set(r.state.live_values(x)) <= \
                     set(g.state.live_values(x)), (p.name, x)
+
+
+def test_double_ac_reaches_the_ac1_fixpoint_of_its_encoding():
+    """BOTH is AC on the double encoding and HIDDEN_ONLY is AC on the HVE,
+    as the brute-force oracle computes them, on original domains."""
+    verdicts = set()
+    for p in _random_suite():
+        enc = build_double(p)
+        for mode, oracle_enc in ((BOTH, enc), (HIDDEN_ONLY, build_hve(p))):
+            r = double_ac(enc, mode)
+            ok, oracle = ac1_fixpoint(oracle_enc)
+            assert r.consistent == ok, (p.name, mode)
+            if ok:
+                assert r.state.domains_as_lists() == oracle.domains_as_lists(), \
+                    (p.name, mode)
+            verdicts.add((mode, ok))
+    assert verdicts == {(BOTH, True), (BOTH, False),
+                        (HIDDEN_ONLY, True), (HIDDEN_ONLY, False)}
 
 
 def test_hac_empty_seed_spends_no_checks():

@@ -4,6 +4,7 @@ from bincsp.core import Constraint, Problem, enumerate_solutions
 from bincsp.encode import build_double, build_hve
 from bincsp.gen import (CrosswordSpec, ModelBParams, gen_crossword,
                         gen_model_b, gen_parity_chain)
+from bincsp.propagate import ValueSupports
 from bincsp.search import (ALGORITHMS, DOM_DEG, FIXED,
                            complete_dual_assignments, make_engine, solve)
 
@@ -273,14 +274,28 @@ def test_fc_selected_sets_split_by_level():
     # future variables: levels 0/1 select nothing, level 2 selects both
     scopes = [{0, 1, 2}, {0, 3, 4}]
     assigned = [True, False, False, False, False]
-    assert _fc_selected(scopes, assigned, 0, 1) == []
-    assert _fc_selected(scopes, assigned, 0, 2) == [0, 1]
+    assert _fc_selected(scopes, assigned, {0}, 1) == []
+    assert _fc_selected(scopes, assigned, {0}, 2) == [0, 1]
     # a constraint with a past-but-not-current variable and a future variable
     # is selected at level 4 but not at level 2
     scopes = [{1, 2, 3}]
     assigned = [True, True, False, False]
-    assert _fc_selected(scopes, assigned, 0, 2) == []
-    assert _fc_selected(scopes, assigned, 0, 4) == [0]
+    assert _fc_selected(scopes, assigned, {0}, 2) == []
+    assert _fc_selected(scopes, assigned, {0}, 4) == [0]
+    # the same selection over constraints and over the duals of the HVE
+    p = six_var_linear()
+    scopes = [set(c.scope) for c in p.constraints]
+    dual_scopes = [set(v.scope) for v in build_hve(p).duals]
+    assigned = [True, False, False, False, False, False]
+    assert _fc_selected(scopes, assigned, {0}, 2) == [0, 1]  # c1, c2 contain x1
+    assert _fc_selected(scopes, assigned, {0}, 5) == [0, 1]
+    assert _fc_selected(dual_scopes, assigned, {0}, 3) == [0, 1]
+    # a dual assignment makes every variable of its scope current: c1
+    # assigns x1, x2, x6; c2, c3 and c4 keep unassigned variables, and
+    # only c4 exactly one
+    assigned = [True, True, False, False, False, True]
+    assert _fc_selected(dual_scopes, assigned, {0, 1, 5}, 2) == [1, 2, 3]
+    assert _fc_selected(dual_scopes, assigned, {0, 1, 5}, 0) == [3]
 
 
 def test_fc_plus_hierarchy_levels_0_to_2():
@@ -323,21 +338,6 @@ def test_search_on_intensional_constraints():
             assert solution_check(p, result.solution)
 
 
-def test_lookahead_set_operation():
-    from bincsp.search import lookahead_set
-    p = six_var_linear()
-    assigned = [True, False, False, False, False, False]
-    ids, mode = lookahead_set(p, assigned, 0, 2)
-    assert ids == [0, 1] and mode == "one_pass"  # c1, c2 contain x1
-    ids, mode = lookahead_set(p, assigned, 0, 5)
-    assert ids == [0, 1] and mode == "fixpoint"
-    ids, mode = lookahead_set(p, assigned, 0, "MAC")
-    assert ids == [0, 1, 2, 3] and mode == "fixpoint"
-    enc = build_hve(p)
-    ids, mode = lookahead_set(enc, assigned, 0, 3)
-    assert ids == [0, 1] and mode == "fixpoint"
-
-
 def test_unsat_search_restores_state_exactly():
     """An exhausted search must unwind every change back to the state it had
     right after root propagation (whose own trail entries are permanent)."""
@@ -345,11 +345,14 @@ def test_unsat_search_restores_state_exactly():
     assert unsat, "suite should contain insoluble instances"
     for p in unsat[:4]:
         for algorithm in ("MGAC-2001", "MHAC-2001", "hFC3", "dFC4",
-                          "MAC-PW-ACd", "MAC-PW-AC", "MAC-2001d"):
+                          "MAC-PW-ACd", "MAC-PW-AC", "MAC-2001d", "MAC-hybrid"):
             spec = ALGORITHMS[algorithm]
             from bincsp.search import prepare_model
-            model = p if spec.representation == "NONBINARY" else \
-                prepare_model(p, spec)
+            if spec.representation == "HYBRID":
+                model = build_double(p, encoded_subset=range(0, len(p.constraints), 2))
+            else:
+                model = p if spec.representation == "NONBINARY" else \
+                    prepare_model(p, spec)
             engine = make_engine(model, spec, ordering=FIXED)
             if not engine.root_propagate():
                 continue  # refuted before any node: nothing to unwind
@@ -369,6 +372,23 @@ def test_unsat_search_restores_state_exactly():
                     for bit, side in ((0, pair.side1), (1, pair.side2)):
                         fresh = side.fresh_counters(engine.state)
                         assert pw.pw.counts[pair.index][bit] == fresh, algorithm
+            # and so must the value-support counters of the double encoding
+            vs = getattr(engine, "vs", None)
+            if vs is not None:
+                assert vs.counts == ValueSupports(model, engine.state).counts, \
+                    algorithm
+
+
+def test_deep_chain_is_searched_without_recursion():
+    """Search depth is not bounded by the interpreter's recursion limit."""
+    n = 1500
+    equal = [(0, 0), (1, 1)]
+    p = Problem([f"x{i}" for i in range(n)], [[0, 1]] * n,
+                [Constraint((i, i + 1), relation=equal) for i in range(n - 1)])
+    for algorithm in ("MGAC-2001", "MAC-PW-AC", "MAC-PW-ACd"):
+        result = solve(p, algorithm, ordering=FIXED)
+        assert result.verdict == "SAT", algorithm
+        assert set(result.solution) == {0}, algorithm
 
 
 def test_generic_and_specialized_mac_agree_per_encoding():
