@@ -129,6 +129,33 @@ def test_decomposition_full_scope_overlap_gives_singleton_groups():
     assert piecewise_decomposition(enc, 1, 0).members == [[0], [1], []]
 
 
+def test_sup_links_are_symmetric_and_none_when_peer_missing():
+    """The supporting group of id g is id g on the peer side: both sides
+    count the same groups, every tuple of group g on either side carries the
+    same shared-variable key, and a key realized on one side only is an
+    empty group on the other."""
+    p = Problem(["a", "b"], [[0, 1]] * 2,
+                [Constraint((0, 1), relation=[(0, 0), (1, 1)]),
+                 Constraint((0, 1), relation=[(0, 0), (1, 0)])])
+    for enc in (build_de(p), build_de(example_42())):
+        for pair in enc.dual_pairs:
+            assert pair.side1.group_count == pair.side2.group_count
+            t1 = enc.duals[pair.v1].tuples
+            t2 = enc.duals[pair.v2].tuples
+            for gid in range(pair.side1.group_count):
+                keys = ({tuple(t1[i][q] for q in pair.pos1)
+                         for i in pair.side1.members[gid]}
+                        | {tuple(t2[j][q] for q in pair.pos2)
+                           for j in pair.side2.members[gid]})
+                assert len(keys) == 1, (pair, gid)
+    # (1, 1) exists only in c1; its support on c2's side is missing
+    enc = build_de(p)
+    dec = piecewise_decomposition(enc, 0, 1)
+    peer = piecewise_decomposition(enc, 1, 0)
+    gid = dec.tuple_group[enc.duals[0].tuples.index((1, 1))]
+    assert dec.members[gid] and not peer.members[gid]
+
+
 def test_decomposition_partition_property():
     enc = build_de(example_42())
     for pair in enc.dual_pairs:

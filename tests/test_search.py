@@ -268,6 +268,19 @@ def test_unknown_algorithm_rejected():
         solve(six_var_linear(), "MAC-42")
 
 
+def test_lookahead_set_operation():
+    """The same forward-checking selection over the constraints and over the
+    duals of the HVE of the six-variable example, after assigning x1."""
+    from bincsp.search import _fc_selected
+    p = six_var_linear()
+    scopes = [set(c.scope) for c in p.constraints]
+    dual_scopes = [set(v.scope) for v in build_hve(p).duals]
+    assigned = [True, False, False, False, False, False]
+    assert _fc_selected(scopes, assigned, {0}, 2) == [0, 1]  # c1, c2 contain x1
+    assert _fc_selected(scopes, assigned, {0}, 5) == [0, 1]
+    assert _fc_selected(dual_scopes, assigned, {0}, 3) == [0, 1]
+
+
 def test_fc_selected_sets_split_by_level():
     from bincsp.search import _fc_selected
     # two ternary constraints sharing the current variable, both with two
@@ -282,17 +295,10 @@ def test_fc_selected_sets_split_by_level():
     assigned = [True, True, False, False]
     assert _fc_selected(scopes, assigned, {0}, 2) == []
     assert _fc_selected(scopes, assigned, {0}, 4) == [0]
-    # the same selection over constraints and over the duals of the HVE
-    p = six_var_linear()
-    scopes = [set(c.scope) for c in p.constraints]
-    dual_scopes = [set(v.scope) for v in build_hve(p).duals]
-    assigned = [True, False, False, False, False, False]
-    assert _fc_selected(scopes, assigned, {0}, 2) == [0, 1]  # c1, c2 contain x1
-    assert _fc_selected(scopes, assigned, {0}, 5) == [0, 1]
-    assert _fc_selected(dual_scopes, assigned, {0}, 3) == [0, 1]
     # a dual assignment makes every variable of its scope current: c1
     # assigns x1, x2, x6; c2, c3 and c4 keep unassigned variables, and
     # only c4 exactly one
+    dual_scopes = [set(v.scope) for v in build_hve(six_var_linear()).duals]
     assigned = [True, True, False, False, False, True]
     assert _fc_selected(dual_scopes, assigned, {0, 1, 5}, 2) == [1, 2, 3]
     assert _fc_selected(dual_scopes, assigned, {0, 1, 5}, 0) == [3]
