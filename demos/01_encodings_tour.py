@@ -5,7 +5,7 @@ dual and double encodings and look at what each one contains.
 """
 
 from bincsp import (Constraint, Predicate, Problem, build_de, build_double,
-                    build_hve, enumerate_solutions)
+                    build_hve, enumerate_solutions, project)
 
 
 def toy():
@@ -39,10 +39,10 @@ def main():
           f"{len(de.dual_pairs)} dual-dual constraints")
     for pair in de.dual_pairs:
         shared = ", ".join(p.variables[x] for x in pair.shared)
+        d1, d2 = de.duals[pair.v1], de.duals[pair.v2]
         compatible = [
-            (de.duals[pair.v1].tuples[i], de.duals[pair.v2].tuples[j])
-            for i in range(len(pair.keys1)) for j in range(len(pair.keys2))
-            if pair.keys1[i] == pair.keys2[j]]
+            (t1, t2) for t1 in d1.tuples for t2 in d2.tuples
+            if project(t1, d1.scope, pair.shared) == project(t2, d2.scope, pair.shared)]
         print(f"  v_c{pair.v1 + 1} ~ v_c{pair.v2 + 1} share {{{shared}}}: "
               f"{len(compatible)} compatible pairs")
 

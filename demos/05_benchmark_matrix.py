@@ -34,11 +34,11 @@ MATRIX = {
 
 
 def main():
-    out = Path(tempfile.mkdtemp(prefix="bincsp_bench_"))
-    run_bench(MATRIX, str(out), time_mode="zero")
-    print(f"reports in {out}:\n")
-    print((out / "report.csv").read_text())
-    paired = json.loads((out / "paired.json").read_text())
+    with tempfile.TemporaryDirectory(prefix="bincsp_bench_") as out:
+        run_bench(MATRIX, out, time_mode="zero")
+        print(f"reports in {out}:\n")
+        print((Path(out) / "report.csv").read_text())
+        paired = json.loads((Path(out) / "paired.json").read_text())
     first = sorted(paired)[0]
     print(f"paired hierarchy verdicts for {first}:")
     for small, big, ok in paired[first]["subset"]:

@@ -242,10 +242,6 @@ class Problem:
     def domain_size(self, x: int) -> int:
         return len(self.domains[x])
 
-    def labels_of(self, x: int, t: Iterable[int]) -> tuple:
-        dom = self.domains[x]
-        return tuple(dom[a] for a in t)
-
     def tuple_labels(self, c: Constraint, t: Sequence[int]) -> tuple:
         return tuple(self.domains[x][a] for x, a in zip(c.scope, t))
 
@@ -259,8 +255,15 @@ class DomainState:
 
     Original variables always have a mask; dual variables (for encoded
     problems) get masks over their tuple lists. Removal is monotone within a
-    propagation run; search restores via the trail.
+    propagation run. Search attaches a trail (a list) and every change goes
+    through `remove_value`, `remove_tuple` or `set_slot`, which record it
+    there; `undo` pops the trail back to a mark. The trail holds only those
+    three entry kinds: ("ov", x, a), ("dt", v, idx) and (table, index, old).
+    Counters derived from tuple liveness are not trailed: `undo` passes each
+    restored tuple to a hook of the counters' owner, which re-derives them.
     """
+
+    trail = None
 
     def __init__(self, masks, counts, dual_masks=None, dual_counts=None):
         self.masks = masks
@@ -279,6 +282,7 @@ class DomainState:
         self.dual_counts = list(tuple_count_per_dual)
 
     def clone(self) -> "DomainState":
+        """An untrailed copy of the domains."""
         dm = [bytearray(m) for m in self.dual_masks] if self.dual_masks is not None else None
         dc = list(self.dual_counts) if self.dual_counts is not None else None
         return DomainState([bytearray(m) for m in self.masks], list(self.counts), dm, dc)
@@ -292,8 +296,42 @@ class DomainState:
         return [i for i in range(len(mask)) if mask[i]]
 
     def remove_value(self, x: int, a: int) -> None:
+        if self.trail is not None:
+            self.trail.append(("ov", x, a))
         self.masks[x][a] = 0
         self.counts[x] -= 1
+
+    def remove_tuple(self, v: int, idx: int) -> None:
+        if self.trail is not None:
+            self.trail.append(("dt", v, idx))
+        self.dual_masks[v][idx] = 0
+        self.dual_counts[v] -= 1
+
+    def set_slot(self, table, index, value) -> None:
+        """table[index] = value, restored by `undo` (support pointers,
+        assigned flags)."""
+        if self.trail is not None:
+            self.trail.append((table, index, table[index]))
+        table[index] = value
+
+    def undo(self, mark: int, tuple_restored=None) -> None:
+        """Pop the trail back to `mark`, restoring what each entry changed;
+        `tuple_restored(v, idx)` is called after each tuple comes back."""
+        trail = self.trail
+        masks, counts = self.masks, self.counts
+        dual_masks, dual_counts = self.dual_masks, self.dual_counts
+        while len(trail) > mark:
+            head, i, j = trail.pop()
+            if head == "dt":  # tuple j of dual i
+                dual_masks[i][j] = 1
+                dual_counts[i] += 1
+                if tuple_restored is not None:
+                    tuple_restored(i, j)
+            elif head == "ov":  # value j of variable i
+                masks[i][j] = 1
+                counts[i] += 1
+            else:  # head is a table, j the old value of its slot i
+                head[i] = j
 
     def assign_value(self, x: int, a: int) -> list:
         """Restrict D(x) to {a}; returns the removed values."""
@@ -525,6 +563,10 @@ def ac1_fixpoint(target, state: Optional[DomainState] = None,
 def _ac1_encoded(enc, state):
     if state is None:
         state = enc.fresh_state()
+    # projections on the shared variables, computed here, not read from the pairs
+    keys = [([tuple(t[p] for p in pair.pos1) for t in enc.duals[pair.v1].tuples],
+             [tuple(t[p] for p in pair.pos2) for t in enc.duals[pair.v2].tuples])
+            for pair in enc.dual_pairs]
     changed = True
     while changed:
         changed = False
@@ -541,21 +583,19 @@ def _ac1_encoded(enc, state):
             xmask = state.masks[x]
             for i in range(len(tuples)):
                 if dmask[i] and not xmask[tuples[i][pos]]:
-                    dmask[i] = 0
-                    state.dual_counts[v] -= 1
+                    state.remove_tuple(v, i)
                     changed = True
             if state.dual_counts[v] == 0:
                 return False, state
         # dual-dual constraints: equal projection on the shared variables
-        for pair in enc.dual_pairs:
-            for (vi, vj, keys_i, keys_j) in ((pair.v1, pair.v2, pair.keys1, pair.keys2),
-                                             (pair.v2, pair.v1, pair.keys2, pair.keys1)):
+        for pair, (keys1, keys2) in zip(enc.dual_pairs, keys):
+            for (vi, vj, keys_i, keys_j) in ((pair.v1, pair.v2, keys1, keys2),
+                                             (pair.v2, pair.v1, keys2, keys1)):
                 mask_i, mask_j = state.dual_masks[vi], state.dual_masks[vj]
                 live_peer_keys = {keys_j[t] for t in range(len(mask_j)) if mask_j[t]}
                 for t in range(len(mask_i)):
                     if mask_i[t] and keys_i[t] not in live_peer_keys:
-                        mask_i[t] = 0
-                        state.dual_counts[vi] -= 1
+                        state.remove_tuple(vi, t)
                         changed = True
                 if state.dual_counts[vi] == 0:
                     return False, state

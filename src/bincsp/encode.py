@@ -96,14 +96,9 @@ class DualPair:
         self.pos2 = tuple(pos2)
         self.side1: Optional[Decomposition] = None
         self.side2: Optional[Decomposition] = None
-        self.keys1: Optional[list] = None  # per-tuple mixed-radix projection keys
-        self.keys2: Optional[list] = None
 
     def side_for(self, owner: int) -> Decomposition:
         return self.side1 if owner == self.v1 else self.side2
-
-    def keys_for(self, owner: int) -> list:
-        return self.keys1 if owner == self.v1 else self.keys2
 
     def other(self, owner: int) -> int:
         return self.v2 if owner == self.v1 else self.v1
@@ -189,7 +184,6 @@ def build_decomposition(pair: DualPair, duals: Sequence[DualVariable],
             members[gid].append(idx)
         return Decomposition(owner, pair.index, tuple_group, members)
 
-    pair.keys1, pair.keys2 = keys1, keys2
     pair.side1 = side(keys1, pair.v1)
     pair.side2 = side(keys2, pair.v2)
 

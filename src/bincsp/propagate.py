@@ -161,29 +161,17 @@ class Gac2001:
     `remove_value(state, x, a)`, if given, replaces the default removal of a
     value that lost its support (the double encoding passes one that also
     deletes the tuples carrying the value); `remove` holds the one in use.
+    Pointer moves and removals go through the state, which trails them when
+    a search has attached a trail.
     """
 
     def __init__(self, problem: Problem, counters: Optional[Counters] = None,
-                 supports: Optional[GacSupports] = None, trail=None,
-                 remove_value=None):
+                 supports: Optional[GacSupports] = None, remove_value=None):
         self.problem = problem
         self.counters = counters if counters is not None else Counters()
         self.supports = supports if supports is not None else GacSupports(problem)
         self.rels = [c.relation for c in problem.constraints]
-        self.trail = trail
         self.remove = remove_value if remove_value is not None else self.remove_value
-
-    def _set_ext_pointer(self, ci, pos, a, idx):
-        table = self.supports.ext[ci]
-        if self.trail is not None:
-            self.trail.append(("gs", ci, pos, a, table[pos][a]))
-        table[pos][a] = idx
-
-    def _set_pred_pointer(self, ci, pos, a, t):
-        table = self.supports.pred[ci]
-        if self.trail is not None:
-            self.trail.append(("gp", ci, pos, a, table[pos][a]))
-        table[pos][a] = t
 
     def revise_arc(self, ci: int, pos: int, state: DomainState) -> bool:
         """Revise one (variable, constraint) arc; True if a value was deleted."""
@@ -202,7 +190,7 @@ class Gac2001:
                     lambda i, t: is_valid(t, c.scope, state, counters, skip_pos=pos),
                     counters)
                 if idx >= 0:
-                    self._set_ext_pointer(ci, pos, a, idx)
+                    state.set_slot(self.supports.ext[ci][pos], a, idx)
                     continue
             else:
                 last = self.supports.pred[ci][pos][a]
@@ -211,15 +199,13 @@ class Gac2001:
                 t = _pred_enum(problem, c, pos, a, state, last or (-1,) * c.arity,
                                last is not None, counters)
                 if t is not None:
-                    self._set_pred_pointer(ci, pos, a, t)
+                    state.set_slot(self.supports.pred[ci][pos], a, t)
                     continue
             self.remove(state, x, a)
             deleted = True
         return deleted
 
     def remove_value(self, state, x, a):
-        if self.trail is not None:
-            self.trail.append(("ov", x, a))
         state.remove_value(x, a)
         self.counters.value_removals += 1
 
@@ -292,26 +278,18 @@ class Hac:
     """
 
     def __init__(self, enc: EncodedProblem, counters: Optional[Counters] = None,
-                 supports=None, trail=None, delete_value=None):
+                 supports=None, delete_value=None):
         self.enc = enc
         self.counters = counters if counters is not None else Counters()
         if supports is None:
             sizes = [enc.problem.domain_size(x) for x in range(enc.problem.n)]
             supports = [[[-1] * sizes[x] for x in v.scope] for v in enc.duals]
         self.supports = supports
-        self.trail = trail
         self.delete = delete_value if delete_value is not None else self.delete_value
-
-    def _set_pointer(self, v, pos, a, idx):
-        if self.trail is not None:
-            self.trail.append(("hs", v, pos, a, self.supports[v][pos][a]))
-        self.supports[v][pos][a] = idx
 
     def delete_value(self, state: DomainState, x: int, a: int) -> bool:
         """Remove a from D(x) and every tuple carrying it; False on dual wipeout."""
         enc, counters = self.enc, self.counters
-        if self.trail is not None:
-            self.trail.append(("ov", x, a))
         state.remove_value(x, a)
         counters.value_removals += 1
         ok = True
@@ -321,10 +299,7 @@ class Hac:
             for idx in dual.tuples_by_pos_val[dual.position[x]][a]:
                 counters.microops += 1
                 if mask[idx]:
-                    if self.trail is not None:
-                        self.trail.append(("dt", v_l, idx))
-                    mask[idx] = 0
-                    state.dual_counts[v_l] -= 1
+                    state.remove_tuple(v_l, idx)
                     counters.tuple_removals += 1
             if state.dual_counts[v_l] == 0:
                 ok = False
@@ -351,7 +326,7 @@ class Hac:
                     continue
             idx = _scan_extension(tuples, pos, a, ptr + 1, accept, counters)
             if idx >= 0:
-                self._set_pointer(v, pos, a, idx)
+                state.set_slot(self.supports[v][pos], a, idx)
                 continue
             deleted = True
             if not self.delete(state, x, a):
@@ -448,17 +423,12 @@ class DeView:
     def mask(self, b, state):
         return state.dual_masks[b]
 
-    def remove(self, b, val, state, counters, trail=None):
+    def remove(self, b, val, state, counters):
         kind, ident = self.bvars[b]
         if kind == "dual":
-            if trail is not None:
-                trail.append(("dt", ident, val))
-            state.dual_masks[ident][val] = 0
-            state.dual_counts[ident] -= 1
+            state.remove_tuple(ident, val)
             counters.tuple_removals += 1
             return state.dual_counts[ident]
-        if trail is not None:
-            trail.append(("ov", ident, val))
         state.remove_value(ident, val)
         counters.value_removals += 1
         return state.counts[ident]
@@ -513,19 +483,17 @@ class Ac2001:
     Values of one group with equal pointers share one lookup per revision.
     """
 
-    def __init__(self, view, counters: Optional[Counters] = None,
-                 pointers=None, trail=None):
+    def __init__(self, view, counters: Optional[Counters] = None, pointers=None):
         self.view = view
         self.counters = counters if counters is not None else Counters()
         if pointers is None:
             pointers = [[[-1] * len(side0[0]), [-1] * len(side1[0])]
                         for side0, side1 in view.index]
         self.pointers = pointers
-        self.trail = trail
 
     def revise(self, arc_id, side, state) -> tuple:
         """Revise the `side` endpoint against the other; (deleted, remaining)."""
-        view, counters, trail = self.view, self.counters, self.trail
+        view, counters, set_slot = self.view, self.counters, state.set_slot
         ends = view.ends[arc_id]
         bx, by = ends[side], ends[1 - side]
         xmask = view.mask(bx, state)
@@ -567,11 +535,9 @@ class Ac2001:
                 log.append({"bvar": bx, "value": a, "arc": arc_id, "peer": by,
                             "checks": live, "found": found >= 0})
             if found >= 0:
-                if trail is not None:
-                    trail.append(("ap", arc_id, side, a, ptr))
-                pointers[a] = found
+                set_slot(pointers, a, found)
                 continue
-            remaining = view.remove(bx, a, state, counters, trail)
+            remaining = view.remove(bx, a, state, counters)
             deleted = True
         counters.checks += checks
         counters.microops += microops
@@ -640,9 +606,6 @@ class PwState:
             self.counts.append((pair.side1.fresh_counters(state),
                                 pair.side2.fresh_counters(state)))
 
-    def counter(self, pair_index, side_bit, gid):
-        return self.counts[pair_index][side_bit][gid]
-
 
 class PwAc:
     """PW-AC: groups of the piecewise decompositions drive propagation.
@@ -650,23 +613,29 @@ class PwAc:
     A queue entry (pair, side, gid) means group gid on that side has no live
     tuples, so every live tuple of the same-keyed group on the other side
     loses its support and is deleted.
+
+    The group counters are not trailed: `restore_tuple` re-counts a tuple
+    that an undo brings back. sides_of_dual[v] lists, in pairs_of_dual
+    order, (pair index, side bit, counters, tuple_group) of each pair side
+    that v owns.
     """
 
     def __init__(self, enc: EncodedProblem, counters: Optional[Counters] = None,
-                 pw: Optional[PwState] = None, trail=None,
                  on_tuple_deleted=None):
         self.enc = enc
         self.counters = counters if counters is not None else Counters()
-        self.pw = pw
-        self.trail = trail
+        self.pw: Optional[PwState] = None
         self.queue = _Queue()
         self.on_tuple_deleted = on_tuple_deleted  # hook for the double encoding
 
     def init_counts(self, state: DomainState) -> None:
         self.pw = PwState(self.enc, state)
+        self.sides_of_dual = [[] for _ in self.enc.duals]
         for pair in self.enc.dual_pairs:
-            for side_bit in (0, 1):
+            for side_bit, side in ((0, pair.side1), (1, pair.side2)):
                 counts = self.pw.counts[pair.index][side_bit]
+                self.sides_of_dual[side.owner].append(
+                    (pair.index, side_bit, counts, side.tuple_group))
                 for gid in range(len(counts)):
                     if counts[gid] == 0:
                         self.queue.push((pair.index, side_bit, gid))
@@ -674,29 +643,26 @@ class PwAc:
     def delete_tuple(self, state: DomainState, v: int, idx: int) -> bool:
         """Shared deletion path; decrements every group counter the tuple
         sits in and queues the groups that reach zero. False on wipeout."""
-        enc, counters = self.enc, self.counters
-        mask = state.dual_masks[v]
-        if not mask[idx]:
+        if not state.dual_masks[v][idx]:
             return True
-        if self.trail is not None:
-            self.trail.append(("dt", v, idx))
-        mask[idx] = 0
-        state.dual_counts[v] -= 1
+        counters = self.counters
+        state.remove_tuple(v, idx)
         counters.tuple_removals += 1
-        for pair_index in enc.pairs_of_dual[v]:
-            pair = enc.dual_pairs[pair_index]
-            side_bit = 0 if pair.v1 == v else 1
-            gid = pair.side_for(v).tuple_group[idx]
-            counts = self.pw.counts[pair_index][side_bit]
-            if self.trail is not None:
-                self.trail.append(("gc", pair_index, side_bit, gid))
+        sides = self.sides_of_dual[v]
+        counters.group_updates += len(sides)
+        for pair_index, side_bit, counts, tuple_group in sides:
+            gid = tuple_group[idx]
             counts[gid] -= 1
-            counters.group_updates += 1
             if counts[gid] == 0:
                 self.queue.push((pair_index, side_bit, gid))
         if self.on_tuple_deleted is not None:
             self.on_tuple_deleted(state, v, idx)
         return state.dual_counts[v] > 0
+
+    def restore_tuple(self, v: int, idx: int) -> None:
+        """Undo hook: count a restored tuple in its groups again."""
+        for _, _, counts, tuple_group in self.sides_of_dual[v]:
+            counts[tuple_group[idx]] += 1
 
     def propagate(self, state: DomainState) -> bool:
         enc = self.enc
@@ -725,24 +691,20 @@ class PwAc:
                             f"counter drift: pair {pair.index} side {side_bit} "
                             f"group {gid}: {actual} != {live}")
 
-    def run(self, state: DomainState, queue_seed=None) -> bool:
+    def run(self, state: DomainState) -> bool:
         if any(state.dual_counts[v.id] == 0 for v in self.enc.duals):
             return False
-        if queue_seed is None:
-            self.init_counts(state)
-        else:
-            for entry in queue_seed:
-                self.queue.push(entry)
+        self.init_counts(state)
         return self.propagate(state)
 
 
 def pwac(enc: EncodedProblem, state: Optional[DomainState] = None,
-         queue_seed=None, counters: Optional[Counters] = None) -> PropagationResult:
+         counters: Optional[Counters] = None) -> PropagationResult:
     """AC on the dual encoding via the piecewise-functional structure."""
     if state is None:
         state = enc.fresh_state()
     engine = PwAc(enc, counters)
-    ok = engine.run(state, queue_seed)
+    ok = engine.run(state)
     return PropagationResult(ok, state, engine.counters)
 
 

@@ -15,6 +15,12 @@ completion at a SAT leaf is not included.
 
 Propagation on the double encoding lives in one place, `DoubleEngine`:
 `double_ac` is its root propagation, run on its own.
+
+Search below the root attaches the engine's trail to its `DomainState`,
+so deletions and pointer moves made by the propagators are trailed where
+they happen, and `undo_to` pops the trail through `DomainState.undo`. Counters derived from
+tuple liveness (PW-AC groups, value supports) are not trailed: the engine's
+`tuple_restored` hook counts each restored tuple back into them.
 """
 
 from __future__ import annotations
@@ -145,11 +151,26 @@ class Engine:
     def lookahead(self, var) -> bool:
         raise NotImplementedError
 
+    # re-derives, from a tuple that an undo brought back, the counters kept
+    # from tuple liveness (PW-AC groups, value supports); None if there are none
+    tuple_restored = None
+
     def undo_to(self, mark: int) -> None:
-        raise NotImplementedError
+        self.state.undo(mark, self.tuple_restored)
 
     def extract_solution(self) -> tuple:
         raise NotImplementedError
+
+    def _assign_flat(self, var, val) -> bool:
+        """Assign an original variable by deleting its other live values,
+        with no propagation into dual domains."""
+        state = self.state
+        state.set_slot(self.assigned, var, True)
+        for b in state.live_values(var):
+            if b != val:
+                state.remove_value(var, b)
+                self.counters.value_removals += 1
+        return True
 
     # -- engine ------------------------------------------------------------
 
@@ -184,7 +205,10 @@ class Engine:
         One stack frame per level, (variable, its remaining values, trail
         mark), in place of recursion, so the depth is not bounded by the
         interpreter's recursion limit. Nodes come in the recursive order.
+        The trail is attached to the state here: what root propagation
+        deleted is never undone, so it is not recorded.
         """
+        self.state.trail = self.trail
         var = self.select_variable()
         if var is None:
             return True
@@ -229,49 +253,6 @@ class Engine:
                             elapsed, self.node_paths)
 
 
-# ---------------------------------------------------------------------------
-# shared trail undo
-
-
-def _undo(trail, mark, state, *, gac=None, hac_supports=None, ac_pointers=None,
-          pw_counts=None, vs_counts=None, assigned=None, dual_assigned=None):
-    while len(trail) > mark:
-        entry = trail.pop()
-        tag = entry[0]
-        if tag == "ov":
-            _, x, a = entry
-            state.masks[x][a] = 1
-            state.counts[x] += 1
-        elif tag == "dt":
-            _, v, idx = entry
-            state.dual_masks[v][idx] = 1
-            state.dual_counts[v] += 1
-        elif tag == "gc":
-            _, pair_index, side_bit, gid = entry
-            pw_counts[pair_index][side_bit][gid] += 1
-        elif tag == "vs":
-            _, v, pos, a = entry
-            vs_counts[v][pos][a] += 1
-        elif tag == "hs":
-            _, v, pos, a, old = entry
-            hac_supports[v][pos][a] = old
-        elif tag == "gs":
-            _, ci, pos, a, old = entry
-            gac.supports.ext[ci][pos][a] = old
-        elif tag == "gp":
-            _, ci, pos, a, old = entry
-            gac.supports.pred[ci][pos][a] = old
-        elif tag == "ap":
-            _, arc_id, side, val, old = entry
-            ac_pointers[arc_id][side][val] = old
-        elif tag == "as":
-            assigned[entry[1]] = False
-        elif tag == "ad":
-            dual_assigned[entry[1]] = False
-        else:  # pragma: no cover - engine bug guard
-            raise AssertionError(f"unknown trail tag {tag!r}")
-
-
 def _fc_selected(scopes, assigned, currents, level):
     """Constraint (or dual) ids selected by a forward-checking level, in
     index order. `scopes` are sets; `currents` is the set of variables the
@@ -307,10 +288,9 @@ class NonBinaryEngine(Engine):
         self.problem = problem
         self.state = DomainState.full(problem)
         self.assigned = [False] * problem.n
-        self.gac = Gac2001(problem, self.counters, trail=self.trail)
+        self.gac = Gac2001(problem, self.counters)
         self.scopes = [set(c.scope) for c in problem.constraints]
         self.rels = [c.relation for c in problem.constraints]
-        self.touched: list = []
         self._apply_unary_filters()
 
     def _apply_unary_filters(self):
@@ -345,15 +325,7 @@ class NonBinaryEngine(Engine):
         return self.state.live_values(var)
 
     def assign(self, var, val) -> bool:
-        self.trail.append(("as", var))
-        self.assigned[var] = True
-        self.touched = [var]
-        for b in self.state.live_values(var):
-            if b != val:
-                self.trail.append(("ov", var, b))
-                self.state.remove_value(var, b)
-                self.counters.value_removals += 1
-        return True
+        return self._assign_flat(var, val)
 
     def _revise_constraint(self, ci) -> bool:
         """Revise every unassigned variable of a constraint once; False on an
@@ -363,7 +335,6 @@ class NonBinaryEngine(Engine):
             if self.assigned[x]:
                 continue
             if self.gac.revise_arc(ci, pos, self.state):
-                self.touched.append(x)
                 if self.state.counts[x] == 0:
                     return False
         return True
@@ -399,9 +370,6 @@ class NonBinaryEngine(Engine):
                 return False
         return True
 
-    def undo_to(self, mark: int) -> None:
-        _undo(self.trail, mark, self.state, gac=self.gac, assigned=self.assigned)
-
     def extract_solution(self) -> tuple:
         assignment = tuple(self.state.live_values(x)[0] for x in range(self.problem.n))
         if not solution_check(self.problem, assignment):
@@ -430,7 +398,7 @@ class HveEngine(Engine):
         self.track_pruned = spec.scheme == "FC" and spec.level == 1
 
     def _make_hac(self) -> Hac:
-        return Hac(self.enc, self.counters, trail=self.trail)
+        return Hac(self.enc, self.counters)
 
     def root_propagate(self) -> bool:
         if any(self.state.dual_counts[v.id] == 0 for v in self.enc.duals):
@@ -487,8 +455,7 @@ class HveEngine(Engine):
         return self._assign_original(var, val)
 
     def _assign_original(self, x, a) -> bool:
-        self.trail.append(("as", x))
-        self.assigned[x] = True
+        self.state.set_slot(self.assigned, x, True)
         ok = True
         for b in self.state.live_values(x):
             if b != a:
@@ -499,29 +466,25 @@ class HveEngine(Engine):
     def _assign_dual(self, v, idx) -> bool:
         """Assigning a tuple to a dual variable instantiates every original
         variable in its scope and counts as one node."""
-        self.trail.append(("ad", v))
-        self.dual_assigned[v] = True
+        state = self.state
+        state.set_slot(self.dual_assigned, v, True)
         dual = self.enc.duals[v]
-        mask = self.state.dual_masks[v]
-        for other in list(self.state.live_tuples(v)):
+        for other in state.live_tuples(v):
             if other != idx:
-                self.trail.append(("dt", v, other))
-                mask[other] = 0
-                self.state.dual_counts[v] -= 1
+                state.remove_tuple(v, other)
                 self.counters.tuple_removals += 1
         t = dual.tuples[idx]
         ok = True
         for pos, x in enumerate(dual.scope):
             if self.assigned[x]:
-                if not self.state.masks[x][t[pos]]:
+                if not state.masks[x][t[pos]]:
                     ok = False
                 continue
-            self.trail.append(("as", x))
-            self.assigned[x] = True
-            if not self.state.masks[x][t[pos]]:
+            state.set_slot(self.assigned, x, True)
+            if not state.masks[x][t[pos]]:
                 ok = False
                 continue
-            for b in self.state.live_values(x):
+            for b in state.live_values(x):
                 if b != t[pos]:
                     if not self.delete_value(x, b):
                         ok = False
@@ -574,10 +537,6 @@ class HveEngine(Engine):
     def _no_wiped_dual(self) -> bool:
         return all(c > 0 for c in self.state.dual_counts)
 
-    def undo_to(self, mark: int) -> None:
-        _undo(self.trail, mark, self.state, hac_supports=self.hac.supports,
-              assigned=self.assigned, dual_assigned=self.dual_assigned)
-
     def extract_solution(self) -> tuple:
         complete_dual_assignments(self.enc, self.state)
         assignment = tuple(self.state.live_values(x)[0] for x in range(self.problem.n))
@@ -615,24 +574,21 @@ class DoubleEngine(HveEngine):
 
     def __init__(self, enc: EncodedProblem, spec: AlgorithmSpec, **kw):
         super().__init__(enc, spec, **kw)
-        self.pw = PwAc(enc, self.counters, trail=self.trail,
-                       on_tuple_deleted=self._tuple_deleted_hook)
+        self.pw = PwAc(enc, self.counters, on_tuple_deleted=self._tuple_deleted_hook)
         self.pw.init_counts(self.state)
         self.use_value_rule = spec.scheme == "MAC"
         self.vs = ValueSupports(enc, self.state) if self.use_value_rule else None
         self.value_queue = _Queue()
-        self.residual_gac = (Gac2001(self.problem, self.counters, trail=self.trail,
+        self.residual_gac = (Gac2001(self.problem, self.counters,
                                      remove_value=self._residual_remove)
                              if enc.residual_constraints else None)
         self._residual_wiped = False
 
     def _make_hac(self) -> Hac:
         # tuple deletions must maintain the group counters
-        return Hac(self.enc, self.counters, trail=self.trail,
-                   delete_value=self._delete_value_via_pw)
+        return Hac(self.enc, self.counters, delete_value=self._delete_value_via_pw)
 
     def _delete_value_via_pw(self, state, x, a) -> bool:
-        self.trail.append(("ov", x, a))
         state.remove_value(x, a)
         self.counters.value_removals += 1
         ok = True
@@ -653,10 +609,18 @@ class DoubleEngine(HveEngine):
         for pos, x in enumerate(dual.scope):
             counts = self.vs.counts[v][pos]
             a = t[pos]
-            self.trail.append(("vs", v, pos, a))
             counts[a] -= 1
             if counts[a] == 0 and state.masks[x][a]:
                 self.value_queue.push((x, a))
+
+    def tuple_restored(self, v, idx):
+        """Undo hook: count a restored tuple in its groups and, in MAC mode,
+        as a support of each of its values again."""
+        self.pw.restore_tuple(v, idx)
+        if self.vs is not None:
+            counts = self.vs.counts[v]
+            for pos, a in enumerate(self.enc.duals[v].tuples[idx]):
+                counts[pos][a] += 1
 
     def root_propagate(self) -> bool:
         if any(self.state.dual_counts[v.id] == 0 for v in self.enc.duals):
@@ -764,11 +728,7 @@ class DoubleEngine(HveEngine):
         return True
 
     def undo_to(self, mark: int) -> None:
-        _undo(self.trail, mark, self.state, hac_supports=self.hac.supports,
-              gac=self.residual_gac,
-              pw_counts=self.pw.pw.counts,
-              vs_counts=self.vs.counts if self.vs is not None else None,
-              assigned=self.assigned, dual_assigned=self.dual_assigned)
+        super().undo_to(mark)
         # drop queued work that referred to the undone deletions
         self.pw.queue = _Queue()
         self.value_queue = _Queue()
@@ -814,11 +774,12 @@ class DeEngine(Engine):
         self.dual_assigned = [False] * len(enc.duals)
         self.specialized = spec.specialized
         if self.specialized:
-            self.pw = PwAc(enc, self.counters, trail=self.trail)
+            self.pw = PwAc(enc, self.counters)
+            self.tuple_restored = self.pw.restore_tuple
             self.ac = None
         else:
             self.view = DeView(enc)
-            self.ac = Ac2001(self.view, self.counters, trail=self.trail)
+            self.ac = Ac2001(self.view, self.counters)
             self.pw = None
 
     def root_propagate(self) -> bool:
@@ -842,20 +803,17 @@ class DeEngine(Engine):
         return self.state.live_tuples(var)
 
     def assign(self, var, val) -> bool:
-        self.trail.append(("ad", var))
-        self.dual_assigned[var] = True
+        state = self.state
+        state.set_slot(self.dual_assigned, var, True)
         ok = True
-        mask = self.state.dual_masks[var]
-        for other in list(self.state.live_tuples(var)):
+        for other in state.live_tuples(var):
             if other == val:
                 continue
             if self.specialized:
-                if not self.pw.delete_tuple(self.state, var, other):
+                if not self.pw.delete_tuple(state, var, other):
                     ok = False
             else:
-                self.trail.append(("dt", var, other))
-                mask[other] = 0
-                self.state.dual_counts[var] -= 1
+                state.remove_tuple(var, other)
                 self.counters.tuple_removals += 1
         return ok
 
@@ -865,10 +823,7 @@ class DeEngine(Engine):
         return self.ac.run(self.state, queue_seed=[var])
 
     def undo_to(self, mark: int) -> None:
-        _undo(self.trail, mark, self.state,
-              ac_pointers=self.ac.pointers if self.ac is not None else None,
-              pw_counts=self.pw.pw.counts if self.pw is not None else None,
-              dual_assigned=self.dual_assigned)
+        super().undo_to(mark)
         if self.pw is not None:
             self.pw.queue = _Queue()
 
@@ -891,7 +846,7 @@ class DoubleGenericEngine(Engine):
         self.state = enc.fresh_state()
         self.assigned = [False] * self.problem.n
         self.view = DoubleView(enc)
-        self.ac = Ac2001(self.view, self.counters, trail=self.trail)
+        self.ac = Ac2001(self.view, self.counters)
 
     def root_propagate(self) -> bool:
         if any(self.state.dual_counts[v.id] == 0 for v in self.enc.duals):
@@ -911,21 +866,10 @@ class DoubleGenericEngine(Engine):
         return self.state.live_values(var)
 
     def assign(self, var, val) -> bool:
-        self.trail.append(("as", var))
-        self.assigned[var] = True
-        for b in self.state.live_values(var):
-            if b != val:
-                self.trail.append(("ov", var, b))
-                self.state.remove_value(var, b)
-                self.counters.value_removals += 1
-        return True
+        return self._assign_flat(var, val)
 
     def lookahead(self, var) -> bool:
         return self.ac.run(self.state, queue_seed=[var])
-
-    def undo_to(self, mark: int) -> None:
-        _undo(self.trail, mark, self.state, ac_pointers=self.ac.pointers,
-              assigned=self.assigned)
 
     def extract_solution(self) -> tuple:
         assignment = tuple(self.state.live_values(x)[0] for x in range(self.problem.n))

@@ -21,3 +21,5 @@ def test_demo_runs(demo, tmp_path):
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+    # the demos clean up the temporary directories they make
+    assert not list(tmp_path.glob("bincsp_bench_*"))

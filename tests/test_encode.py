@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from bincsp.core import CapacityError, Constraint, Predicate, Problem, \
-    enumerate_solutions
+    enumerate_solutions, project
 from bincsp.encode import (DE, DOUBLE, HVE, HYBRID, build_de, build_double,
                            build_hve, induced_assignment,
                            piecewise_decomposition)
@@ -12,6 +12,12 @@ from bincsp.propagate import pwac
 from bincsp.words import WORDS
 
 from cases import example_41, example_42, six_var_linear
+
+
+def _projections(enc, pair):
+    """Each side's tuples projected on the pair's shared variables."""
+    return tuple([project(t, enc.duals[v].scope, pair.shared) for t in enc.duals[v].tuples]
+                 for v in (pair.v1, pair.v2))
 
 
 def test_hve_of_six_var_example():
@@ -52,9 +58,10 @@ def test_de_pairs_of_six_var_example():
     assert [six_var_linear().variables[x] for x in p34.shared] == ["x5", "x6"]
     # the only compatible pairs between v_c3 and v_c4
     v3, v4 = enc.duals[2], enc.duals[3]
+    keys3, keys4 = _projections(enc, p34)
     allowed = [(v3.tuples[i], v4.tuples[j])
                for i in range(len(v3.tuples)) for j in range(len(v4.tuples))
-               if p34.keys1[i] == p34.keys2[j]]
+               if keys3[i] == keys4[j]]
     assert allowed == [((1, 0, 0), (0, 0, 0)), ((1, 1, 1), (0, 1, 1))]
 
 
@@ -159,8 +166,9 @@ def test_sup_links_are_symmetric_and_none_when_peer_missing():
 def test_decomposition_partition_property():
     enc = build_de(example_42())
     for pair in enc.dual_pairs:
-        for side, keys_self, keys_peer in ((pair.side1, pair.keys1, pair.keys2),
-                                           (pair.side2, pair.keys2, pair.keys1)):
+        keys1, keys2 = _projections(enc, pair)
+        for side, keys_self, keys_peer in ((pair.side1, keys1, keys2),
+                                           (pair.side2, keys2, keys1)):
             peer_side = pair.side2 if side is pair.side1 else pair.side1
             for g1, mem1 in enumerate(side.members):
                 for g2, mem2 in enumerate(peer_side.members):
@@ -197,10 +205,11 @@ def test_round_trip_solutions_through_encodings():
         # original solution and vice versa
         induced = set()
         dual_domains = [v.tuples for v in de.duals]
+        keys = [_projections(de, pair) for pair in de.dual_pairs]
         for combo in itertools.product(*(range(len(d)) for d in dual_domains)):
             ok = True
-            for pair in de.dual_pairs:
-                if pair.keys1[combo[pair.v1]] != pair.keys2[combo[pair.v2]]:
+            for pair, (keys1, keys2) in zip(de.dual_pairs, keys):
+                if keys1[combo[pair.v1]] != keys2[combo[pair.v2]]:
                     ok = False
                     break
             if not ok:

@@ -382,8 +382,10 @@ def _compatible(view, arc_id, side, a, b):
         v, _, pos = data
         tuples = view.enc.duals[v].tuples
         return tuples[a][pos] == b if side == 0 else tuples[b][pos] == a
-    keys_a, keys_b = (data.keys1, data.keys2) if side == 0 else (data.keys2, data.keys1)
-    return keys_a[a] == keys_b[b]
+    ends = ((data.v1, data.pos1), (data.v2, data.pos2))
+    (va, pos_a), (vb, pos_b) = ends[side], ends[1 - side]
+    ta, tb = view.enc.duals[va].tuples[a], view.enc.duals[vb].tuples[b]
+    return [ta[p] for p in pos_a] == [tb[p] for p in pos_b]
 
 
 class _ScanAc2001(Ac2001):
@@ -419,11 +421,9 @@ class _ScanAc2001(Ac2001):
                                             "peer": by, "checks": scanned,
                                             "found": found >= 0})
             if found >= 0:
-                if self.trail is not None:
-                    self.trail.append(("ap", arc_id, side, a, ptr))
-                pointers[a] = found
+                state.set_slot(pointers, a, found)
                 continue
-            remaining = view.remove(bx, a, state, counters, self.trail)
+            remaining = view.remove(bx, a, state, counters)
             deleted = True
         return deleted, remaining
 

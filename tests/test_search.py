@@ -6,7 +6,8 @@ from bincsp.gen import (CrosswordSpec, ModelBParams, gen_crossword,
                         gen_model_b, gen_parity_chain)
 from bincsp.propagate import ValueSupports
 from bincsp.search import (ALGORITHMS, DOM_DEG, FIXED,
-                           complete_dual_assignments, make_engine, solve)
+                           complete_dual_assignments, make_engine,
+                           prepare_model, solve)
 
 from cases import prop_51, six_var_linear
 
@@ -383,6 +384,35 @@ def test_unsat_search_restores_state_exactly():
             if vs is not None:
                 assert vs.counts == ValueSupports(model, engine.state).counts, \
                     algorithm
+
+
+def test_derived_counters_are_right_after_every_undo():
+    """Group and value-support counters are not trailed: undoing a tuple
+    deletion re-derives them. After every undo, not only once a search is
+    exhausted, they must equal a fresh count over the live tuples."""
+    verdicts, undos = set(), {}
+    for seed, q in enumerate((45, 50, 55, 60, 65), start=1):
+        p = gen_model_b(ModelBParams(15, 4, 3, 8, q, seed))
+        for algorithm in ("MAC-PW-AC", "MAC-PW-ACd", "dFC3", "dFC5", "MAC-hybrid"):
+            spec = ALGORITHMS[algorithm]
+            if spec.representation == "HYBRID":
+                model = build_double(p, encoded_subset=range(0, len(p.constraints), 2))
+            else:
+                model = prepare_model(p, spec)
+            engine = make_engine(model, spec, ordering=DOM_DEG, node_limit=200)
+
+            def checked_undo(mark, engine=engine, undo=engine.undo_to):
+                undo(mark)
+                undos[engine.spec.name] = undos.get(engine.spec.name, 0) + 1
+                engine.pw.check_counters(engine.state)  # raises on drift
+                vs = getattr(engine, "vs", None)
+                if vs is not None:
+                    assert vs.counts == ValueSupports(engine.enc, engine.state).counts
+
+            engine.undo_to = checked_undo
+            verdicts.add(engine.solve().verdict)
+    assert {"SAT", "UNSAT"} <= verdicts
+    assert min(undos.values()) >= 20 and len(undos) == 5, undos
 
 
 def test_deep_chain_is_searched_without_recursion():
