@@ -3,15 +3,23 @@
 A dual variable's domain is the allowed-tuple list of its source constraint.
 Hidden constraints (dual <-> original) and dual-dual constraints are stored
 structurally - positions and shared-variable lists - never as materialized
-binary tuple tables. Each intersecting dual pair carries the piecewise
-decomposition of both tuple lists, keyed by the projection onto the shared
-variables; the group universe of a pair is the union of the keys realized on
-either side, so a key missing from one side shows up there as an empty group
-and drives deletions on the other.
+binary tuple tables.
+
+A dual-dual constraint's piecewise decomposition depends only on a dual and
+the ordered tuple of variables it shares with the peer, so one
+`Decomposition` is built per (dual, shared-variable tuple) and every pair
+with that dual and tuple uses it as its side. All decompositions on one
+shared-variable tuple number their groups in one id space, the projection
+keys realized on that tuple in ascending order, so group g on one side of a
+pair is keyed like group g on the other. A key missing from one side shows
+up there as an empty group and drives deletions on the other. In encodings
+with original variables, each hidden arc (v, x, pos) reads v's
+decomposition on (x,), whose group ids are the values of x.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .core import (DEFAULT_EXPANSION_BUDGET, DomainState, Problem,
@@ -50,22 +58,24 @@ class DualVariable:
 
 
 class Decomposition:
-    """Piecewise decomposition of one dual variable's tuples w.r.t. a peer.
+    """Piecewise decomposition of one dual variable's tuples on an ordered
+    tuple of shared variables.
 
-    Groups are keyed by the projection onto the shared variables, encoded as
-    mixed-radix integers; group ids are dense per pair and shared with the
-    peer side, so the supporting group of id g is simply id g over there
+    Groups are keyed by the projection onto `shared`. Group ids are shared
+    by every decomposition on the same tuple and rise with the key, so the
+    supporting group of id g on a pair's peer side is simply id g over there
     (empty there if no peer tuple carries the key). tuple_group makes group
     lookup a constant-time array read; members lists each group's tuple
-    indices in ascending order.
+    indices in ascending order. One object serves every pair in which its
+    owner shares exactly `shared`.
     """
 
-    def __init__(self, owner: int, pair_index: int, tuple_group: Sequence[int],
-                 members: Sequence[list]):
+    def __init__(self, owner: int, shared: tuple, tuple_group: list,
+                 members: list):
         self.owner = owner
-        self.pair_index = pair_index
-        self.tuple_group = list(tuple_group)
-        self.members = [list(m) for m in members]
+        self.shared = shared
+        self.tuple_group = tuple_group
+        self.members = members
 
     @property
     def group_count(self) -> int:
@@ -79,7 +89,7 @@ class Decomposition:
         return [sum(map(mask.__getitem__, mem)) for mem in self.members]
 
     def __repr__(self):
-        return (f"Decomposition(v{self.owner} in pair {self.pair_index}, "
+        return (f"Decomposition(v{self.owner} on {self.shared}, "
                 f"{self.group_count} groups)")
 
 
@@ -119,19 +129,18 @@ class EncodedProblem:
 
     def __init__(self, kind: str, problem: Problem, duals: Sequence[DualVariable],
                  hidden: Sequence[tuple], dual_pairs: Sequence[DualPair],
-                 residual_constraints: Sequence[int] = ()):
+                 residual_constraints: Sequence[int] = (),
+                 decompositions: Optional[dict] = None):
         self.kind = kind
         self.problem = problem
         self.duals = list(duals)
         self.hidden = list(hidden)  # (dual_id, var, pos) triples
         self.dual_pairs = list(dual_pairs)
         self.residual_constraints = list(residual_constraints)
+        # (dual id, shared-variable tuple) -> Decomposition
+        self.decompositions = decompositions if decompositions is not None else {}
         self.has_originals = kind != DE
-        n = problem.n
-        self.duals_of_var = [[] for _ in range(n)]
-        for v in self.duals:
-            for x in v.scope:
-                self.duals_of_var[x].append(v.id)
+        self.duals_of_var = _duals_of_var(problem.n, self.duals)
         self.pairs_of_dual = [[] for _ in range(len(self.duals))]
         for pair in self.dual_pairs:
             self.pairs_of_dual[pair.v1].append(pair.index)
@@ -154,38 +163,6 @@ class EncodedProblem:
         return (f"EncodedProblem({self.kind}: {len(self.duals)} duals, "
                 f"{len(self.hidden)} hidden, {len(self.dual_pairs)} dual-dual, "
                 f"{len(self.residual_constraints)} residual)")
-
-
-def _mixed_radix_keys(dual: DualVariable, positions: Sequence[int],
-                      radices: Sequence[int]) -> list:
-    keys = []
-    for t in dual.tuples:
-        key = 0
-        for pos, r in zip(positions, radices):
-            key = key * r + t[pos]
-        keys.append(key)
-    return keys
-
-
-def build_decomposition(pair: DualPair, duals: Sequence[DualVariable],
-                        domain_sizes: Sequence[int]) -> None:
-    """Build both sides of a pair's piecewise decomposition in place."""
-    d1, d2 = duals[pair.v1], duals[pair.v2]
-    radices = [domain_sizes[x] for x in pair.shared]
-    keys1 = _mixed_radix_keys(d1, pair.pos1, radices)
-    keys2 = _mixed_radix_keys(d2, pair.pos2, radices)
-    realized = sorted(set(keys1) | set(keys2))
-    key_to_gid = {key: gid for gid, key in enumerate(realized)}
-
-    def side(proj_keys, owner):
-        tuple_group = [key_to_gid[k] for k in proj_keys]
-        members = [[] for _ in realized]
-        for idx, gid in enumerate(tuple_group):
-            members[gid].append(idx)
-        return Decomposition(owner, pair.index, tuple_group, members)
-
-    pair.side1 = side(keys1, pair.v1)
-    pair.side2 = side(keys2, pair.v2)
 
 
 def piecewise_decomposition(enc: EncodedProblem, vi: int, vj: int) -> Decomposition:
@@ -217,23 +194,71 @@ def _make_hidden(duals: Sequence[DualVariable]) -> list:
     return hidden
 
 
-def _make_pairs(problem: Problem, duals: Sequence[DualVariable],
-                with_decompositions: bool) -> list:
+def _duals_of_var(n: int, duals: Sequence[DualVariable]) -> list:
+    out = [[] for _ in range(n)]
+    for v in duals:
+        for x in v.scope:
+            out[x].append(v.id)
+    return out
+
+
+def _make_pairs(duals: Sequence[DualVariable], duals_of_var: Sequence[list]) -> list:
+    """One DualPair per two duals sharing a variable, ordered by (v1, v2)
+    with v1 < v2; `shared` lists the shared variables in v1's scope order."""
     pairs = []
-    sizes = [problem.domain_size(x) for x in range(problem.n)]
-    for i in range(len(duals)):
-        for j in range(i + 1, len(duals)):
-            di, dj = duals[i], duals[j]
+    for di in duals:
+        peers = sorted({j for x in di.scope for j in duals_of_var[x] if j > di.id})
+        for j in peers:
+            dj = duals[j]
             shared = [x for x in di.scope if x in dj.position]
-            if not shared:
-                continue
-            pair = DualPair(len(pairs), di.id, dj.id, shared,
-                            [di.position[x] for x in shared],
-                            [dj.position[x] for x in shared])
-            if with_decompositions:
-                build_decomposition(pair, duals, sizes)
-            pairs.append(pair)
+            pairs.append(DualPair(len(pairs), di.id, j, shared,
+                                  [di.position[x] for x in shared],
+                                  [dj.position[x] for x in shared]))
     return pairs
+
+
+def _decompose(duals: Sequence[DualVariable], pairs: Sequence[DualPair],
+               hidden: Sequence[tuple]) -> dict:
+    """Build one Decomposition per (dual, shared-variable tuple) used by a
+    pair or a hidden arc, and set the pair sides to them.
+
+    The ids of a tuple are the keys that its duals realize, in ascending
+    order. A hidden arc's original variable realizes every value, so on a
+    single hidden variable the ids are the values themselves and the members
+    are the dual's `tuples_by_pos_val[pos]` lists.
+    """
+    users = {}  # shared tuple -> {dual id: positions}
+    for pair in pairs:
+        owners = users.setdefault(pair.shared, {})
+        owners[pair.v1] = pair.pos1
+        owners[pair.v2] = pair.pos2
+    by_value = {}  # (x,) -> {dual id: pos} of the hidden arcs
+    for v, x, pos in hidden:
+        by_value.setdefault((x,), {})[v] = pos
+    out = {}
+    for shared, owners in by_value.items():
+        for v, pos in owners.items():
+            dual = duals[v]
+            out[v, shared] = Decomposition(v, shared,
+                                           list(map(itemgetter(pos), dual.tuples)),
+                                           dual.tuples_by_pos_val[pos])
+    for shared, owners in users.items():
+        if shared in by_value:
+            continue
+        keys = {v: list(map(itemgetter(*positions), duals[v].tuples))
+                for v, positions in owners.items()}
+        realized = sorted(set().union(*keys.values()))
+        gid = {key: g for g, key in enumerate(realized)}.__getitem__
+        for v, proj in keys.items():
+            tuple_group = list(map(gid, proj))
+            members = [[] for _ in realized]
+            for idx, g in enumerate(tuple_group):
+                members[g].append(idx)
+            out[v, shared] = Decomposition(v, shared, tuple_group, members)
+    for pair in pairs:
+        pair.side1 = out[pair.v1, pair.shared]
+        pair.side2 = out[pair.v2, pair.shared]
+    return out
 
 
 def build_hve(problem: Problem, budget: int = DEFAULT_EXPANSION_BUDGET) -> EncodedProblem:
@@ -247,8 +272,9 @@ def build_de(problem: Problem, budget: int = DEFAULT_EXPANSION_BUDGET) -> Encode
     """Dual encoding: variables are swapped with constraints; a dual-dual
     constraint for every pair of constraints sharing original variables."""
     duals = _make_duals(problem, range(len(problem.constraints)), budget)
-    pairs = _make_pairs(problem, duals, with_decompositions=True)
-    return EncodedProblem(DE, problem, duals, [], pairs)
+    pairs = _make_pairs(duals, _duals_of_var(problem.n, duals))
+    return EncodedProblem(DE, problem, duals, [], pairs,
+                          decompositions=_decompose(duals, pairs, ()))
 
 
 def build_double(problem: Problem, encoded_subset: Optional[Sequence[int]] = None,
@@ -268,9 +294,11 @@ def build_double(problem: Problem, encoded_subset: Optional[Sequence[int]] = Non
                 raise ValueError(f"constraint id {ci} out of range")
     kind = DOUBLE if subset == all_ids else HYBRID
     duals = _make_duals(problem, subset, budget, expanded)
-    pairs = _make_pairs(problem, duals, with_decompositions=True)
+    pairs = _make_pairs(duals, _duals_of_var(problem.n, duals))
+    hidden = _make_hidden(duals)
     residual = [ci for ci in all_ids if ci not in set(subset)]
-    return EncodedProblem(kind, problem, duals, _make_hidden(duals), pairs, residual)
+    return EncodedProblem(kind, problem, duals, hidden, pairs, residual,
+                          decompositions=_decompose(duals, pairs, hidden))
 
 
 def induced_assignment(enc: EncodedProblem, state: DomainState) -> list:

@@ -12,11 +12,16 @@ AC-2001 on the binary views finds supports by index but counts checks and
 micro-ops exactly as the lexicographic scan would (see `Ac2001`), which
 relies on domain masks holding only 0 and 1 bytes.
 
+PW-AC keeps one counter array per piecewise decomposition, and a
+decomposition is shared by every pair in which its dual shares the same
+variables (see `encode`), so a tuple deletion updates each decomposition of
+its dual once.
+
 Propagation on the double encoding (PW-AC between duals plus the rule that
 an original value dies with its last supporting tuple) is
 `search.DoubleEngine`; `search.double_ac` is its root-only call. This module
-supplies its parts: `Hac`, `PwAc`, `ValueSupports` and, for hybrids,
-`Gac2001`.
+supplies its parts: `Hac`, `PwAc` (whose single-variable decompositions
+count the value supports) and, for hybrids, `Gac2001`.
 """
 
 from __future__ import annotations
@@ -442,8 +447,8 @@ def _pair_index(pair):
 class DoubleView(DeView):
     """Binary view of the double encoding: originals + duals, hidden arcs
     (projection equality) plus the dual-dual arcs. A hidden arc (v, x, pos)
-    indexes a tuple by its value at pos, and a value a of x by
-    tuples_by_pos_val[pos][a]."""
+    reads v's decomposition on (x,): a tuple's group is its value at pos,
+    and the tuples supporting value a of x are group a's members."""
 
     def __init__(self, enc: EncodedProblem):
         self.enc = enc
@@ -457,12 +462,12 @@ class DoubleView(DeView):
         singletons = {}
         self.index = []
         for v, x, pos in enc.hidden:
-            dual = enc.duals[v]
-            size = enc.problem.domain_size(x)
+            dec = enc.decompositions[v, (x,)]
+            size = dec.group_count  # the group ids are the values of x
             if size not in singletons:
                 singletons[size] = [[b] for b in range(size)]
-            self.index.append((([t[pos] for t in dual.tuples], singletons[size]),
-                               (range(size), dual.tuples_by_pos_val[pos])))
+            self.index.append(((dec.tuple_group, singletons[size]),
+                               (range(size), dec.members)))
         self.index += [_pair_index(pair) for pair in enc.dual_pairs]
         self._build_adjacency()
 
@@ -596,53 +601,80 @@ def ac2001(view_or_enc, state: Optional[DomainState] = None,
 # PW-AC on the dual encoding
 
 
-class PwState:
-    """Per-run mutable part of the piecewise machinery: one live-tuple counter
-    per group and side, plus the propagation queue of emptied groups."""
-
-    def __init__(self, enc: EncodedProblem, state: DomainState):
-        self.counts = []
-        for pair in enc.dual_pairs:
-            self.counts.append((pair.side1.fresh_counters(state),
-                                pair.side2.fresh_counters(state)))
-
-
 class PwAc:
     """PW-AC: groups of the piecewise decompositions drive propagation.
 
-    A queue entry (pair, side, gid) means group gid on that side has no live
-    tuples, so every live tuple of the same-keyed group on the other side
-    loses its support and is deleted.
+    `counts` holds one live-tuple counter array per decomposition in use,
+    keyed by the Decomposition, so pairs that share a decomposition share
+    its counters and a deletion decrements each of them once. Only when one
+    reaches zero are the owner's pair sides walked, in pairs_of_dual order,
+    to queue (pair, side, gid): group gid on that side has no live tuples,
+    so every live tuple of the same-keyed group on the other side loses its
+    support and is deleted. A group the peer side does not realize is not
+    queued, since deleting it would do nothing.
 
-    The group counters are not trailed: `restore_tuple` re-counts a tuple
-    that an undo brings back. sides_of_dual[v] lists, in pairs_of_dual
-    order, (pair index, side bit, counters, tuple_group) of each pair side
-    that v owns.
+    With `value_rule` (the double encoding under MAC) the decompositions of
+    the hidden arcs are counted too: a zero there means value a of x lost
+    its last supporting tuple in that dual, and (x, a) goes on
+    `value_queue`, which the caller drains. Without `propagating` (forward
+    checking, which revises pair sides itself) nothing is queued.
+
+    The counters are not trailed: `restore_tuple` re-counts a tuple that an
+    undo brings back. group_updates counts one update per pair side of the
+    dual, as if each side kept its own counters.
     """
 
     def __init__(self, enc: EncodedProblem, counters: Optional[Counters] = None,
-                 on_tuple_deleted=None):
+                 propagating: bool = True, value_rule: bool = False):
         self.enc = enc
         self.counters = counters if counters is not None else Counters()
-        self.pw: Optional[PwState] = None
+        self.propagating = propagating
         self.queue = _Queue()
-        self.on_tuple_deleted = on_tuple_deleted  # hook for the double encoding
+        self.value_queue = _Queue() if value_rule else None
+        self.counts: dict = {}
 
     def init_counts(self, state: DomainState) -> None:
-        self.pw = PwState(self.enc, state)
-        self.sides_of_dual = [[] for _ in self.enc.duals]
-        for pair in self.enc.dual_pairs:
-            for side_bit, side in ((0, pair.side1), (1, pair.side2)):
-                counts = self.pw.counts[pair.index][side_bit]
+        """Count every decomposition in use on `state` and, when
+        propagating, queue the groups and values that start out empty."""
+        enc, counts = self.enc, self.counts
+        counts.clear()
+
+        def counted(dec):
+            if dec not in counts:
+                counts[dec] = dec.fresh_counters(state)
+            return counts[dec]
+
+        # sides_of_dual[v]: (pair index, side bit, counters, tuple_group,
+        # peer members) of each pair side v owns, in pairs_of_dual order
+        self.sides_of_dual = [[] for _ in enc.duals]
+        for pair in enc.dual_pairs:
+            for side_bit, side, peer in ((0, pair.side1, pair.side2),
+                                         (1, pair.side2, pair.side1)):
+                own = counted(side)
                 self.sides_of_dual[side.owner].append(
-                    (pair.index, side_bit, counts, side.tuple_group))
-                for gid in range(len(counts)):
-                    if counts[gid] == 0:
-                        self.queue.push((pair.index, side_bit, gid))
+                    (pair.index, side_bit, own, side.tuple_group, peer.members))
+                if self.propagating:
+                    for gid, (live, peer_members) in enumerate(zip(own, peer.members)):
+                        if not live and peer_members:
+                            self.queue.push((pair.index, side_bit, gid))
+        # values_of_dual[v]: (x, counters, tuple_group) per hidden arc of v
+        self.values_of_dual = [[] for _ in enc.duals]
+        if self.value_queue is not None:
+            masks = state.masks
+            for v, x, pos in enc.hidden:
+                dec = enc.decompositions[v, (x,)]
+                own = counted(dec)
+                self.values_of_dual[v].append((x, own, dec.tuple_group))
+                for a, live in enumerate(own):
+                    if not live and masks[x][a]:
+                        self.value_queue.push((x, a))
+        self.parts_of_dual = [[] for _ in enc.duals]
+        for dec, own in counts.items():
+            self.parts_of_dual[dec.owner].append((own, dec.tuple_group))
 
     def delete_tuple(self, state: DomainState, v: int, idx: int) -> bool:
-        """Shared deletion path; decrements every group counter the tuple
-        sits in and queues the groups that reach zero. False on wipeout."""
+        """Shared deletion path; decrements every counter the tuple sits in
+        and queues what reached zero. False on wipeout."""
         if not state.dual_masks[v][idx]:
             return True
         counters = self.counters
@@ -650,19 +682,37 @@ class PwAc:
         counters.tuple_removals += 1
         sides = self.sides_of_dual[v]
         counters.group_updates += len(sides)
-        for pair_index, side_bit, counts, tuple_group in sides:
+        emptied = False
+        for counts, tuple_group in self.parts_of_dual[v]:
             gid = tuple_group[idx]
-            counts[gid] -= 1
-            if counts[gid] == 0:
-                self.queue.push((pair_index, side_bit, gid))
-        if self.on_tuple_deleted is not None:
-            self.on_tuple_deleted(state, v, idx)
+            live = counts[gid] - 1
+            counts[gid] = live
+            if not live:
+                emptied = True
+        if emptied and self.propagating:
+            push = self.queue.push
+            for pair_index, side_bit, counts, tuple_group, peer_members in sides:
+                gid = tuple_group[idx]
+                if not counts[gid] and peer_members[gid]:
+                    push((pair_index, side_bit, gid))
+            if self.value_queue is not None:
+                masks = state.masks
+                for x, counts, values in self.values_of_dual[v]:
+                    a = values[idx]
+                    if not counts[a] and masks[x][a]:
+                        self.value_queue.push((x, a))
         return state.dual_counts[v] > 0
 
     def restore_tuple(self, v: int, idx: int) -> None:
         """Undo hook: count a restored tuple in its groups again."""
-        for _, _, counts, tuple_group in self.sides_of_dual[v]:
+        for counts, tuple_group in self.parts_of_dual[v]:
             counts[tuple_group[idx]] += 1
+
+    def clear_queues(self) -> None:
+        """Drop queued work, which an undo makes stale."""
+        self.queue = _Queue()
+        if self.value_queue is not None:
+            self.value_queue = _Queue()
 
     def propagate(self, state: DomainState) -> bool:
         enc = self.enc
@@ -679,17 +729,12 @@ class PwAc:
         return True
 
     def check_counters(self, state: DomainState) -> None:
-        """Debug scan: every group counter must equal its live member count."""
-        for pair in self.enc.dual_pairs:
-            for side_bit, side in ((0, pair.side1), (1, pair.side2)):
-                mask = state.dual_masks[side.owner]
-                for gid, members in enumerate(side.members):
-                    live = sum(1 for i in members if mask[i])
-                    actual = self.pw.counts[pair.index][side_bit][gid]
-                    if actual != live:
-                        raise AssertionError(
-                            f"counter drift: pair {pair.index} side {side_bit} "
-                            f"group {gid}: {actual} != {live}")
+        """Debug scan: every counter must equal its group's live member count."""
+        for dec, counts in self.counts.items():
+            mask = state.dual_masks[dec.owner]
+            live = [sum(1 for i in members if mask[i]) for members in dec.members]
+            if counts != live:
+                raise AssertionError(f"counter drift in {dec!r}: {counts} != {live}")
 
     def run(self, state: DomainState) -> bool:
         if any(state.dual_counts[v.id] == 0 for v in self.enc.duals):
@@ -706,28 +751,6 @@ def pwac(enc: EncodedProblem, state: Optional[DomainState] = None,
     engine = PwAc(enc, counters)
     ok = engine.run(state)
     return PropagationResult(ok, state, engine.counters)
-
-
-# ---------------------------------------------------------------------------
-# Value supports for the double encoding
-
-
-class ValueSupports:
-    """Live-support counters per (dual, position, value): how many live tuples
-    of the dual carry that value. Zero means the value lost its last support
-    in that dual variable."""
-
-    def __init__(self, enc: EncodedProblem, state: DomainState):
-        self.counts = []
-        for v in enc.duals:
-            mask = state.dual_masks[v.id]
-            if state.dual_counts[v.id] == len(mask):  # every tuple live
-                self.counts.append([list(map(len, bypv)) for bypv in v.tuples_by_pos_val])
-                continue
-            # masks hold 0/1 bytes, so summing them counts the live tuples
-            live = mask.__getitem__
-            self.counts.append([[sum(map(live, idxs)) for idxs in bypv]
-                                for bypv in v.tuples_by_pos_val])
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,7 @@ from .core import (Counters, DEFAULT_EXPANSION_BUDGET, DomainState, Problem,
 from .encode import (DE, DOUBLE, HVE, HYBRID, EncodedProblem, build_de,
                      build_double, build_hve, induced_assignment)
 from .propagate import (Ac2001, DeView, DoubleView, Gac2001, Hac,
-                        PropagationResult, PwAc, ValueSupports, _Queue,
-                        constraint_has_valid_tuple)
+                        PropagationResult, PwAc, constraint_has_valid_tuple)
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -570,15 +569,23 @@ class DoubleEngine(HveEngine):
     HVE machinery plus piecewise group counters; lookahead additionally
     propagates through the dual-dual constraints. MAC mode adds the
     value-support rule (an original value dies with its last supporting
-    tuple in some adjacent dual) and, for hybrids, residual GAC-2001."""
+    tuple in some adjacent dual), whose counters are those of the hidden
+    arcs' decompositions, and, for hybrids, residual GAC-2001. Every value
+    deletion reaches the tuples carrying it through the same
+    decompositions."""
 
     def __init__(self, enc: EncodedProblem, spec: AlgorithmSpec, **kw):
         super().__init__(enc, spec, **kw)
-        self.pw = PwAc(enc, self.counters, on_tuple_deleted=self._tuple_deleted_hook)
+        # FC lookahead revises pair sides itself and never drains a queue
+        mac = spec.scheme == "MAC"
+        self.pw = PwAc(enc, self.counters, propagating=mac, value_rule=mac)
         self.pw.init_counts(self.state)
-        self.use_value_rule = spec.scheme == "MAC"
-        self.vs = ValueSupports(enc, self.state) if self.use_value_rule else None
-        self.value_queue = _Queue()
+        self.tuple_restored = self.pw.restore_tuple
+        # per original x: (dual, groups of its decomposition on (x,)) for
+        # each dual over x; group a holds the tuples carrying value a
+        self.value_groups = [[(v, enc.decompositions[v, (x,)].members)
+                              for v in enc.duals_of_var[x]]
+                             for x in range(self.problem.n)]
         self.residual_gac = (Gac2001(self.problem, self.counters,
                                      remove_value=self._residual_remove)
                              if enc.residual_constraints else None)
@@ -592,65 +599,34 @@ class DoubleEngine(HveEngine):
         state.remove_value(x, a)
         self.counters.value_removals += 1
         ok = True
-        for v_l in self.enc.duals_of_var[x]:
-            dual = self.enc.duals[v_l]
+        for v_l, groups in self.value_groups[x]:
             mask = state.dual_masks[v_l]
-            for idx in dual.tuples_by_pos_val[dual.position[x]][a]:
+            for idx in groups[a]:
                 if mask[idx]:
                     if not self.pw.delete_tuple(state, v_l, idx):
                         ok = False
         return ok
 
-    def _tuple_deleted_hook(self, state, v, idx):
-        if self.vs is None:
-            return
-        dual = self.enc.duals[v]
-        t = dual.tuples[idx]
-        for pos, x in enumerate(dual.scope):
-            counts = self.vs.counts[v][pos]
-            a = t[pos]
-            counts[a] -= 1
-            if counts[a] == 0 and state.masks[x][a]:
-                self.value_queue.push((x, a))
-
-    def tuple_restored(self, v, idx):
-        """Undo hook: count a restored tuple in its groups and, in MAC mode,
-        as a support of each of its values again."""
-        self.pw.restore_tuple(v, idx)
-        if self.vs is not None:
-            counts = self.vs.counts[v]
-            for pos, a in enumerate(self.enc.duals[v].tuples[idx]):
-                counts[pos][a] += 1
-
     def root_propagate(self) -> bool:
         if any(self.state.dual_counts[v.id] == 0 for v in self.enc.duals):
             return False
         if self.spec.scheme == "MAC":
-            # init-phase zero groups are already queued by init_counts
-            for v in self.enc.duals:
-                for pos, x in enumerate(v.scope):
-                    counts = self.vs.counts[v.id][pos]
-                    for a in range(len(counts)):
-                        if counts[a] == 0 and self.state.masks[x][a]:
-                            self.value_queue.push((x, a))
+            # init_counts queued the groups and values empty from the start
             return self._drain()
-        # FC levels propagate nothing at the root; drop init-phase queue
-        # entries, the per-node group scan rediscovers empty groups.
-        self.pw.queue = _Queue()
         return True
 
     def _drain(self) -> bool:
         while True:
             if not self.pw.propagate(self.state):
                 return False
-            if not self.value_queue:
+            if not self.pw.value_queue:
                 ok = True
                 if self.residual_gac is not None:
                     ok, more = self._residual_round()
                     if ok and more:
                         continue
                 return ok
-            x, a = self.value_queue.pop()
+            x, a = self.pw.value_queue.pop()
             if self.state.masks[x][a]:
                 if not self._delete_value_via_pw(self.state, x, a):
                     return False
@@ -714,13 +690,13 @@ class DoubleEngine(HveEngine):
 
     def _revise_pair_side(self, pair, v) -> bool:
         """Delete v's live tuples in groups whose peer-side group is empty."""
-        own_bit = 0 if pair.v1 == v else 1
         own_side = pair.side_for(v)
-        peer_counts = self.pw.pw.counts[pair.index][1 - own_bit]
-        own_counts = self.pw.pw.counts[pair.index][own_bit]
+        counts = self.pw.counts
+        own_counts = counts[own_side]
+        peer_counts = counts[pair.side2 if own_side is pair.side1 else pair.side1]
         mask = self.state.dual_masks[v]
-        for gid in range(own_side.group_count):
-            if peer_counts[gid] == 0 and own_counts[gid] > 0:
+        for gid, (peer_live, own_live) in enumerate(zip(peer_counts, own_counts)):
+            if not peer_live and own_live:
                 for idx in own_side.members[gid]:
                     if mask[idx]:
                         if not self.pw.delete_tuple(self.state, v, idx):
@@ -730,8 +706,7 @@ class DoubleEngine(HveEngine):
     def undo_to(self, mark: int) -> None:
         super().undo_to(mark)
         # drop queued work that referred to the undone deletions
-        self.pw.queue = _Queue()
-        self.value_queue = _Queue()
+        self.pw.clear_queues()
 
 
 HIDDEN_ONLY = "HIDDEN_ONLY"
@@ -755,7 +730,7 @@ def double_ac(enc: EncodedProblem, mode: str = BOTH) -> PropagationResult:
         raise ValueError(f"unknown double AC mode: {mode!r}")
     if mode == HIDDEN_ONLY:
         enc = EncodedProblem(enc.kind, enc.problem, enc.duals, enc.hidden, [],
-                             enc.residual_constraints)
+                             enc.residual_constraints, enc.decompositions)
     engine = DoubleEngine(enc, ALGORITHMS["MAC-PW-ACd"])
     ok = engine.root_propagate()
     return PropagationResult(ok, engine.state, engine.counters)
@@ -825,7 +800,7 @@ class DeEngine(Engine):
     def undo_to(self, mark: int) -> None:
         super().undo_to(mark)
         if self.pw is not None:
-            self.pw.queue = _Queue()
+            self.pw.clear_queues()
 
     def extract_solution(self) -> tuple:
         assignment = tuple(induced_assignment(self.enc, self.state))

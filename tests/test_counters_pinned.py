@@ -1,0 +1,105 @@
+"""Exact counters of every lane on two seeded model-B instances.
+
+The figures were recorded before the piecewise decompositions were shared
+between pairs; a change that claims to keep every counter identical must
+pass here unchanged. Each lane in `ALGORITHMS` runs under dom/deg ordering
+with a node limit of 300. MAC-hybrid double-encodes every second
+constraint. "root" is refuted at the root by the MAC lanes on the dual and
+double encodings; "search" is searched by every lane.
+
+A row is (verdict, nodes, checks, micro-ops, value removals, tuple
+removals, group updates).
+"""
+
+import pytest
+
+from bincsp.encode import build_double
+from bincsp.gen import ModelBParams, gen_model_b
+from bincsp.search import ALGORITHMS, DOM_DEG, make_engine, prepare_model
+
+NODE_LIMIT = 300
+COUNTER_KEYS = ("checks", "microops", "value_removals", "tuple_removals",
+                "group_updates")
+
+INSTANCES = {
+    "root": ModelBParams(12, 4, 3, 15, 45, 2),
+    "search": ModelBParams(15, 4, 3, 8, 60, 3),
+}
+
+PINNED = {
+    ("root", "MGAC-2001"): ("UNSAT", 9, 11504, 13482, 203, 0, 0),
+    ("root", "nFC0"): ("UNSAT", 64, 13385, 4248, 382, 0, 0),
+    ("root", "nFC1"): ("UNSAT", 64, 13385, 4248, 382, 0, 0),
+    ("root", "nFC2"): ("UNSAT", 13, 10504, 5021, 133, 0, 0),
+    ("root", "nFC3"): ("UNSAT", 10, 9392, 5853, 143, 0, 0),
+    ("root", "nFC4"): ("UNSAT", 12, 10329, 5167, 153, 0, 0),
+    ("root", "nFC5"): ("UNSAT", 10, 9198, 6266, 163, 0, 0),
+    ("root", "MHAC-2001"): ("UNSAT", 9, 9249, 12392, 106, 3818, 0),
+    ("root", "MHAC-2001-full"): ("UNSAT", 9, 9249, 12392, 106, 3818, 0),
+    ("root", "hFC0"): ("NODE_LIMIT", 300, 0, 56827, 897, 24010, 0),
+    ("root", "hFC1"): ("UNSAT", 17, 8698, 9384, 111, 4047, 0),
+    ("root", "hFC2"): ("UNSAT", 13, 8875, 9022, 107, 3906, 0),
+    ("root", "hFC3"): ("UNSAT", 10, 7883, 9051, 106, 3831, 0),
+    ("root", "hFC4"): ("UNSAT", 12, 8133, 9264, 114, 3954, 0),
+    ("root", "hFC5"): ("UNSAT", 10, 7780, 9463, 110, 3906, 0),
+    ("root", "MAC-2001"): ("UNSAT", 0, 102053, 65844, 0, 853, 0),
+    ("root", "MAC-PW-AC"): ("UNSAT", 0, 0, 0, 0, 823, 15635),
+    ("root", "MAC-2001d"): ("UNSAT", 0, 112256, 68628, 23, 853, 0),
+    ("root", "MAC-PW-ACd"): ("UNSAT", 0, 0, 0, 0, 823, 15635),
+    ("root", "dFC0"): ("NODE_LIMIT", 300, 0, 0, 897, 24010, 424637),
+    ("root", "dFC1"): ("UNSAT", 17, 8698, 2212, 111, 4047, 76959),
+    ("root", "dFC2"): ("UNSAT", 10, 6248, 1578, 99, 3614, 68762),
+    ("root", "dFC3"): ("UNSAT", 10, 6327, 1813, 100, 3631, 69052),
+    ("root", "dFC4"): ("UNSAT", 10, 5523, 1422, 86, 3357, 64115),
+    ("root", "dFC5"): ("UNSAT", 10, 5537, 1638, 86, 3357, 64115),
+    ("root", "MAC-hybrid"): ("UNSAT", 7, 4658, 4395, 93, 1978, 17878),
+    ("search", "MGAC-2001"): ("SAT", 49, 32434, 36553, 623, 0, 0),
+    ("search", "nFC0"): ("SAT", 143, 48158, 14921, 896, 0, 0),
+    ("search", "nFC1"): ("SAT", 143, 48158, 14921, 896, 0, 0),
+    ("search", "nFC2"): ("SAT", 105, 42754, 45497, 629, 0, 0),
+    ("search", "nFC3"): ("SAT", 100, 40523, 45428, 621, 0, 0),
+    ("search", "nFC4"): ("SAT", 67, 35633, 39025, 589, 0, 0),
+    ("search", "nFC5"): ("SAT", 50, 31464, 36441, 561, 0, 0),
+    ("search", "MHAC-2001"): ("SAT", 49, 24311, 45616, 429, 10296, 0),
+    ("search", "MHAC-2001-full"): ("SAT", 49, 24311, 45616, 429, 10296, 0),
+    ("search", "hFC0"): ("NODE_LIMIT", 300, 0, 61282, 897, 17565, 0),
+    ("search", "hFC1"): ("SAT", 177, 36066, 54421, 647, 13927, 0),
+    ("search", "hFC2"): ("SAT", 105, 38005, 47925, 549, 12436, 0),
+    ("search", "hFC3"): ("SAT", 100, 35038, 47045, 531, 12022, 0),
+    ("search", "hFC4"): ("SAT", 67, 31770, 47668, 496, 11209, 0),
+    ("search", "hFC5"): ("SAT", 50, 25797, 43080, 432, 10396, 0),
+    ("search", "MAC-2001"): ("SAT", 47, 301668, 512675, 0, 8602, 0),
+    ("search", "MAC-PW-AC"): ("SAT", 47, 0, 0, 0, 8205, 150096),
+    ("search", "MAC-2001d"): ("SAT", 24, 275033, 258879, 161, 3754, 0),
+    ("search", "MAC-PW-ACd"): ("SAT", 24, 0, 0, 77, 3781, 67065),
+    ("search", "dFC0"): ("NODE_LIMIT", 300, 0, 0, 897, 17565, 289944),
+    ("search", "dFC1"): ("SAT", 177, 36066, 9862, 647, 13927, 239937),
+    ("search", "dFC2"): ("SAT", 100, 34566, 9599, 535, 12029, 207819),
+    ("search", "dFC3"): ("SAT", 100, 34566, 11224, 535, 12029, 207819),
+    ("search", "dFC4"): ("SAT", 34, 14156, 5389, 205, 4974, 87163),
+    ("search", "dFC5"): ("SAT", 33, 14022, 7094, 201, 4893, 85851),
+    ("search", "MAC-hybrid"): ("SAT", 49, 17985, 21846, 569, 5208, 38606),
+}
+
+
+@pytest.fixture(scope="module")
+def problems():
+    return {label: gen_model_b(params) for label, params in INSTANCES.items()}
+
+
+def test_every_lane_is_pinned():
+    assert set(PINNED) == {(label, name) for label in INSTANCES for name in ALGORITHMS}
+
+
+@pytest.mark.parametrize("label,algorithm", sorted(PINNED))
+def test_counters_match_the_pinned_table(problems, label, algorithm):
+    p = problems[label]
+    spec = ALGORITHMS[algorithm]
+    if spec.representation == "HYBRID":
+        model = build_double(p, encoded_subset=range(0, len(p.constraints), 2))
+    else:
+        model = prepare_model(p, spec)
+    result = make_engine(model, spec, ordering=DOM_DEG, node_limit=NODE_LIMIT).solve()
+    snapshot = result.counters.snapshot()
+    got = (result.verdict, result.nodes) + tuple(snapshot[k] for k in COUNTER_KEYS)
+    assert got == PINNED[(label, algorithm)]

@@ -177,22 +177,66 @@ def test_decomposition_partition_property():
                     assert len(flags) <= 1  # all cross pairs agree or none
 
 
+def _criterion_1_suite(step=50):
+    """Every `step`-th instance of the acceptance suite's criterion-1 set."""
+    for seed in range(0, 1000, step):
+        yield gen_model_b(ModelBParams(10, 4, 3, 10, 5 + (seed * 90) // 1000, seed))
+
+
+def _unsorted_scopes():
+    """Scopes out of ascending order: the first pair shares (b, a), in the
+    first dual's scope order."""
+    return Problem(["a", "b", "c", "d"], [[0, 1, 2]] * 4,
+                   [Constraint((1, 0, 2), relation=[(0, 1, 0), (1, 0, 1), (2, 0, 1)]),
+                    Constraint((3, 0, 1), relation=[(0, 1, 0), (1, 0, 0), (0, 0, 2)]),
+                    Constraint((2, 3), relation=[(0, 0), (1, 1)])])
+
+
 def test_tuple_groups_match_projections():
-    """Two tuples, on either side of a pair, share a group iff their
-    projections on the shared variables are equal; members lists each
-    group's tuples in ascending order."""
-    enc = build_de(example_42())
-    for pair in enc.dual_pairs:
-        tagged = []
-        for side, positions in ((pair.side1, pair.pos1), (pair.side2, pair.pos2)):
-            tuples = enc.duals[side.owner].tuples
-            tagged += [(side.tuple_group[idx], tuple(tuples[idx][p] for p in positions))
-                       for idx in range(len(tuples))]
-            assert side.members == [
-                [idx for idx, g in enumerate(side.tuple_group) if g == gid]
-                for gid in range(side.group_count)]
-        for (g1, key1), (g2, key2) in itertools.product(tagged, repeat=2):
-            assert (g1 == g2) == (key1 == key2), pair
+    """Both sides of a pair group their tuples exactly by the projection on
+    pair.shared, with ids rising with the key and one id space per shared
+    tuple; members lists each group's tuples in ascending order; and pair
+    sides with the same (owner, shared) are one object."""
+    problems = [_unsorted_scopes(), example_42()] + list(_criterion_1_suite())
+    for enc in [build(p) for p in problems for build in (build_de, build_double)]:
+        key_of_group = {}  # (shared, gid) -> key, over every decomposition
+        side_of = {}
+        for pair in enc.dual_pairs:
+            group_of_key = {}
+            for side, positions in ((pair.side1, pair.pos1), (pair.side2, pair.pos2)):
+                assert side_of.setdefault((side.owner, pair.shared), side) is side
+                assert side.shared == pair.shared
+                tuples = enc.duals[side.owner].tuples
+                for idx, gid in enumerate(side.tuple_group):
+                    key = tuple(tuples[idx][p] for p in positions)
+                    assert group_of_key.setdefault(key, gid) == gid, pair
+                    assert key_of_group.setdefault((pair.shared, gid), key) == key, pair
+                assert side.members == [
+                    [idx for idx, g in enumerate(side.tuple_group) if g == gid]
+                    for gid in range(side.group_count)]
+            assert pair.side1.group_count == pair.side2.group_count
+        for shared in {pair.shared for pair in enc.dual_pairs}:
+            keys = sorted((gid, key) for (s, gid), key in key_of_group.items()
+                          if s == shared)
+            assert all(k1 < k2 for (_, k1), (_, k2) in zip(keys, keys[1:])), shared
+
+
+def test_pairs_match_a_scan_of_every_dual_pair():
+    """Peers found through the variables give the pairs, their order and
+    their shared-variable order of a scan over all dual pairs."""
+    problems = [_unsorted_scopes(), example_41(), example_42(), six_var_linear()]
+    for p in problems + list(_criterion_1_suite(25)):
+        for enc in (build_de(p), build_double(p, encoded_subset=range(0, len(p.constraints), 2))):
+            expected = []
+            for i, di in enumerate(enc.duals):
+                for dj in enc.duals[i + 1:]:
+                    shared = tuple(x for x in di.scope if x in dj.scope)
+                    if shared:
+                        expected.append((len(expected), di.id, dj.id, shared,
+                                         tuple(di.scope.index(x) for x in shared),
+                                         tuple(dj.scope.index(x) for x in shared)))
+            assert [(pr.index, pr.v1, pr.v2, pr.shared, pr.pos1, pr.pos2)
+                    for pr in enc.dual_pairs] == expected
 
 
 def test_round_trip_solutions_through_encodings():

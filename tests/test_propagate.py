@@ -5,10 +5,9 @@ from bincsp.core import Constraint, Counters, DomainState, Problem, \
     ac1_fixpoint, enumerate_solutions
 from bincsp.encode import build_de, build_double, build_hve
 from bincsp.gen import ModelBParams, gen_model_b
-from bincsp.propagate import (Ac2001, DeView, DoubleView, PwAc, PwState,
-                              ValueSupports, ac2001, gac2001, hac, pwac,
-                              seed_assignment_hve, seed_assignment_nonbinary,
-                              sgac_check)
+from bincsp.propagate import (Ac2001, DeView, DoubleView, PwAc, ac2001,
+                              gac2001, hac, pwac, seed_assignment_hve,
+                              seed_assignment_nonbinary, sgac_check)
 from bincsp import search
 from bincsp.search import BOTH, DUAL_DUAL, HIDDEN_ONLY, double_ac
 
@@ -362,14 +361,18 @@ def test_group_and_value_support_counts_match_live_members():
             partial.dual_masks[v.id][idx] = 0
             partial.dual_counts[v.id] -= 1
     for state in (full, partial):
-        engine = PwAc(enc)
-        engine.pw = PwState(enc, state)
+        engine = PwAc(enc, value_rule=True)
+        engine.init_counts(state)
+        assert set(engine.counts) == set(enc.decompositions.values())
         engine.check_counters(state)  # raises on any counter off its live count
-        counts = ValueSupports(enc, state).counts
+        # a hidden arc's groups are the values: group a counts the live
+        # tuples carrying a at that position
         for v in enc.duals:
             mask = state.dual_masks[v.id]
-            assert counts[v.id] == [[sum(1 for i in idxs if mask[i]) for idxs in bypv]
-                                    for bypv in v.tuples_by_pos_val]
+            for pos, x in enumerate(v.scope):
+                counts = engine.counts[enc.decompositions[v.id, (x,)]]
+                assert counts == [sum(1 for i in idxs if mask[i])
+                                  for idxs in v.tuples_by_pos_val[pos]]
 
 
 # ---------------------------------------------------------------------------

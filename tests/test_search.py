@@ -4,7 +4,6 @@ from bincsp.core import Constraint, Problem, enumerate_solutions
 from bincsp.encode import build_double, build_hve
 from bincsp.gen import (CrosswordSpec, ModelBParams, gen_crossword,
                         gen_model_b, gen_parity_chain)
-from bincsp.propagate import ValueSupports
 from bincsp.search import (ALGORITHMS, DOM_DEG, FIXED,
                            complete_dual_assignments, make_engine,
                            prepare_model, solve)
@@ -372,24 +371,29 @@ def test_unsat_search_restores_state_exactly():
             if snapshot.dual_masks is not None:
                 assert engine.state.dual_masks == snapshot.dual_masks, algorithm
                 assert engine.state.dual_counts == snapshot.dual_counts, algorithm
-            # group counters must equal recomputed live counts after unwind
+            # group and value-support counters must equal fresh counts
             pw = getattr(engine, "pw", None)
-            if pw is not None and pw.pw is not None:
-                for pair in model.dual_pairs:
-                    for bit, side in ((0, pair.side1), (1, pair.side2)):
-                        fresh = side.fresh_counters(engine.state)
-                        assert pw.pw.counts[pair.index][bit] == fresh, algorithm
-            # and so must the value-support counters of the double encoding
-            vs = getattr(engine, "vs", None)
-            if vs is not None:
-                assert vs.counts == ValueSupports(model, engine.state).counts, \
-                    algorithm
+            if pw is not None:
+                _assert_all_counted(engine)
+                for dec, counts in pw.counts.items():
+                    assert counts == dec.fresh_counters(engine.state), algorithm
+
+
+def _assert_all_counted(engine):
+    """Every pair side's decomposition is counted, and so, under the value
+    rule, is every hidden arc's."""
+    enc, counted = engine.enc, engine.pw.counts
+    expected = {side for pair in enc.dual_pairs for side in (pair.side1, pair.side2)}
+    if engine.pw.value_queue is not None:
+        expected |= {enc.decompositions[v, (x,)] for v, x, _ in enc.hidden}
+    assert set(counted) == expected, engine.spec.name
 
 
 def test_derived_counters_are_right_after_every_undo():
     """Group and value-support counters are not trailed: undoing a tuple
     deletion re-derives them. After every undo, not only once a search is
-    exhausted, they must equal a fresh count over the live tuples."""
+    exhausted, they must equal a fresh count over the live tuples. The
+    value supports are the counters of the hidden arcs' decompositions."""
     verdicts, undos = set(), {}
     for seed, q in enumerate((45, 50, 55, 60, 65), start=1):
         p = gen_model_b(ModelBParams(15, 4, 3, 8, q, seed))
@@ -404,15 +408,42 @@ def test_derived_counters_are_right_after_every_undo():
             def checked_undo(mark, engine=engine, undo=engine.undo_to):
                 undo(mark)
                 undos[engine.spec.name] = undos.get(engine.spec.name, 0) + 1
+                _assert_all_counted(engine)
                 engine.pw.check_counters(engine.state)  # raises on drift
-                vs = getattr(engine, "vs", None)
-                if vs is not None:
-                    assert vs.counts == ValueSupports(engine.enc, engine.state).counts
 
             engine.undo_to = checked_undo
             verdicts.add(engine.solve().verdict)
     assert {"SAT", "UNSAT"} <= verdicts
     assert min(undos.values()) >= 20 and len(undos) == 5, undos
+
+
+def test_fc_lanes_on_the_double_encoding_queue_nothing():
+    """dFCi revises pair sides itself and never drains the PW-AC queue, so
+    nothing may be pushed onto it. Nodes and counters are those the lanes
+    had while they still filled it."""
+    p = gen_model_b(ModelBParams(20, 4, 3, 5, 55, 1001))
+    expected = {"dFC3": ("UNSAT", 142, (72121, 22647, 792, 25546, 541326)),
+                "dFC5": ("UNSAT", 59, (39058, 18628, 570, 19723, 417039))}
+    keys = ("checks", "microops", "value_removals", "tuple_removals", "group_updates")
+    for algorithm, pinned in expected.items():
+        spec = ALGORITHMS[algorithm]
+        engine = make_engine(prepare_model(p, spec), spec, ordering=DOM_DEG,
+                             node_limit=2000)
+        lookaheads = []
+
+        def checked_lookahead(var, engine=engine, lookahead=engine.lookahead):
+            ok = lookahead(var)
+            lookaheads.append(ok)
+            assert not engine.pw.queue and engine.pw.value_queue is None
+            return ok
+
+        engine.lookahead = checked_lookahead
+        assert not engine.pw.queue  # nothing queued when counting starts
+        result = engine.solve()
+        snapshot = result.counters.snapshot()
+        assert (result.verdict, result.nodes,
+                tuple(snapshot[k] for k in keys)) == pinned, algorithm
+        assert len(lookaheads) > 50 and not all(lookaheads), algorithm
 
 
 def test_deep_chain_is_searched_without_recursion():
