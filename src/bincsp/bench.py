@@ -11,7 +11,8 @@ spec), the algorithms to run, the ordering, seeds and limits:
      "seeds": [0, 1, 2],
      "node_limit": 100000}
 
-Every cell failure is recorded in its row, never aborting the matrix.
+Every cell failure is recorded in its row, never aborting the matrix: the
+verdict is `ERROR:<Type>` and the `error` column holds `Type: message`.
 Reports are byte-deterministic for fixed seeds when time_mode="zero"
 (wall-clock times are the one necessarily unstable column).
 """
@@ -106,6 +107,11 @@ def _default_hybrid_subset(problem: Problem, max_arity: int = 5,
     return subset, expanded
 
 
+def _describe(e: Exception) -> str:
+    """The `error` column of a failed run: "Type: message"."""
+    return f"{type(e).__name__}: {e}"
+
+
 def run_one(problem: Problem, algorithm: str, ordering: str, seed: int,
             node_limit: Optional[int] = None,
             time_limit_ms: Optional[float] = None,
@@ -151,7 +157,7 @@ def run_one(problem: Problem, algorithm: str, ordering: str, seed: int,
             algorithm=algorithm, encoding=spec.representation,
             ordering=ordering, seed=seed,
             verdict=f"ERROR:{type(e).__name__}", nodes=0, checks=0,
-            microops=0, removals=0, time_ms=0, mem_bytes=0)
+            microops=0, removals=0, time_ms=0, mem_bytes=0, error=_describe(e))
         return record, None
 
 
@@ -188,7 +194,7 @@ def _run_job(args):
             encoding=spec.representation if spec else "?",
             ordering=cell.get("ordering", "heuristic"), seed=seed,
             verdict=f"ERROR:{type(e).__name__}", nodes=0, checks=0,
-            microops=0, removals=0, time_ms=0, mem_bytes=0)
+            microops=0, removals=0, time_ms=0, mem_bytes=0, error=_describe(e))
         return cell_idx, seed, algorithm, record, None
     record, result = run_one(
         problem, algorithm,

@@ -61,15 +61,23 @@ class Predicate:
                       than s2 apart from every other position
       not_all_equal   at least two positions differ
       parity_neq      (v[a0]+v[a1]) mod 2 != (v[b0]+v[b1]) mod 2
+
+    The two separation kinds are gap kinds: a tuple holds iff every pair of
+    positions i < j is more than gaps(k)[i][j] apart, where the k x k
+    minimum-gap table (s, or s2 when i or j is in `subset`) is built once
+    for the constraint's arity. `holds`, expansion and support search all
+    read its rows.
     """
 
     KINDS = ("linear", "separation", "rich_separation", "not_all_equal", "parity_neq")
+    GAP_KINDS = ("separation", "rich_separation")
 
     def __init__(self, kind: str, **params):
         if kind not in self.KINDS:
             raise ValueError(f"unknown predicate kind: {kind!r}")
         self.kind = kind
         self.params = params
+        self._gaps = None
         if kind == "linear":
             self.coeffs = tuple(params["coeffs"])
             self.rel = params["rel"]
@@ -89,6 +97,29 @@ class Predicate:
             if len(self.pairs) != 2 or any(len(p) != 2 for p in self.pairs):
                 raise ValueError("parity_neq takes two position pairs")
 
+    def gaps(self, k: int) -> Optional[tuple]:
+        """The k x k minimum-gap table of a gap kind (None for other kinds):
+        positions i != j must be more than table[i][j] apart.
+
+        The table is kept for the arity last asked for, which is that of the
+        predicate's constraint. It holds at most two distinct row tuples
+        (the row of a position in `subset` is all s2), so the tables of a
+        problem stay small for as long as it lives.
+        """
+        if self.kind not in self.GAP_KINDS:
+            return None
+        table = self._gaps
+        if table is None or len(table) != k:
+            if self.kind == "separation":
+                table = ((self.s,) * k,) * k
+            else:
+                strong = set(self.subset)
+                full = (self.s2,) * k
+                weak = tuple(self.s2 if j in strong else self.s for j in range(k))
+                table = tuple(full if i in strong else weak for i in range(k))
+            self._gaps = table
+        return table
+
     def holds(self, values: Sequence) -> bool:
         kind = self.kind
         if kind == "linear":
@@ -100,24 +131,13 @@ class Predicate:
             if self.rel == "<=":
                 return total <= self.const
             return total != self.const
-        if kind == "separation":
-            s = self.s
+        if kind in self.GAP_KINDS:
             k = len(values)
+            gaps = self.gaps(k)
             for i in range(k):
-                vi = values[i]
+                vi, row = values[i], gaps[i]
                 for j in range(i + 1, k):
-                    if abs(vi - values[j]) <= s:
-                        return False
-            return True
-        if kind == "rich_separation":
-            s, s2 = self.s, self.s2
-            strong = set(self.subset)
-            k = len(values)
-            for i in range(k):
-                vi = values[i]
-                for j in range(i + 1, k):
-                    gap = s2 if (i in strong or j in strong) else s
-                    if abs(vi - values[j]) <= gap:
+                    if abs(vi - values[j]) <= row[j]:
                         return False
             return True
         if kind == "not_all_equal":
@@ -126,30 +146,6 @@ class Predicate:
         # parity_neq
         (a0, a1), (b0, b1) = self.pairs
         return (values[a0] + values[a1]) % 2 != (values[b0] + values[b1]) % 2
-
-    def partial_ok(self, values: Sequence, upto: int) -> bool:
-        """Can a prefix values[:upto] still be extended to a satisfying tuple?
-
-        Sound but not complete pruning; the full holds() test decides.
-        """
-        kind = self.kind
-        if kind == "separation":
-            s = self.s
-            v = values[upto - 1]
-            for i in range(upto - 1):
-                if abs(v - values[i]) <= s:
-                    return False
-            return True
-        if kind == "rich_separation":
-            strong = set(self.subset)
-            v = values[upto - 1]
-            j = upto - 1
-            for i in range(upto - 1):
-                gap = self.s2 if (i in strong or j in strong) else self.s
-                if abs(v - values[i]) <= gap:
-                    return False
-            return True
-        return True
 
     def spec(self) -> dict:
         """JSON-ready parameter description."""
@@ -406,9 +402,13 @@ def expand_predicate(problem: Problem, c: Constraint,
     """All satisfying tuples of a predicate constraint over the initial
     domains, sorted lexicographically.
 
-    Separation-style kinds are generated by pruned depth-first search so
-    tight constraints never enumerate the full cross product; everything else
-    enumerates d^k, which must fit the budget.
+    Gap kinds (the separations) are generated by a forward-filtering
+    depth-first search, so tight constraints never enumerate the full cross
+    product: each level keeps, for every later position, the (index, label)
+    candidates still compatible with the values placed so far, and the last
+    level emits its candidates in one step. More than `budget` tuples raise
+    CapacityError. Every other kind enumerates d^k, which must fit the
+    budget.
     """
     if c.predicate is None:
         raise ValueError("constraint is already extensional")
@@ -417,25 +417,34 @@ def expand_predicate(problem: Problem, c: Constraint,
     sizes = [len(d) for d in doms]
     k = len(sizes)
 
-    if pred.kind in ("separation", "rich_separation"):
+    gaps = pred.gaps(k)
+    if gaps is not None:
+        if k == 0:
+            return [()]
         out = []
-        labels = [None] * k
+        last = k - 1
 
-        def rec(pos, prefix):
-            if len(out) > budget:
-                raise CapacityError(
-                    f"expansion of {pred.kind} constraint exceeded budget {budget}")
-            if pos == k:
-                out.append(tuple(prefix))
+        def rec(pos, prefix, cands):
+            # cands[j] holds the candidates of position pos + j
+            if pos == last:
+                out.extend([prefix + (a,) for a, _ in cands[0]])
+                if len(out) > budget:
+                    raise CapacityError(
+                        f"expansion of {pred.kind} constraint exceeded budget {budget}")
                 return
-            for a in range(sizes[pos]):
-                prefix.append(a)
-                labels[pos] = doms[pos][a]
-                if pred.partial_ok(labels, pos + 1):
-                    rec(pos + 1, prefix)
-                prefix.pop()
+            row = gaps[pos]
+            for a, la in cands[0]:
+                kept = []
+                for j, later in enumerate(cands[1:], pos + 1):
+                    g = row[j]
+                    later = [(b, lb) for b, lb in later if la - lb > g or lb - la > g]
+                    if not later:
+                        break
+                    kept.append(later)
+                else:
+                    rec(pos + 1, prefix + (a,), kept)
 
-        rec(0, [])
+        rec(0, (), [list(enumerate(dom)) for dom in doms])
         return out
 
     space = 1

@@ -19,6 +19,7 @@ decomposition on (x,), whose group ids are the values of x.
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -41,13 +42,18 @@ class DualVariable:
         self.scope = tuple(scope)
         self.tuples = list(tuples)
         self.position = {x: i for i, x in enumerate(self.scope)}
-        # tuple indices holding value a at position pos, for eager deletions
-        self.tuples_by_pos_val = [
-            [[] for _ in range(domain_sizes[x])] for x in self.scope
-        ]
+        self.domain_sizes = [domain_sizes[x] for x in self.scope]
+
+    @cached_property
+    def tuples_by_pos_val(self) -> list:
+        """Tuple indices holding value a at position pos, for eager
+        deletions. Built on first use: the hidden and double encodings read
+        it, the dual encoding never does."""
+        out = [[[] for _ in range(size)] for size in self.domain_sizes]
         for idx, t in enumerate(self.tuples):
             for pos, a in enumerate(t):
-                self.tuples_by_pos_val[pos][a].append(idx)
+                out[pos][a].append(idx)
+        return out
 
     @property
     def arity(self) -> int:

@@ -205,7 +205,8 @@ def save_instance(problem: Problem, path: str) -> None:
 
 
 CSV_HEADER = ["instance", "algorithm", "encoding", "ordering", "seed", "verdict",
-              "nodes", "checks", "microops", "removals", "time_ms", "mem_bytes"]
+              "nodes", "checks", "microops", "removals", "time_ms", "mem_bytes",
+              "error"]
 
 
 @dataclass
@@ -222,6 +223,7 @@ class RunRecord:
     removals: int
     time_ms: int
     mem_bytes: int
+    error: str = ""  # "Type: message" of a failed run, empty otherwise
 
     def row(self) -> list:
         return [getattr(self, col) for col in CSV_HEADER]

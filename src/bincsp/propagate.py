@@ -107,39 +107,57 @@ def _scan_extension(rel, pos, a, start, accept, counters):
 def _pred_enum(problem, c, pos, a, state, after, tight0, counters):
     """Lex-smallest valid satisfying tuple of a predicate constraint with
     value a at position pos (pos < 0: unconstrained), strictly after `after`
-    when tight0 is set. Each completed candidate evaluated is one check."""
+    when tight0 is set.
+
+    One depth-first loop serves every kind. A level visits only live values
+    (only a at pos), from after[depth] while the prefix equals `after` and
+    from 0 otherwise; for gap kinds it keeps only values far enough from
+    the earlier positions by the predicate's gap rows, so a full tuple that
+    gets there already holds. Each completed candidate evaluated is one
+    check; a level costs one micro-op per value index it steps over, from
+    its start to the value it returns at, or to the end of the domain.
+    """
     pred = c.predicate
-    doms = [problem.domains[x] for x in c.scope]
-    sizes = [len(d) for d in doms]
-    k = len(sizes)
-    masks = state.masks
     scope = c.scope
+    k = len(scope)
+    doms = [problem.domains[x] for x in scope]
+    masks = [state.masks[x] for x in scope]
+    gaps = pred.gaps(k)
+    holds = pred.holds if gaps is None else None
     labels = [None] * k
-    prefix = []
+    values = [0] * k
+    last = k - 1
 
     def rec(depth, tight):
-        if depth == k:
-            if tight:
-                return None  # equal to `after`; we need strictly greater
-            counters.checks += 1
-            if pred.holds(labels):
-                return tuple(prefix)
-            return None
         lo = after[depth] if tight else 0
-        for v in range(lo, sizes[depth]):
-            counters.microops += 1
-            if depth == pos and v != a:
-                continue
-            if not masks[scope[depth]][v]:
-                continue
-            prefix.append(v)
-            labels[depth] = doms[depth][v]
-            res = None
-            if pred.partial_ok(labels, depth + 1):
-                res = rec(depth + 1, tight and v == lo)
-            prefix.pop()
-            if res is not None:
-                return res
+        size = len(masks[depth])
+        if depth == pos:
+            cands = [a] if a >= lo and masks[depth][a] else []
+        else:
+            cands = compress(range(lo, size), islice(masks[depth], lo, None))
+        dom = doms[depth]
+        if gaps is not None:
+            row = gaps[depth]
+            for i in range(depth):
+                li, g = labels[i], row[i]
+                cands = [v for v in cands if dom[v] - li > g or li - dom[v] > g]
+        for v in cands:
+            labels[depth] = dom[v]
+            values[depth] = v
+            if depth == last:
+                if tight and v == lo:
+                    continue  # equal to `after`; we need strictly greater
+                counters.checks += 1
+                if holds is not None and not holds(labels):
+                    continue
+                found = tuple(values)
+            else:
+                found = rec(depth + 1, tight and v == lo)
+                if found is None:
+                    continue
+            counters.microops += v - lo + 1
+            return found
+        counters.microops += size - lo
         return None
 
     return rec(0, tight0)

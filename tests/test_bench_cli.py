@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 
+import bincsp.bench as bench
 import bincsp.core as core
 import bincsp.encode as encode
 from bincsp.bench import run_bench, run_one, tuple_table_bytes
@@ -79,6 +80,35 @@ def test_failing_cell_recorded_not_raised(tmp_path):
     records = run_bench(config, str(tmp_path))
     assert len(records) == 1
     assert records[0].verdict.startswith("ERROR")
+
+
+def test_failed_run_message_reaches_csv_and_json(tmp_path, monkeypatch):
+    """A run that fails says why in the last column, `error`; runs that did
+    not fail leave it empty, and the reports stay byte-deterministic."""
+    make_engine = bench.make_engine
+
+    def failing_engine(model, spec, **kwargs):
+        if spec.name == "MAC-PW-ACd":
+            raise AssertionError("forced failure in the MAC-PW-ACd engine")
+        return make_engine(model, spec, **kwargs)
+
+    monkeypatch.setattr(bench, "make_engine", failing_engine)
+    reports = []
+    for out in ("a", "b"):
+        records = run_bench(_matrix_parity(), str(tmp_path / out), time_mode="zero")
+        reports.append([(tmp_path / out / name).read_bytes()
+                        for name in ("report.csv", "summary.json")])
+    assert reports[0] == reports[1]
+    message = "AssertionError: forced failure in the MAC-PW-ACd engine"
+    assert {(r.algorithm, r.verdict, r.error) for r in records} == {
+        ("MHAC-2001", "UNSAT", ""), ("MAC-PW-ACd", "ERROR:AssertionError", message)}
+    csv_text = (tmp_path / "a" / "report.csv").read_text()
+    assert CSV_HEADER[-1] == "error"
+    assert csv_text.count("," + message + "\n") == 3
+    assert parse_report(csv_text) == records
+    doc = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert [r["error"] for r in doc["records"]] == [r.error for r in records]
+    assert sum(r["error"] == message for r in doc["records"]) == 3
 
 
 def test_parallel_rows_match_serial(tmp_path):

@@ -136,6 +136,13 @@ def test_rich_separation_semantics():
     assert not pred.holds((0, 5, 6))  # weak pair gap 1 <= s
 
 
+def test_gap_table_reads_s2_where_either_position_is_in_the_subset():
+    pred = Predicate("rich_separation", s=1, s2=3, subset=(1, 3))
+    assert pred.gaps(4) == ((1, 3, 1, 3), (3, 3, 3, 3), (1, 3, 1, 3), (3, 3, 3, 3))
+    assert Predicate("separation", s=2).gaps(3) == ((2, 2, 2),) * 3
+    assert Predicate("not_all_equal").gaps(3) is None
+
+
 def test_enumerate_solutions_six_var():
     p = six_var_linear()
     assert enumerate_solutions(p) == SIX_VAR_SOLUTIONS
@@ -212,3 +219,163 @@ def test_problem_rejects_out_of_domain_tuples():
 def test_unary_constraint_is_legal():
     p = Problem(["a"], [[0, 1, 2]], [Constraint((0,), relation=[(1,)])])
     assert enumerate_solutions(p) == [(1,)]
+
+
+# ---------------------------------------------------------------------------
+# gap-kind expansion against the pruned DFS it replaced and the cross product
+
+RLFA_BUDGET = 10_000  # low enough that some rlfa constraints exceed it
+
+
+def _old_gap_expand(problem, c, budget):
+    """The separation expander before the gap table: a depth-first search
+    that tests each new value against every earlier one and tests the budget
+    on entry to each level."""
+    pred = c.predicate
+    doms = [problem.domains[x] for x in c.scope]
+    sizes = [len(d) for d in doms]
+    k = len(sizes)
+    out = []
+    labels = [None] * k
+
+    def partial_ok(upto):
+        v, j = labels[upto - 1], upto - 1
+        for i in range(upto - 1):
+            if pred.kind == "separation":
+                gap = pred.s
+            else:
+                gap = pred.s2 if (i in pred.subset or j in pred.subset) else pred.s
+            if abs(v - labels[i]) <= gap:
+                return False
+        return True
+
+    def rec(pos, prefix):
+        if len(out) > budget:
+            raise CapacityError(f"expansion of {pred.kind} constraint exceeded budget {budget}")
+        if pos == k:
+            out.append(tuple(prefix))
+            return
+        for a in range(sizes[pos]):
+            prefix.append(a)
+            labels[pos] = doms[pos][a]
+            if partial_ok(pos + 1):
+                rec(pos + 1, prefix)
+            prefix.pop()
+
+    rec(0, [])
+    return out
+
+
+def _product_expand(problem, c):
+    doms = [problem.domains[x] for x in c.scope]
+    return [t for t in itertools.product(*(range(len(d)) for d in doms))
+            if c.predicate.holds(tuple(d[a] for d, a in zip(doms, t)))]
+
+
+def _expand_like_the_old_dfs(problem, c, budget):
+    """expand_predicate's result, checked against the old DFS: the same list
+    within the budget, CapacityError beyond it (the old DFS returned budget
+    + 1 tuples when no level was entered after the last one). None if
+    the budget was exceeded."""
+    try:
+        ref = _old_gap_expand(problem, c, budget)
+    except CapacityError:
+        ref = None
+    if ref is None or len(ref) > budget:
+        with pytest.raises(CapacityError):
+            expand_predicate(problem, c, budget)
+        return None
+    got = expand_predicate(problem, c, budget)
+    assert got == ref, c
+    return got
+
+
+def test_gap_expansion_matches_the_old_dfs_on_rlfa():
+    """Every constraint of rlfa prob1-prob5 at d = 20 and 25 over three
+    seeds, once per distinct (predicate, label lists); the product oracle
+    checks those of arity <= 3."""
+    from bincsp.gen import gen_rlfa
+    seen, expanded, over_budget, brute = set(), 0, 0, 0
+    for topology in ("prob1", "prob2", "prob3", "prob4", "prob5"):
+        for d in (20, 25):
+            for seed in (0, 1, 2):
+                p = gen_rlfa(topology, d, seed)
+                for c in p.constraints:
+                    key = (repr(c.predicate.spec()),
+                           tuple(tuple(p.domains[x]) for x in c.scope))
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    got = _expand_like_the_old_dfs(p, c, RLFA_BUDGET)
+                    if got is None:
+                        over_budget += 1
+                        continue
+                    expanded += 1
+                    if c.arity <= 3:
+                        assert got == _product_expand(p, c), c
+                        brute += 1
+    assert expanded > 50 and over_budget > 0 and brute > 20
+
+
+def _scattered_labels_problem(pred, label_lists):
+    k = len(label_lists)
+    return Problem([f"z{i}" for i in range(k)], label_lists,
+                   [Constraint(tuple(range(k)), predicate=pred)])
+
+
+SCATTERED_LABELS = [[7, 0, 3, 12], [12, 5, 0, 9, 2], [1, 14, 8], [3, 10, 0, 6, 13]]
+
+
+SCATTERED_PREDICATES = [
+    Predicate("separation", s=1), Predicate("separation", s=2),
+    Predicate("separation", s=4),
+    Predicate("rich_separation", s=1, s2=3, subset=(0,)),
+    Predicate("rich_separation", s=1, s2=2, subset=(1, 2)),
+    Predicate("rich_separation", s=2, s2=5, subset=(3,)),
+]
+
+
+@pytest.mark.parametrize("pred,arity", [
+    (pred, arity) for pred in SCATTERED_PREDICATES for arity in (1, 2, 3, 4)
+    if pred.kind == "separation" or max(pred.subset) < arity], ids=repr)
+def test_gap_expansion_over_unsorted_scattered_labels(pred, arity):
+    p = _scattered_labels_problem(pred, SCATTERED_LABELS[:arity])
+    c = p.constraints[0]
+    got = _expand_like_the_old_dfs(p, c, 10_000)
+    assert got == _product_expand(p, c)
+    assert got == sorted(got)
+
+
+WIDE_LABELS = [[9, 2, 14, 5, 0, 11, 7, 16], [3, 12, 6, 0, 15, 9, 1, 18],
+               [10, 4, 17, 1, 13, 7], [0, 8, 16, 4, 12, 2, 19], [6, 15, 2, 11, 19, 0]]
+
+
+@pytest.mark.parametrize("arity,subset", [
+    (4, (0,)), (4, (3,)), (4, (1,)), (4, (0, 3)), (4, (1, 2)),
+    (5, (0,)), (5, (4,)), (5, (2,)), (5, (0, 4)), (5, (1, 3)),
+])
+def test_rich_separation_subsets_at_the_ends_and_in_the_middle(arity, subset):
+    pred = Predicate("rich_separation", s=1, s2=3, subset=subset)
+    p = _scattered_labels_problem(pred, WIDE_LABELS[:arity])
+    c = p.constraints[0]
+    got = _expand_like_the_old_dfs(p, c, 100_000)
+    assert got  # tight enough to prune, loose enough to keep tuples
+    if arity <= 4:
+        assert got == _product_expand(p, c)
+
+
+def test_gap_expansion_budget_is_exact():
+    p = Problem([f"f{i}" for i in range(4)], [list(range(20))] * 4,
+                [Constraint((0, 1, 2, 3), predicate=Predicate("separation", s=5))])
+    c = p.constraints[0]
+    assert len(expand_predicate(p, c, budget=120)) == 120
+    with pytest.raises(CapacityError):
+        expand_predicate(p, c, budget=119)
+    # two values more than 1 apart out of {0, 1, 2}: (0, 2) and (2, 0); the
+    # old DFS entered no level after appending the second and returned both
+    q = Problem(["u", "v"], [[0, 1, 2]] * 2,
+                [Constraint((0, 1), predicate=Predicate("separation", s=1))])
+    assert _old_gap_expand(q, q.constraints[0], budget=1) == [(0, 2), (2, 0)]
+    with pytest.raises(CapacityError):
+        expand_predicate(q, q.constraints[0], budget=1)
+    assert expand_predicate(q, q.constraints[0], budget=2) == [(0, 2), (2, 0)]

@@ -9,12 +9,18 @@ double encodings; "search" is searched by every lane.
 
 A row is (verdict, nodes, checks, micro-ops, value removals, tuple
 removals, group updates).
+
+The rlfa cells run the lanes of the intensional benchmark workload
+through `bench.run_one` (dom/deg, node limit 100, the default hybrid
+subset); MGAC-2001 searches the separation predicates for supports and the
+other lanes expand them. They were recorded before the pairwise-gap table.
 """
 
 import pytest
 
+from bincsp.bench import run_one
 from bincsp.encode import build_double
-from bincsp.gen import ModelBParams, gen_model_b
+from bincsp.gen import ModelBParams, gen_model_b, gen_rlfa
 from bincsp.search import ALGORITHMS, DOM_DEG, make_engine, prepare_model
 
 NODE_LIMIT = 300
@@ -103,3 +109,27 @@ def test_counters_match_the_pinned_table(problems, label, algorithm):
     snapshot = result.counters.snapshot()
     got = (result.verdict, result.nodes) + tuple(snapshot[k] for k in COUNTER_KEYS)
     assert got == PINNED[(label, algorithm)]
+
+
+RLFA_NODE_LIMIT = 100
+RLFA_INSTANCES = {"prob1-d20": ("prob1", 20, 1), "prob2-d25": ("prob2", 25, 1)}
+
+RLFA_PINNED = {
+    ("prob1-d20", "MGAC-2001"): ("SAT", 48, 1938, 1191405, 912, 0, 0),
+    ("prob1-d20", "MHAC-2001"): ("SAT", 48, 1199588, 147722, 912, 27077, 0),
+    ("prob1-d20", "MAC-hybrid"): ("SAT", 48, 0, 0, 912, 27077, 96806),
+    ("prob1-d20", "MAC-PW-ACd"): ("SAT", 48, 0, 0, 912, 27077, 96806),
+    ("prob2-d25", "MGAC-2001"): ("SAT", 44, 976, 1162193, 1056, 0, 0),
+    ("prob2-d25", "MHAC-2001"): ("SAT", 44, 424187, 49927, 1056, 11262, 0),
+    ("prob2-d25", "MAC-hybrid"): ("SAT", 44, 0, 0, 1056, 11262, 35030),
+    ("prob2-d25", "MAC-PW-ACd"): ("SAT", 44, 0, 0, 1056, 11262, 35030),
+}
+
+
+@pytest.mark.parametrize("label,algorithm", sorted(RLFA_PINNED))
+def test_rlfa_counters_match_the_pinned_table(label, algorithm):
+    record, result = run_one(gen_rlfa(*RLFA_INSTANCES[label]), algorithm,
+                             "heuristic", 0, node_limit=RLFA_NODE_LIMIT)
+    snapshot = result.counters.snapshot()
+    got = (result.verdict, result.nodes) + tuple(snapshot[k] for k in COUNTER_KEYS)
+    assert got == RLFA_PINNED[(label, algorithm)]

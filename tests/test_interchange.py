@@ -92,7 +92,8 @@ def test_csv_report_shape():
     text = emit_report([rec], "csv")
     lines = text.splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
-    assert lines[1] == "inst,MGAC-2001,NONBINARY,fixed,0,SAT,5,10,20,3,7,1024"
+    assert lines[1] == "inst,MGAC-2001,NONBINARY,fixed,0,SAT,5,10,20,3,7,1024,"
+    assert CSV_HEADER[-1] == "error"  # empty for a run that did not fail
     assert text.endswith("\n")
 
 

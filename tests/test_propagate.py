@@ -1,12 +1,12 @@
 import itertools
 import random
 
-from bincsp.core import Constraint, Counters, DomainState, Problem, \
+from bincsp.core import Constraint, Counters, DomainState, Predicate, Problem, \
     ac1_fixpoint, enumerate_solutions
 from bincsp.encode import build_de, build_double, build_hve
 from bincsp.gen import ModelBParams, gen_model_b
-from bincsp.propagate import (Ac2001, DeView, DoubleView, PwAc, ac2001,
-                              gac2001, hac, pwac, seed_assignment_hve,
+from bincsp.propagate import (Ac2001, DeView, DoubleView, PwAc, _pred_enum,
+                              ac2001, gac2001, hac, pwac, seed_assignment_hve,
                               seed_assignment_nonbinary, sgac_check)
 from bincsp import search
 from bincsp.search import BOTH, DUAL_DUAL, HIDDEN_ONLY, double_ac
@@ -499,3 +499,118 @@ def test_indexed_mac2001_searches_like_the_linear_scan(monkeypatch):
                      for _, paths, _ in expected.values())
     assert backtracks >= 20
     assert outcomes() == expected
+
+
+# ---------------------------------------------------------------------------
+# predicate support search against the enumeration it replaced
+
+
+def _reference_pred_enum(problem, c, pos, a, state, after, tight0, counters):
+    """`_pred_enum` before the gap table: every value index of a level costs
+    one micro-op, dead values and values other than a at pos are skipped in
+    the loop, and each new label is tested against every earlier one."""
+    pred = c.predicate
+    doms = [problem.domains[x] for x in c.scope]
+    sizes = [len(d) for d in doms]
+    k = len(sizes)
+    masks = state.masks
+    scope = c.scope
+    labels = [None] * k
+    prefix = []
+
+    def partial_ok(upto):
+        if pred.kind not in ("separation", "rich_separation"):
+            return True
+        v, j = labels[upto - 1], upto - 1
+        for i in range(upto - 1):
+            if pred.kind == "separation":
+                gap = pred.s
+            else:
+                gap = pred.s2 if (i in pred.subset or j in pred.subset) else pred.s
+            if abs(v - labels[i]) <= gap:
+                return False
+        return True
+
+    def rec(depth, tight):
+        if depth == k:
+            if tight:
+                return None  # equal to `after`; we need strictly greater
+            counters.checks += 1
+            if pred.holds(labels):
+                return tuple(prefix)
+            return None
+        lo = after[depth] if tight else 0
+        for v in range(lo, sizes[depth]):
+            counters.microops += 1
+            if depth == pos and v != a:
+                continue
+            if not masks[scope[depth]][v]:
+                continue
+            prefix.append(v)
+            labels[depth] = doms[depth][v]
+            res = None
+            if partial_ok(depth + 1):
+                res = rec(depth + 1, tight and v == lo)
+            prefix.pop()
+            if res is not None:
+                return res
+        return None
+
+    return rec(0, tight0)
+
+
+def _hand_predicate_problems():
+    """Linear, not_all_equal and parity_neq constraints over unsorted,
+    scattered labels of different sizes per position."""
+    labels = [[4, 0, 7, 2, 9], [1, 6, 3], [8, 2, 5, 0], [3, 1, 0, 6, 2, 5]]
+    preds = [
+        Predicate("linear", coeffs=(1, -2, 1, 3), rel="=", const=11),
+        Predicate("linear", coeffs=(2, 1, -1, 1), rel=">=", const=9),
+        Predicate("linear", coeffs=(1, 1, 1, 1), rel="<=", const=8),
+        Predicate("linear", coeffs=(1, 3, -1, 2), rel="!=", const=4),
+        Predicate("not_all_equal"),
+        Predicate("parity_neq", pairs=((0, 2), (1, 3))),
+    ]
+    return [Problem([f"w{i}" for i in range(4)], labels,
+                    [Constraint((0, 1, 2, 3), predicate=pred)]) for pred in preds]
+
+
+def _pred_enum_suite():
+    from bincsp.gen import gen_rlfa
+    for seed in range(3):
+        yield gen_rlfa("prob1", 20, seed)
+        yield gen_rlfa("prob2", 25, seed)
+    yield from _hand_predicate_problems()
+
+
+def test_pred_enum_counts_like_the_reference():
+    """Random masks, positions, values and `after` tuples, tight or not:
+    the same tuple, checks and micro-ops."""
+    rng = random.Random(5)
+    kinds, found, tight_found = set(), 0, 0
+    for p in _pred_enum_suite():
+        for c in p.constraints:
+            kinds.add(c.predicate.kind)
+            for trial in range(12):
+                state = DomainState.full(p)
+                density = (0.35, 0.7, 1.0)[trial % 3]
+                for x in c.scope:
+                    for b in range(p.domain_size(x)):
+                        if rng.random() > density:
+                            state.remove_value(x, b)
+                pos = rng.randrange(-1, c.arity)
+                a = rng.randrange(p.domain_size(c.scope[pos])) if pos >= 0 else -1
+                tight = trial % 2 == 1
+                after = (tuple(rng.randrange(p.domain_size(x)) for x in c.scope)
+                         if tight else (-1,) * c.arity)
+                if tight and pos >= 0 and rng.random() < 0.8:
+                    after = after[:pos] + (a,) + after[pos + 1:]
+                got, want = Counters(), Counters()
+                t = _pred_enum(p, c, pos, a, state, after, tight, got)
+                assert t == _reference_pred_enum(p, c, pos, a, state, after, tight, want)
+                assert (got.checks, got.microops) == (want.checks, want.microops), \
+                    (p.name, c, pos, a, after, tight)
+                found += t is not None
+                tight_found += t is not None and tight
+    assert kinds == set(Predicate.KINDS)
+    assert found > 100 and tight_found > 30
