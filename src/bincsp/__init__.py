@@ -20,8 +20,8 @@ from .encode import (Decomposition, DualVariable, EncodedProblem, build_de,
 from .propagate import (CONSISTENT, INCONSISTENT, PropagationResult, ac2001,
                         gac2001, hac, pwac, sgac_check)
 from .search import (ALGORITHMS, BOTH, DUAL_DUAL, HIDDEN_ONLY, AlgorithmSpec,
-                     SearchResult, complete_dual_assignments, double_ac,
-                     make_engine, prepare_model, solve)
+                     SearchResult, double_ac, make_engine, prepare_model,
+                     solve)
 from .gen import (CrosswordSpec, ModelBParams, gen_clique_embedded,
                   gen_config_like, gen_crossword, gen_model_b,
                   gen_parity_chain, gen_rlfa, tshirt_problem)

@@ -194,10 +194,6 @@ class Constraint:
     def arity(self) -> int:
         return len(self.scope)
 
-    @property
-    def is_extensional(self) -> bool:
-        return self.relation is not None
-
     def __repr__(self):
         body = f"{len(self.relation)} tuples" if self.relation is not None else self.predicate.kind
         return f"Constraint({self.name or ''} scope={self.scope} {body})"
@@ -310,9 +306,9 @@ class DomainState:
             self.trail.append((table, index, table[index]))
         table[index] = value
 
-    def undo(self, mark: int, tuple_restored=None) -> None:
+    def undo(self, mark: int, restore_tuple=None) -> None:
         """Pop the trail back to `mark`, restoring what each entry changed;
-        `tuple_restored(v, idx)` is called after each tuple comes back."""
+        `restore_tuple(v, idx)` is called after each tuple comes back."""
         trail = self.trail
         masks, counts = self.masks, self.counts
         dual_masks, dual_counts = self.dual_masks, self.dual_counts
@@ -321,8 +317,8 @@ class DomainState:
             if head == "dt":  # tuple j of dual i
                 dual_masks[i][j] = 1
                 dual_counts[i] += 1
-                if tuple_restored is not None:
-                    tuple_restored(i, j)
+                if restore_tuple is not None:
+                    restore_tuple(i, j)
             elif head == "ov":  # value j of variable i
                 masks[i][j] = 1
                 counts[i] += 1

@@ -72,6 +72,14 @@ class _Queue:
         return bool(self.items)
 
 
+def _sweep_then_queue(sweep: Iterable, queue: _Queue):
+    """The items of `sweep` in order, then those popped from `queue` until
+    it is empty; items pushed during the sweep wait for it to end."""
+    yield from sweep
+    while queue:
+        yield queue.pop()
+
+
 # ---------------------------------------------------------------------------
 # GAC-2001 on the non-binary representation
 
@@ -189,10 +197,10 @@ class Gac2001:
     """
 
     def __init__(self, problem: Problem, counters: Optional[Counters] = None,
-                 supports: Optional[GacSupports] = None, remove_value=None):
+                 remove_value=None):
         self.problem = problem
         self.counters = counters if counters is not None else Counters()
-        self.supports = supports if supports is not None else GacSupports(problem)
+        self.supports = GacSupports(problem)
         self.rels = [c.relation for c in problem.constraints]
         self.remove = remove_value if remove_value is not None else self.remove_value
 
@@ -235,42 +243,27 @@ class Gac2001:
     def run(self, state: DomainState, queue_seed: Optional[Iterable[int]] = None,
             assigned: Optional[Sequence[bool]] = None,
             constraint_subset: Optional[Sequence[int]] = None) -> bool:
+        """Revise every constraint once in index order, then the queued ones
+        to a fixpoint; with `queue_seed`, start from the queue of those
+        constraints instead. False on a wipeout."""
         problem = self.problem
         ids = list(constraint_subset) if constraint_subset is not None else list(
             range(len(problem.constraints)))
         idset = set(ids)
-        queue = _Queue()
-
-        def push_constraints_of(x):
-            for cj in problem.constraints_of_var[x]:
-                if cj in idset:
-                    queue.push(cj)
-
         if queue_seed is None:
-            for ci in ids:
-                c = problem.constraints[ci]
-                for pos, x in enumerate(c.scope):
-                    if assigned is not None and assigned[x]:
-                        continue
-                    if self.revise_arc(ci, pos, state):
-                        if state.counts[x] == 0:
-                            return False
-                        push_constraints_of(x)
+            sweep, queue = ids, _Queue()
         else:
-            for ci in queue_seed:
-                if ci in idset:
-                    queue.push(ci)
-
-        while queue:
-            ci = queue.pop()
-            c = problem.constraints[ci]
-            for pos, x in enumerate(c.scope):
+            sweep, queue = (), _Queue(ci for ci in queue_seed if ci in idset)
+        for ci in _sweep_then_queue(sweep, queue):
+            for pos, x in enumerate(problem.constraints[ci].scope):
                 if assigned is not None and assigned[x]:
                     continue
                 if self.revise_arc(ci, pos, state):
                     if state.counts[x] == 0:
                         return False
-                    push_constraints_of(x)
+                    for cj in problem.constraints_of_var[x]:
+                        if cj in idset:
+                            queue.push(cj)
         return True
 
 
@@ -301,13 +294,11 @@ class Hac:
     """
 
     def __init__(self, enc: EncodedProblem, counters: Optional[Counters] = None,
-                 supports=None, delete_value=None):
+                 delete_value=None):
         self.enc = enc
         self.counters = counters if counters is not None else Counters()
-        if supports is None:
-            sizes = [enc.problem.domain_size(x) for x in range(enc.problem.n)]
-            supports = [[[-1] * sizes[x] for x in v.scope] for v in enc.duals]
-        self.supports = supports
+        sizes = [enc.problem.domain_size(x) for x in range(enc.problem.n)]
+        self.supports = [[[-1] * sizes[x] for x in v.scope] for v in enc.duals]
         self.delete = delete_value if delete_value is not None else self.delete_value
 
     def delete_value(self, state: DomainState, x: int, a: int) -> bool:
@@ -359,38 +350,19 @@ class Hac:
     def run(self, state: DomainState, queue_seed: Optional[Iterable[int]] = None,
             assigned: Optional[Sequence[bool]] = None,
             dual_subset: Optional[Sequence[int]] = None) -> bool:
+        """As `Gac2001.run`, over duals: every dual once, then the queued
+        ones; with `queue_seed`, start from the queue of those duals. False
+        on any wipeout."""
         enc = self.enc
         ids = list(dual_subset) if dual_subset is not None else [v.id for v in enc.duals]
         idset = set(ids)
-        queue = _Queue()
-
-        def push_duals_of(x):
-            for v_l in enc.duals_of_var[x]:
-                if v_l in idset:
-                    queue.push(v_l)
-
         if any(state.dual_counts[v] == 0 for v in ids):
             return False
-
         if queue_seed is None:
-            for v in ids:
-                for x in enc.duals[v].scope:
-                    if assigned is not None and assigned[x]:
-                        continue
-                    deleted, wiped = self.revise_arc(x, v, state)
-                    if wiped:
-                        return False
-                    if deleted:
-                        if state.counts[x] == 0:
-                            return False
-                        push_duals_of(x)
+            sweep, queue = ids, _Queue()
         else:
-            for v in queue_seed:
-                if v in idset:
-                    queue.push(v)
-
-        while queue:
-            v = queue.pop()
+            sweep, queue = (), _Queue(v for v in queue_seed if v in idset)
+        for v in _sweep_then_queue(sweep, queue):
             for x in enc.duals[v].scope:
                 if assigned is not None and assigned[x]:
                     continue
@@ -400,7 +372,9 @@ class Hac:
                 if deleted:
                     if state.counts[x] == 0:
                         return False
-                    push_duals_of(x)
+                    for v_l in enc.duals_of_var[x]:
+                        if v_l in idset:
+                            queue.push(v_l)
         return True
 
 
@@ -795,7 +769,8 @@ def sgac_check(problem: Problem, counters: Optional[Counters] = None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Assignment seeding helpers (shared by tests and the search engines)
+# Assignment seeding helpers (used by tests and demos; the search engines
+# assign through their own hooks)
 
 
 def seed_assignment_nonbinary(problem: Problem, state: DomainState,

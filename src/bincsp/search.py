@@ -13,14 +13,24 @@ A node is one value-assignment event; dead-end detection happens at the
 node after its lookahead. The node count of the backtrack-free dual
 completion at a SAT leaf is not included.
 
-Propagation on the double encoding lives in one place, `DoubleEngine`:
-`double_ac` is its root propagation, run on its own.
+`Engine` holds what the lanes share: the model and its domain state, the
+default branching on the original variables with a flat assignment, undo,
+and solution extraction (`induced_assignment` for an encoded model, the
+first live values for a `Problem`). A subclass supplies root propagation
+and lookahead, and overrides branching only where its lane branches
+differently: `HveEngine` also on duals (MHAC-2001-full) and with deletions
+pushed into the duals, `DeEngine` on duals only. `HveEngine.lookahead` is
+the one forward-checking level dispatch of the encoded lanes; its
+`DoubleEngine` subclass supplies the double encoding's propagation steps,
+and `double_ac` is that engine's root propagation, run on its own.
 
 Search below the root attaches the engine's trail to its `DomainState`,
 so deletions and pointer moves made by the propagators are trailed where
-they happen, and `undo_to` pops the trail through `DomainState.undo`. Counters derived from
-tuple liveness (PW-AC groups, value supports) are not trailed: the engine's
-`tuple_restored` hook counts each restored tuple back into them.
+they happen, and `undo_to` pops the trail through `DomainState.undo`.
+Counters derived from tuple liveness (PW-AC groups, value supports) are not
+trailed: when the engine has a PW-AC propagator (`pw`), `undo_to` counts
+each restored tuple back into them through `pw.restore_tuple` and drops
+its stale queues.
 """
 
 from __future__ import annotations
@@ -109,9 +119,15 @@ class _LimitHit(Exception):
 
 
 class Engine:
-    """Chronological backtracking over a model adapter (subclasses)."""
+    """Chronological backtracking over one model.
 
-    def __init__(self, spec: AlgorithmSpec, ordering: str = DOM_DEG,
+    The defaults branch on the original variables and assign one by
+    deleting its other live values through `delete_value`, which by default
+    propagates nothing. Subclasses supply root propagation and lookahead,
+    and override what their lane does differently.
+    """
+
+    def __init__(self, model, spec: AlgorithmSpec, ordering: str = DOM_DEG,
                  node_limit: Optional[int] = None,
                  time_limit_ms: Optional[float] = None,
                  record_nodes: bool = False):
@@ -126,6 +142,17 @@ class Engine:
         self.path: list = []
         self.node_paths: list = [] if record_nodes else None
         self._t0 = 0.0
+        if isinstance(model, EncodedProblem):
+            self.enc = model
+            self.problem = model.problem
+            self.state = model.fresh_state()
+        else:
+            self.enc = None
+            self.problem = model
+            self.state = DomainState.full(model)
+        self.assigned = [False] * self.problem.n
+        # the PW-AC propagator, if any, whose counters an undo re-derives
+        self.pw: Optional[PwAc] = None
 
     # -- hooks -------------------------------------------------------------
 
@@ -133,43 +160,61 @@ class Engine:
         return True
 
     def branch_candidates(self) -> list:
-        raise NotImplementedError
+        assigned = self.assigned
+        return [x for x in range(self.problem.n) if not assigned[x]]
 
     def live_count(self, var) -> int:
-        raise NotImplementedError
+        return self.state.counts[var]
 
     def degree(self, var) -> int:
-        raise NotImplementedError
+        """Constraints on an original variable: its duals plus the residual
+        constraints over it (every constraint of a plain problem)."""
+        problem, enc = self.problem, self.enc
+        if enc is None:
+            return len(problem.constraints_of_var[var])
+        return len(enc.duals_of_var[var]) + sum(
+            1 for ci in enc.residual_constraints
+            if var in problem.constraints[ci].scope)
 
     def live_values(self, var) -> list:
-        raise NotImplementedError
+        return self.state.live_values(var)
 
     def assign(self, var, val) -> bool:
-        raise NotImplementedError
+        self.state.set_slot(self.assigned, var, True)
+        ok = True
+        for b in self.state.live_values(var):
+            if b != val and not self.delete_value(var, b):
+                ok = False
+        return ok
+
+    def delete_value(self, x, a) -> bool:
+        """Delete value a of original x; False on a wipeout this causes
+        elsewhere. By default nothing else is deleted."""
+        self.state.remove_value(x, a)
+        self.counters.value_removals += 1
+        return True
 
     def lookahead(self, var) -> bool:
         raise NotImplementedError
 
-    # re-derives, from a tuple that an undo brought back, the counters kept
-    # from tuple liveness (PW-AC groups, value supports); None if there are none
-    tuple_restored = None
-
     def undo_to(self, mark: int) -> None:
-        self.state.undo(mark, self.tuple_restored)
+        pw = self.pw
+        if pw is None:
+            self.state.undo(mark)
+        else:
+            self.state.undo(mark, pw.restore_tuple)
+            # drop queued work that referred to the undone deletions
+            pw.clear_queues()
 
     def extract_solution(self) -> tuple:
-        raise NotImplementedError
-
-    def _assign_flat(self, var, val) -> bool:
-        """Assign an original variable by deleting its other live values,
-        with no propagation into dual domains."""
-        state = self.state
-        state.set_slot(self.assigned, var, True)
-        for b in state.live_values(var):
-            if b != val:
-                state.remove_value(var, b)
-                self.counters.value_removals += 1
-        return True
+        if self.enc is None:
+            assignment = tuple(self.state.live_values(x)[0]
+                               for x in range(self.problem.n))
+        else:
+            assignment = tuple(induced_assignment(self.enc, self.state))
+        if not solution_check(self.problem, assignment):
+            raise AssertionError("engine produced an inconsistent solution")
+        return assignment
 
     # -- engine ------------------------------------------------------------
 
@@ -283,10 +328,7 @@ def _fc_selected(scopes, assigned, currents, level):
 
 class NonBinaryEngine(Engine):
     def __init__(self, problem: Problem, spec: AlgorithmSpec, **kw):
-        super().__init__(spec, **kw)
-        self.problem = problem
-        self.state = DomainState.full(problem)
-        self.assigned = [False] * problem.n
+        super().__init__(problem, spec, **kw)
         self.gac = Gac2001(problem, self.counters)
         self.scopes = [set(c.scope) for c in problem.constraints]
         self.rels = [c.relation for c in problem.constraints]
@@ -305,26 +347,11 @@ class NonBinaryEngine(Engine):
                     self.state.remove_value(x, a)
 
     def root_propagate(self) -> bool:
-        if any(self.state.counts[x] == 0 for x in range(self.problem.n)):
+        if not all(self.state.counts):
             return False
         if self.spec.scheme == "MAC":
             return self.gac.run(self.state, assigned=self.assigned)
         return True
-
-    def branch_candidates(self) -> list:
-        return [x for x in range(self.problem.n) if not self.assigned[x]]
-
-    def live_count(self, var) -> int:
-        return self.state.counts[var]
-
-    def degree(self, var) -> int:
-        return len(self.problem.constraints_of_var[var])
-
-    def live_values(self, var) -> list:
-        return self.state.live_values(var)
-
-    def assign(self, var, val) -> bool:
-        return self._assign_flat(var, val)
 
     def _revise_constraint(self, ci) -> bool:
         """Revise every unassigned variable of a constraint once; False on an
@@ -369,26 +396,23 @@ class NonBinaryEngine(Engine):
                 return False
         return True
 
-    def extract_solution(self) -> tuple:
-        assignment = tuple(self.state.live_values(x)[0] for x in range(self.problem.n))
-        if not solution_check(self.problem, assignment):
-            raise AssertionError("engine produced an inconsistent solution")
-        return assignment
-
 
 # ---------------------------------------------------------------------------
 # HVE lane: hFC0..hFC5, MHAC-2001, MHAC-2001-full
 
 
 class HveEngine(Engine):
+    """Search on the originals of an encoding with hidden constraints. A
+    value deletion also deletes the tuples carrying it, and the lookahead
+    is one forward-checking level dispatch over three propagation steps
+    that the double encoding's `DoubleEngine` replaces: `_maintain` (MAC),
+    `_revise_selected` (levels 2 and 4) and `_restricted_fixpoint` (levels
+    3 and 5)."""
+
     def __init__(self, enc: EncodedProblem, spec: AlgorithmSpec, **kw):
-        super().__init__(spec, **kw)
         if not enc.has_originals:
             raise ValueError("HVE lane needs an encoding with original variables")
-        self.enc = enc
-        self.problem = enc.problem
-        self.state = enc.fresh_state()
-        self.assigned = [False] * self.problem.n
+        super().__init__(enc, spec, **kw)
         self.dual_assigned = [False] * len(enc.duals)
         self.hac = self._make_hac()
         self.scopes = [set(v.scope) for v in enc.duals]
@@ -400,17 +424,14 @@ class HveEngine(Engine):
         return Hac(self.enc, self.counters)
 
     def root_propagate(self) -> bool:
-        if any(self.state.dual_counts[v.id] == 0 for v in self.enc.duals):
+        if not self._no_wiped_dual():
             return False
         if self.spec.scheme == "MAC":
-            return self._maintain_root()
+            return self._maintain()
         return True
 
-    def _maintain_root(self) -> bool:
-        return self.hac.run(self.state, assigned=self.assigned)
-
     def branch_candidates(self) -> list:
-        out = [x for x in range(self.problem.n) if not self.assigned[x]]
+        out = super().branch_candidates()
         if self.spec.branch == ALL_VARIABLES:
             for v in self.enc.duals:
                 if self.dual_assigned[v.id]:
@@ -422,22 +443,21 @@ class HveEngine(Engine):
     def live_count(self, var) -> int:
         if isinstance(var, tuple):
             return self.state.dual_counts[var[1]]
-        return self.state.counts[var]
+        return super().live_count(var)
 
     def degree(self, var) -> int:
         if isinstance(var, tuple):
             v = self.enc.duals[var[1]]
             return v.arity + len(self.enc.pairs_of_dual[v.id])
-        return len(self.enc.duals_of_var[var]) + sum(
-            1 for ci in self.enc.residual_constraints
-            if var in self.problem.constraints[ci].scope)
+        return super().degree(var)
 
     def live_values(self, var) -> list:
         if isinstance(var, tuple):
             return self.state.live_tuples(var[1])
-        return self.state.live_values(var)
+        return super().live_values(var)
 
     def delete_value(self, x, a) -> bool:
+        # also deletes the tuples carrying the value
         if not self.track_pruned:
             return self.hac.delete(self.state, x, a)
         before = {v: self.state.dual_counts[v] for v in self.enc.duals_of_var[x]}
@@ -451,16 +471,7 @@ class HveEngine(Engine):
         self.pruned_duals = []
         if isinstance(var, tuple):
             return self._assign_dual(var[1], val)
-        return self._assign_original(var, val)
-
-    def _assign_original(self, x, a) -> bool:
-        self.state.set_slot(self.assigned, x, True)
-        ok = True
-        for b in self.state.live_values(x):
-            if b != a:
-                if not self.delete_value(x, b):
-                    ok = False
-        return ok
+        return super().assign(var, val)
 
     def _assign_dual(self, v, idx) -> bool:
         """Assigning a tuple to a dual variable instantiates every original
@@ -472,27 +483,15 @@ class HveEngine(Engine):
             if other != idx:
                 state.remove_tuple(v, other)
                 self.counters.tuple_removals += 1
-        t = dual.tuples[idx]
         ok = True
-        for pos, x in enumerate(dual.scope):
-            if self.assigned[x]:
-                if not state.masks[x][t[pos]]:
-                    ok = False
-                continue
-            state.set_slot(self.assigned, x, True)
-            if not state.masks[x][t[pos]]:
+        for x, a in zip(dual.scope, dual.tuples[idx]):
+            if not state.masks[x][a]:  # the tuple carries a deleted value
                 ok = False
-                continue
-            for b in state.live_values(x):
-                if b != t[pos]:
-                    if not self.delete_value(x, b):
-                        ok = False
+                if not self.assigned[x]:
+                    state.set_slot(self.assigned, x, True)
+            elif not self.assigned[x] and not super().assign(x, a):
+                ok = False
         return ok
-
-    def _current_originals(self, var) -> list:
-        if isinstance(var, tuple):
-            return list(self.enc.duals[var[1]].scope)
-        return [var]
 
     def revise_dual(self, v) -> bool:
         """One revision pass of a dual against its unassigned originals;
@@ -508,54 +507,45 @@ class HveEngine(Engine):
         return True
 
     def lookahead(self, var) -> bool:
-        spec = self.spec
-        current_vars = self._current_originals(var)
-        if spec.scheme == "MAC":
-            seed = []
-            for x in current_vars:
-                seed.extend(self.enc.duals_of_var[x])
-            return self.hac.run(self.state, queue_seed=seed, assigned=self.assigned)
-        level = spec.level
-        if level == 0:
-            return self._no_wiped_dual()
+        if isinstance(var, tuple):  # a dual assignment makes its scope current
+            current_vars = self.enc.duals[var[1]].scope
+        else:
+            current_vars = (var,)
+        if self.spec.scheme == "MAC":
+            return self._maintain(current_vars)
+        level = self.spec.level
         if level == 1:
             for v in sorted(set(self.pruned_duals)):
                 if not self.revise_dual(v):
                     return False
+        if level <= 1:
             return self._no_wiped_dual()
         selected = _fc_selected(self.scopes, self.assigned, set(current_vars),
                                 level)
         if level in (2, 4):
-            for v in selected:
-                if not self.revise_dual(v):
-                    return False
-            return self._no_wiped_dual()
+            return self._revise_selected(selected) and self._no_wiped_dual()
+        return self._restricted_fixpoint(selected)
+
+    def _maintain(self, current_vars=None) -> bool:
+        """MAC: HAC from the duals over the variables just assigned, or
+        from every dual at the root."""
+        seed = None
+        if current_vars is not None:
+            seed = [v for x in current_vars for v in self.enc.duals_of_var[x]]
+        return self.hac.run(self.state, queue_seed=seed, assigned=self.assigned)
+
+    def _revise_selected(self, selected) -> bool:
+        for v in selected:
+            if not self.revise_dual(v):
+                return False
+        return True
+
+    def _restricted_fixpoint(self, selected) -> bool:
         return self.hac.run(self.state, queue_seed=selected,
                             assigned=self.assigned, dual_subset=selected)
 
     def _no_wiped_dual(self) -> bool:
-        return all(c > 0 for c in self.state.dual_counts)
-
-    def extract_solution(self) -> tuple:
-        complete_dual_assignments(self.enc, self.state)
-        assignment = tuple(self.state.live_values(x)[0] for x in range(self.problem.n))
-        if not solution_check(self.problem, assignment):
-            raise AssertionError("engine produced an inconsistent solution")
-        return assignment
-
-
-def complete_dual_assignments(enc: EncodedProblem, state: DomainState) -> dict:
-    """Backtrack-free completion: with all originals assigned and propagation
-    done, every dual domain must be a singleton. Returns dual id -> tuple
-    index. A non-singleton domain here is an engine bug."""
-    out = {}
-    for v in enc.duals:
-        live = state.live_tuples(v.id)
-        if len(live) != 1:
-            raise AssertionError(
-                f"dual v{v.id} not a singleton at completion: {len(live)} tuples")
-        out[v.id] = live[0]
-    return out
+        return all(self.state.dual_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +570,6 @@ class DoubleEngine(HveEngine):
         mac = spec.scheme == "MAC"
         self.pw = PwAc(enc, self.counters, propagating=mac, value_rule=mac)
         self.pw.init_counts(self.state)
-        self.tuple_restored = self.pw.restore_tuple
         # per original x: (dual, groups of its decomposition on (x,)) for
         # each dual over x; group a holds the tuples carrying value a
         self.value_groups = [[(v, enc.decompositions[v, (x,)].members)
@@ -607,13 +596,11 @@ class DoubleEngine(HveEngine):
                         ok = False
         return ok
 
-    def root_propagate(self) -> bool:
-        if any(self.state.dual_counts[v.id] == 0 for v in self.enc.duals):
-            return False
-        if self.spec.scheme == "MAC":
-            # init_counts queued the groups and values empty from the start
-            return self._drain()
-        return True
+    def _maintain(self, current_vars=None) -> bool:
+        # the deletions of the assignment queued the work; at the root,
+        # init_counts queued the groups and values empty from the start
+        self._residual_wiped = False
+        return self._drain()
 
     def _drain(self) -> bool:
         while True:
@@ -644,49 +631,30 @@ class DoubleEngine(HveEngine):
         if not self._delete_value_via_pw(state, x, a):
             self._residual_wiped = True
 
-    def lookahead(self, var) -> bool:
-        spec = self.spec
-        self._residual_wiped = False
-        if spec.scheme == "MAC":
-            return self._drain()
-        level = spec.level
-        current_vars = self._current_originals(var)
-        if level == 0:
-            return self._no_wiped_dual()
-        if level == 1:
-            for v in sorted(set(self.pruned_duals)):
-                if not self.revise_dual(v):
-                    return False
-            return self._no_wiped_dual()
-        selected = _fc_selected(self.scopes, self.assigned, set(current_vars),
-                                level)
-        sel = set(selected)
-        if level in (2, 4):
-            if not self._dual_pass(selected, sel):
-                return False
-            return self._no_wiped_dual()
-        # fixpoint levels: sweep the selected subnetwork until stable
-        while True:
-            before = (self.counters.tuple_removals, self.counters.value_removals)
-            if not self._dual_pass(selected, sel):
-                return False
-            if (self.counters.tuple_removals, self.counters.value_removals) == before:
-                return True
-
-    def _dual_pass(self, selected, sel) -> bool:
+    def _revise_selected(self, selected) -> bool:
         """One pass over the selected duals: piecewise revision against the
         selected peers, then revision of the unassigned adjacent originals."""
+        sel = set(selected)
         for v in selected:
             for pair_index in self.enc.pairs_of_dual[v]:
                 pair = self.enc.dual_pairs[pair_index]
-                peer = pair.other(v)
-                if peer not in sel:
+                if pair.other(v) not in sel:
                     continue
                 if not self._revise_pair_side(pair, v):
                     return False
             if not self.revise_dual(v):
                 return False
         return True
+
+    def _restricted_fixpoint(self, selected) -> bool:
+        # sweep the selected subnetwork until stable
+        counters = self.counters
+        while True:
+            before = (counters.tuple_removals, counters.value_removals)
+            if not self._revise_selected(selected):
+                return False
+            if (counters.tuple_removals, counters.value_removals) == before:
+                return True
 
     def _revise_pair_side(self, pair, v) -> bool:
         """Delete v's live tuples in groups whose peer-side group is empty."""
@@ -702,11 +670,6 @@ class DoubleEngine(HveEngine):
                         if not self.pw.delete_tuple(self.state, v, idx):
                             return False
         return True
-
-    def undo_to(self, mark: int) -> None:
-        super().undo_to(mark)
-        # drop queued work that referred to the undone deletions
-        self.pw.clear_queues()
 
 
 HIDDEN_ONLY = "HIDDEN_ONLY"
@@ -742,27 +705,16 @@ def double_ac(enc: EncodedProblem, mode: str = BOTH) -> PropagationResult:
 
 class DeEngine(Engine):
     def __init__(self, enc: EncodedProblem, spec: AlgorithmSpec, **kw):
-        super().__init__(spec, **kw)
-        self.enc = enc
-        self.problem = enc.problem
-        self.state = enc.fresh_state()
+        super().__init__(enc, spec, **kw)
         self.dual_assigned = [False] * len(enc.duals)
-        self.specialized = spec.specialized
-        if self.specialized:
+        if spec.specialized:
             self.pw = PwAc(enc, self.counters)
-            self.tuple_restored = self.pw.restore_tuple
-            self.ac = None
         else:
-            self.view = DeView(enc)
-            self.ac = Ac2001(self.view, self.counters)
-            self.pw = None
+            self.ac = Ac2001(DeView(enc), self.counters)
 
     def root_propagate(self) -> bool:
-        if any(self.state.dual_counts[v.id] == 0 for v in self.enc.duals):
-            return False
-        if self.specialized:
-            self.pw.init_counts(self.state)
-            return self.pw.propagate(self.state)
+        if self.pw is not None:
+            return self.pw.run(self.state)
         return self.ac.run(self.state)
 
     def branch_candidates(self) -> list:
@@ -778,14 +730,14 @@ class DeEngine(Engine):
         return self.state.live_tuples(var)
 
     def assign(self, var, val) -> bool:
-        state = self.state
+        state, pw = self.state, self.pw
         state.set_slot(self.dual_assigned, var, True)
         ok = True
         for other in state.live_tuples(var):
             if other == val:
                 continue
-            if self.specialized:
-                if not self.pw.delete_tuple(state, var, other):
+            if pw is not None:
+                if not pw.delete_tuple(state, var, other):
                     ok = False
             else:
                 state.remove_tuple(var, other)
@@ -793,20 +745,9 @@ class DeEngine(Engine):
         return ok
 
     def lookahead(self, var) -> bool:
-        if self.specialized:
+        if self.pw is not None:
             return self.pw.propagate(self.state)
         return self.ac.run(self.state, queue_seed=[var])
-
-    def undo_to(self, mark: int) -> None:
-        super().undo_to(mark)
-        if self.pw is not None:
-            self.pw.clear_queues()
-
-    def extract_solution(self) -> tuple:
-        assignment = tuple(induced_assignment(self.enc, self.state))
-        if not solution_check(self.problem, assignment):
-            raise AssertionError("engine produced an inconsistent solution")
-        return assignment
 
 
 # ---------------------------------------------------------------------------
@@ -814,43 +755,18 @@ class DeEngine(Engine):
 
 
 class DoubleGenericEngine(Engine):
+    """AC-2001 over the binary view of a double encoding; it has no
+    propagation for the residual constraints of a hybrid."""
+
     def __init__(self, enc: EncodedProblem, spec: AlgorithmSpec, **kw):
-        super().__init__(spec, **kw)
-        self.enc = enc
-        self.problem = enc.problem
-        self.state = enc.fresh_state()
-        self.assigned = [False] * self.problem.n
-        self.view = DoubleView(enc)
-        self.ac = Ac2001(self.view, self.counters)
+        super().__init__(enc, spec, **kw)
+        self.ac = Ac2001(DoubleView(enc), self.counters)
 
     def root_propagate(self) -> bool:
-        if any(self.state.dual_counts[v.id] == 0 for v in self.enc.duals):
-            return False
         return self.ac.run(self.state)
-
-    def branch_candidates(self) -> list:
-        return [x for x in range(self.problem.n) if not self.assigned[x]]
-
-    def live_count(self, var) -> int:
-        return self.state.counts[var]
-
-    def degree(self, var) -> int:
-        return len(self.enc.duals_of_var[var])
-
-    def live_values(self, var) -> list:
-        return self.state.live_values(var)
-
-    def assign(self, var, val) -> bool:
-        return self._assign_flat(var, val)
 
     def lookahead(self, var) -> bool:
         return self.ac.run(self.state, queue_seed=[var])
-
-    def extract_solution(self) -> tuple:
-        assignment = tuple(self.state.live_values(x)[0] for x in range(self.problem.n))
-        if not solution_check(self.problem, assignment):
-            raise AssertionError("engine produced an inconsistent solution")
-        return assignment
 
 
 # ---------------------------------------------------------------------------
@@ -890,9 +806,10 @@ def make_engine(model, spec: AlgorithmSpec, **kw) -> Engine:
     if rep in (DOUBLE, HYBRID):
         if model.kind not in (DOUBLE, HYBRID):
             raise ValueError(f"{spec.name} expects a double/hybrid model")
-        if model.kind == HYBRID and spec.scheme != "MAC":
-            raise ValueError("hybrid models need MAC-hybrid: forward checking "
-                             "does not propagate the residual constraints")
+        if model.kind == HYBRID and not (spec.scheme == "MAC" and spec.specialized):
+            raise ValueError(f"{spec.name} cannot search a hybrid model: only MAC "
+                             "with specialized propagation (MAC-hybrid, "
+                             "MAC-PW-ACd) propagates the residual constraints")
         if spec.specialized:
             return DoubleEngine(model, spec, **kw)
         return DoubleGenericEngine(model, spec, **kw)

@@ -1,11 +1,10 @@
 import pytest
 
 from bincsp.core import Constraint, Problem, enumerate_solutions
-from bincsp.encode import build_double, build_hve
+from bincsp.encode import build_double, build_hve, induced_assignment
 from bincsp.gen import (CrosswordSpec, ModelBParams, gen_crossword,
                         gen_model_b, gen_parity_chain)
-from bincsp.search import (ALGORITHMS, DOM_DEG, FIXED,
-                           complete_dual_assignments, make_engine,
+from bincsp.search import (ALGORITHMS, DOM_DEG, FIXED, make_engine,
                            prepare_model, solve)
 
 from cases import prop_51, six_var_linear
@@ -204,22 +203,50 @@ def test_mhac_full_branches_on_duals_and_assigns_their_scope():
 # dual completion, limits, determinism
 
 
-def test_complete_dual_assignments_after_sat_run():
+def test_induced_assignment_after_sat_run():
     p = six_var_linear()
     enc = build_hve(p)
     engine = make_engine(enc, ALGORITHMS["MHAC-2001"], ordering=FIXED)
     result = engine.solve()
     assert result.verdict == "SAT"
-    completion = complete_dual_assignments(enc, engine.state)
-    assert set(completion) == {0, 1, 2, 3}
-    induced = tuple(engine.state.live_values(x)[0] for x in range(p.n))
+    # raises unless every dual is a singleton and the duals agree
+    induced = tuple(induced_assignment(enc, engine.state))
+    assert induced == result.solution
     assert induced in set(enumerate_solutions(p))
 
 
-def test_complete_dual_assignments_zero_duals():
+def test_induced_assignment_zero_duals():
     p = Problem(["a"], [[0, 1]], [])
     enc = build_hve(p)
-    assert complete_dual_assignments(enc, enc.fresh_state()) == {}
+    assert induced_assignment(enc, enc.fresh_state()) == [0]
+
+
+def test_induced_assignment_is_the_first_live_values_at_sat():
+    """Encoded lanes with original variables extract a solution through
+    `induced_assignment`. At a SAT leaf every dual is a singleton that
+    agrees with the first live value of each original, so that is the
+    assignment the originals alone would give."""
+    lanes = ["hFC0", "hFC1", "hFC2", "hFC3", "hFC4", "hFC5", "MHAC-2001",
+             "MHAC-2001-full", "MAC-2001d", "MAC-PW-ACd", "dFC0", "dFC1",
+             "dFC2", "dFC3", "dFC4", "dFC5", "MAC-hybrid"]
+    sat = {}
+    problems = list(_suite(12)) + [six_var_linear()]
+    for p in problems:
+        for algorithm in lanes:
+            spec = ALGORITHMS[algorithm]
+            if spec.representation == "HYBRID":
+                model = build_double(p, encoded_subset=range(0, len(p.constraints), 2))
+            else:
+                model = prepare_model(p, spec)
+            engine = make_engine(model, spec, ordering=FIXED)
+            result = engine.solve()
+            if result.verdict != "SAT":
+                continue
+            sat[algorithm] = sat.get(algorithm, 0) + 1
+            first_live = [engine.state.live_values(x)[0] for x in range(p.n)]
+            assert induced_assignment(model, engine.state) == first_live, algorithm
+            assert result.solution == tuple(first_live), algorithm
+    assert set(sat) == set(lanes), sat
 
 
 def test_node_limit_verdict():
@@ -256,8 +283,11 @@ def test_crossword_toy_two_solutions():
 
 def test_hybrid_requires_mac():
     enc = build_double(six_var_linear(), encoded_subset=[0, 1])
-    with pytest.raises(ValueError):
-        solve(enc, "dFC3")
+    # neither forward checking nor generic AC-2001 on the double view
+    # propagates the residual constraints
+    for algorithm in ("dFC3", "MAC-2001d"):
+        with pytest.raises(ValueError, match="cannot search a hybrid model"):
+            solve(enc, algorithm)
     result = solve(enc, "MAC-hybrid", ordering=FIXED)
     assert result.verdict == "SAT"
     assert tuple(result.solution) in set(enumerate_solutions(six_var_linear()))
