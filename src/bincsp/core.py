@@ -31,7 +31,7 @@ class Counters:
     A tuple check is one support test (the unit of the check-count
     comparisons); micro-ops count per-position validity work, constant-time
     membership lookups and bookkeeping scans. search_log, when enabled,
-    records one entry per AC-2001 support search.
+    records one entry per value whose AC-2001 support was searched.
     """
 
     checks: int = 0

@@ -8,9 +8,11 @@ dual-domain lookup) but never in checks, which is what the check-count
 comparisons rely on. PW-AC performs no tuple checks at all: its work is
 counter updates.
 
-AC-2001 on the binary views finds supports by index but counts checks and
-micro-ops exactly as the lexicographic scan would (see `Ac2001`), which
-relies on domain masks holding only 0 and 1 bytes.
+AC-2001 on the binary views keeps one support pointer per piecewise group
+and revises the live values of a group together, but counts checks and
+micro-ops exactly as the lexicographic scan with one pointer per value
+would (see `Ac2001`), which relies on domain masks holding only 0 and 1
+bytes.
 
 PW-AC keeps one counter array per piecewise decomposition, and a
 decomposition is shared by every pair in which its dual shares the same
@@ -29,6 +31,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, islice
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .core import Counters, DomainState, Problem, is_valid
@@ -398,9 +401,11 @@ class DeView:
     """Binary view of the dual encoding: variables are the duals, one arc per
     dual-dual constraint, compatibility is equal projection keys.
 
-    index[arc][side] is a (group_of, members) table for revising that side:
-    the peer values compatible with value a are members[group_of[a]], in
-    ascending order. A dual-dual arc reuses its pair's decompositions.
+    sides[arc][side] is a (group_of, members, peer_members) triple for
+    revising that side: value a is in group group_of[a], members[g] lists
+    the values of group g, and peer_members[g] the peer values compatible
+    with every one of them, each in ascending order. A dual-dual arc reuses
+    its pair's decompositions.
     """
 
     def __init__(self, enc: EncodedProblem):
@@ -408,7 +413,7 @@ class DeView:
         self.bvars = [("dual", v.id) for v in enc.duals]
         self.arcs = [("pair", pair) for pair in enc.dual_pairs]
         self.ends = [(pair.v1, pair.v2) for pair in enc.dual_pairs]
-        self.index = [_pair_index(pair) for pair in enc.dual_pairs]
+        self.sides = _pair_sides(enc.dual_pairs)
         self._build_adjacency()
 
     def _build_adjacency(self):
@@ -417,8 +422,9 @@ class DeView:
             self.adjacency[b0].append((arc_id, 0))
             self.adjacency[b1].append((arc_id, 1))
 
-    def mask(self, b, state):
-        return state.dual_masks[b]
+    def masks(self, state):
+        """The domain mask of every binary variable, indexed like `bvars`."""
+        return state.dual_masks
 
     def remove(self, b, val, state, counters):
         kind, ident = self.bvars[b]
@@ -431,126 +437,133 @@ class DeView:
         return state.counts[ident]
 
 
-def _pair_index(pair):
-    return ((pair.side1.tuple_group, pair.side2.members),
-            (pair.side2.tuple_group, pair.side1.members))
+def _pair_sides(pairs):
+    return [((pair.side1.tuple_group, pair.side1.members, pair.side2.members),
+             (pair.side2.tuple_group, pair.side2.members, pair.side1.members))
+            for pair in pairs]
 
 
 class DoubleView(DeView):
-    """Binary view of the double encoding: originals + duals, hidden arcs
-    (projection equality) plus the dual-dual arcs. A hidden arc (v, x, pos)
-    reads v's decomposition on (x,): a tuple's group is its value at pos,
-    and the tuples supporting value a of x are group a's members."""
+    """Binary view of a hidden or double encoding: originals + duals, the
+    hidden arcs (projection equality) plus any dual-dual arcs. On a hidden
+    arc (v, x, pos) a tuple's group is its value at pos, whose members are
+    v's `tuples_by_pos_val[pos]`, and each value of x is a group of its
+    own."""
 
     def __init__(self, enc: EncodedProblem):
         self.enc = enc
         n = enc.problem.n
         self.bvars = [("orig", x) for x in range(n)] + [("dual", v.id) for v in enc.duals]
-        self._n = n
         self.arcs = [("hidden", h) for h in enc.hidden] + \
                     [("pair", pair) for pair in enc.dual_pairs]
         self.ends = [(n + v, x) for v, x, pos in enc.hidden] + \
                     [(n + pair.v1, n + pair.v2) for pair in enc.dual_pairs]
         singletons = {}
-        self.index = []
+        self.sides = []
         for v, x, pos in enc.hidden:
-            dec = enc.decompositions[v, (x,)]
-            size = dec.group_count  # the group ids are the values of x
+            dual = enc.duals[v]
+            by_value = dual.tuples_by_pos_val[pos]
+            size = len(by_value)
             if size not in singletons:
-                singletons[size] = [[b] for b in range(size)]
-            self.index.append(((dec.tuple_group, singletons[size]),
-                               (range(size), dec.members)))
-        self.index += [_pair_index(pair) for pair in enc.dual_pairs]
+                singletons[size] = [[a] for a in range(size)]
+            ones = singletons[size]
+            self.sides.append(((list(map(itemgetter(pos), dual.tuples)), by_value, ones),
+                               (range(size), ones, by_value)))
+        self.sides += _pair_sides(enc.dual_pairs)
         self._build_adjacency()
 
-    def mask(self, b, state):
-        n = self._n
-        return state.masks[b] if b < n else state.dual_masks[b - n]
+    def masks(self, state):
+        return state.masks + state.dual_masks
 
 
 class Ac2001:
     """Generic AC-2001 with a variable-based queue over a binary view.
 
-    The support of a is looked up in the view's index: the first compatible
-    peer value after the stored pointer whose mask byte is live. Checks and
-    micro-ops are counted as the lexicographic scan over the peer's whole
-    domain would count them, from pointer + 1 up to the support (or to the
-    end): one check per live value, one micro-op per dead one. Masks hold
-    only 0 and 1 bytes, so the live values are `ymask.count(1, start, end)`.
-    Values of one group with equal pointers share one lookup per revision.
+    Every value of a group has the same supports, so the engine keeps one
+    support pointer per (arc, side, group), and `revise` visits each live
+    group of the revised side once. Checks and micro-ops are still those of
+    the lexicographic scan with one pointer per value, because the live
+    values of a group always share a pointer: they start at -1, are revised
+    together against the same peer mask, and an undo returns them together
+    to a state in which they shared one. Each of a group's n live values
+    pays one micro-op to probe a set pointer; when the probe fails, it pays
+    one check per live and one micro-op per dead peer value from pointer + 1
+    up to the support (or to the end of the peer domain). Masks hold only 0
+    and 1 bytes, so the live values are `ymask.count(1, start, end)`. The
+    support is the first of the group's peer members after the pointer
+    whose mask byte is live; without one, every live value of the group is
+    removed. `search_log` gets one entry per searched value, in value order.
     """
 
-    def __init__(self, view, counters: Optional[Counters] = None, pointers=None):
+    def __init__(self, view, counters: Optional[Counters] = None):
         self.view = view
         self.counters = counters if counters is not None else Counters()
-        if pointers is None:
-            pointers = [[[-1] * len(side0[0]), [-1] * len(side1[0])]
-                        for side0, side1 in view.index]
-        self.pointers = pointers
+        self.pointers = [[[-1] * len(side0[1]), [-1] * len(side1[1])]
+                         for side0, side1 in view.sides]
 
-    def revise(self, arc_id, side, state) -> tuple:
+    def revise(self, arc_id, side, state, masks) -> tuple:
         """Revise the `side` endpoint against the other; (deleted, remaining)."""
-        view, counters, set_slot = self.view, self.counters, state.set_slot
+        view, counters = self.view, self.counters
         ends = view.ends[arc_id]
         bx, by = ends[side], ends[1 - side]
-        xmask = view.mask(bx, state)
-        ymask = view.mask(by, state)
-        group_of, members = view.index[arc_id][side]
+        xmask, ymask = masks[bx], masks[by]
+        group_of, members, peer_members = view.sides[arc_id][side]
         pointers = self.pointers[arc_id][side]
-        ysize = len(ymask)
+        gids = list(compress(group_of, xmask))
         log = counters.search_log
-        checks = microops = 0
+        entries = []
+        checks = 0
+        # each live value probes its group's pointer, unless that is -1
+        microops = len(gids)
         deleted = False
         remaining = None
-        # ymask does not change during the call, so the search result is a
-        # function of (group, pointer): values of one group share it
-        searched = {}
-        for a in compress(range(len(xmask)), xmask):
-            ptr = pointers[a]
-            if ptr >= 0:
-                microops += 1
-                if ymask[ptr]:
-                    continue
-            gid = group_of[a]
-            key = (gid, ptr)
-            hit = searched.get(key)
-            if hit is None:
-                found = -1
-                cands = members[gid]
-                for b in islice(cands, bisect_right(cands, ptr), None):
-                    if ymask[b]:
-                        found = b
-                        break
-                start = ptr + 1
-                end = found + 1 if found >= 0 else ysize
-                live = ymask.count(1, start, end)
-                hit = searched[key] = (found, live, end - start - live)
-            found, live, dead = hit
-            checks += live
-            microops += dead
-            if log is not None:
-                log.append({"bvar": bx, "value": a, "arc": arc_id, "peer": by,
-                            "checks": live, "found": found >= 0})
-            if found >= 0:
-                set_slot(pointers, a, found)
+        for gid in set(gids):
+            ptr = pointers[gid]
+            if ptr >= 0 and ymask[ptr]:
                 continue
-            remaining = view.remove(bx, a, state, counters)
+            n = gids.count(gid)
+            cands = peer_members[gid]
+            if ptr < 0:
+                microops -= n
+            else:
+                cands = islice(cands, bisect_right(cands, ptr), None)
+            found = -1
+            for b in cands:
+                if ymask[b]:
+                    found = b
+                    break
+            start = ptr + 1
+            end = found + 1 if found >= 0 else len(ymask)
+            live = ymask.count(1, start, end)
+            checks += n * live
+            microops += n * (end - start - live)
+            if log is not None:
+                entries += [{"bvar": bx, "value": a, "arc": arc_id, "peer": by,
+                             "checks": live, "found": found >= 0}
+                            for a in members[gid] if xmask[a]]
+            if found >= 0:
+                state.set_slot(pointers, gid, found)
+                continue
+            for a in [a for a in members[gid] if xmask[a]]:
+                remaining = view.remove(bx, a, state, counters)
             deleted = True
         counters.checks += checks
         counters.microops += microops
+        if log is not None:
+            log += sorted(entries, key=itemgetter("value"))
         return deleted, remaining
 
     def run(self, state, queue_seed=None) -> bool:
         view = self.view
+        masks = view.masks(state)
         queue = _Queue()
-        for b in range(len(view.bvars)):
-            if not any(view.mask(b, state)):
-                return False
+        if not all(map(any, masks)):
+            return False
 
         if queue_seed is None:
             for arc_id in range(len(view.arcs)):
                 for side in (0, 1):
-                    deleted, remaining = self.revise(arc_id, side, state)
+                    deleted, remaining = self.revise(arc_id, side, state, masks)
                     if deleted:
                         if remaining == 0:
                             return False
@@ -563,7 +576,7 @@ class Ac2001:
             by = queue.pop()
             for arc_id, yside in view.adjacency[by]:
                 side = 1 - yside
-                deleted, remaining = self.revise(arc_id, side, state)
+                deleted, remaining = self.revise(arc_id, side, state, masks)
                 if deleted:
                     if remaining == 0:
                         return False
@@ -575,7 +588,8 @@ def ac2001(view_or_enc, state: Optional[DomainState] = None,
            queue_seed: Optional[Iterable[int]] = None,
            counters: Optional[Counters] = None) -> PropagationResult:
     """AC-2001 on a binary view. An EncodedProblem of kind DE is viewed as
-    its dual-dual network; anything else gets the full double view."""
+    its dual-dual network; any other kind as its originals and duals with
+    every hidden and dual-dual arc."""
     if isinstance(view_or_enc, EncodedProblem):
         view = DeView(view_or_enc) if view_or_enc.kind == DE else DoubleView(view_or_enc)
         if state is None:

@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion against the source tree."""
+"""Every script under demos/ runs to completion against the source tree, and
+prints what its golden file under demos/golden/ holds."""
 
 import os
 import subprocess
@@ -9,6 +10,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "demos" / "golden"
+# these demos print timings, so their output is not pinned
+TIMED = {"05_benchmark_matrix.py"}
 
 
 def test_demos_exist():
@@ -23,3 +27,5 @@ def test_demo_runs(demo, tmp_path):
     assert result.returncode == 0, result.stderr
     # the demos clean up the temporary directories they make
     assert not list(tmp_path.glob("bincsp_bench_*"))
+    if demo.name not in TIMED:
+        assert result.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()

@@ -392,13 +392,23 @@ def _compatible(view, arc_id, side, a, b):
 
 
 class _ScanAc2001(Ac2001):
-    """Reference AC-2001: scan the peer domain from pointer + 1; each live
-    value is one check and each dead one a micro-op."""
+    """Reference AC-2001 with one pointer per value: scan the peer domain
+    from pointer + 1; each live value is one check and each dead one a
+    micro-op. With `group_pointers`, every value starts at its group's
+    pointer there."""
 
-    def revise(self, arc_id, side, state):
+    def __init__(self, view, counters=None, group_pointers=None):
+        self.view = view
+        self.counters = counters if counters is not None else Counters()
+        self.pointers = [[[-1 if group_pointers is None else
+                           group_pointers[arc_id][side][g] for g in sides[side][0]]
+                          for side in (0, 1)]
+                         for arc_id, sides in enumerate(view.sides)]
+
+    def revise(self, arc_id, side, state, masks):
         view, counters = self.view, self.counters
         bx, by = view.ends[arc_id][side], view.ends[arc_id][1 - side]
-        xmask, ymask = view.mask(bx, state), view.mask(by, state)
+        xmask, ymask = masks[bx], masks[by]
         pointers = self.pointers[arc_id][side]
         deleted, remaining = False, None
         for a in range(len(xmask)):
@@ -442,44 +452,80 @@ def _indexed_suite():
             yield gen_model_b(ModelBParams(8, 3, 4, 10, q, seed))
 
 
+def _group_rich_suite(count):
+    """Model B <14,5,3,8,q>: sparse scopes over domains of 5, so most pairs
+    share one variable, and loose enough that a group holds over 5 tuples
+    on average; MAC search still backtracks."""
+    for seed in range(count):
+        yield gen_model_b(ModelBParams(14, 5, 3, 8, 40 + (seed * 7) % 15, seed))
+
+
 def _scattered_pointers(view, state, seed):
-    """Arbitrary start pointers, so that values of one group differ."""
+    """Arbitrary start pointers per group, so that searches start mid-domain."""
     rng = random.Random(seed)
-    pointers = []
-    for ends in view.ends:
-        sizes = [len(view.mask(b, state)) for b in ends]
-        pointers.append([[rng.randrange(-1, sizes[1 - side]) for _ in range(sizes[side])]
-                         for side in (0, 1)])
-    return pointers
+    masks = view.masks(state)
+    return [[[rng.randrange(-1, len(masks[ends[1 - side]]))
+              for _ in sides[side][1]] for side in (0, 1)]
+            for ends, sides in zip(view.ends, view.sides)]
 
 
 def _ac2001_outcome(engine_cls, enc, pointer_seed=None):
     view = DeView(enc) if enc.kind == "DE" else DoubleView(enc)
     state = enc.fresh_state()
-    pointers = None if pointer_seed is None else \
-        _scattered_pointers(view, state, pointer_seed)
     counters = Counters(search_log=[])
-    ok = engine_cls(view, counters, pointers).run(state)
+    group_pointers = None if pointer_seed is None else \
+        _scattered_pointers(view, state, pointer_seed)
+    if engine_cls is _ScanAc2001:
+        engine = _ScanAc2001(view, counters, group_pointers)
+    else:
+        engine = engine_cls(view, counters)
+        if group_pointers is not None:
+            engine.pointers = group_pointers
+    ok = engine.run(state)
     return (ok, counters.checks, counters.microops, counters.value_removals,
             counters.tuple_removals, state.domains_as_lists(),
             state.dual_domains_as_lists(), counters.search_log)
 
 
-def test_indexed_ac2001_counts_like_the_linear_scan():
+def _root_verdicts_checked_against_the_linear_scan(problems):
+    """Assert that the root runs of `problems` match the reference; return
+    the verdicts seen."""
     verdicts = set()
-    for seed, p in enumerate(_indexed_suite()):
+    for seed, p in enumerate(problems):
         for enc in (build_de(p), build_double(p)):
             for pointer_seed in (None, seed):
                 fast = _ac2001_outcome(Ac2001, enc, pointer_seed)
                 assert fast == _ac2001_outcome(_ScanAc2001, enc, pointer_seed), \
                     (p.name, enc.kind, pointer_seed)
                 verdicts.add(fast[0])
-    assert verdicts == {True, False}
+    return verdicts
 
 
-def test_indexed_mac2001_searches_like_the_linear_scan(monkeypatch):
+def test_indexed_ac2001_counts_like_the_linear_scan():
+    assert _root_verdicts_checked_against_the_linear_scan(_indexed_suite()) == {True, False}
+
+
+def test_group_major_ac2001_counts_like_the_linear_scan_on_large_groups():
+    problems = list(_group_rich_suite(4))
+    # scattered pointers skip supports, so some of those runs wipe out
+    assert _root_verdicts_checked_against_the_linear_scan(problems) == {True, False}
+    # the family is as group-rich as its docstring says
+    for p in problems:
+        enc = build_de(p)
+        state = enc.fresh_state()
+        view, masks = DeView(enc), state.dual_masks
+        values = groups = 0
+        for arc_id, (b0, b1) in enumerate(view.ends):
+            for side, b in ((0, b0), (1, b1)):
+                live = set(itertools.compress(view.sides[arc_id][side][0], masks[b]))
+                values += sum(masks[b])
+                groups += len(live)
+        assert values / groups >= 5
+
+
+def _assert_mac2001_searches_like_the_linear_scan(monkeypatch, problems, backtracks_at_least):
     """Node sequences and counters also cover pointer restores on backtrack."""
-    runs = [(i, p, algo, ordering) for i, p in enumerate(_indexed_suite())
+    runs = [(i, p, algo, ordering) for i, p in enumerate(problems)
             for algo in ("MAC-2001", "MAC-2001d")
             for ordering in (search.FIXED, search.DOM_DEG)]
 
@@ -497,8 +543,29 @@ def test_indexed_mac2001_searches_like_the_linear_scan(monkeypatch):
     # nodes beyond the deepest path were left by backtracking
     backtracks = sum(len(paths) - max(map(len, paths), default=0)
                      for _, paths, _ in expected.values())
-    assert backtracks >= 20
+    assert backtracks >= backtracks_at_least
     assert outcomes() == expected
+
+
+def test_indexed_mac2001_searches_like_the_linear_scan(monkeypatch):
+    _assert_mac2001_searches_like_the_linear_scan(monkeypatch, list(_indexed_suite()), 20)
+
+
+def test_group_major_mac2001_searches_like_the_linear_scan_on_large_groups(monkeypatch):
+    _assert_mac2001_searches_like_the_linear_scan(monkeypatch, list(_group_rich_suite(2)), 50)
+
+
+def test_ac2001_on_the_hve_reaches_the_hac_fixpoint():
+    verdicts = set()
+    for p in _random_suite():
+        enc = build_hve(p)
+        a, h = ac2001(enc), hac(enc)
+        assert a.consistent == h.consistent, p.name
+        if a.consistent:
+            assert a.state.domains_as_lists() == h.state.domains_as_lists(), p.name
+            assert a.state.dual_domains_as_lists() == h.state.dual_domains_as_lists(), p.name
+        verdicts.add(a.consistent)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
