@@ -93,14 +93,15 @@ def _default_hybrid_subset(problem: Problem, max_arity: int = 5,
     """Constraints worth double-encoding: low arity and expandable within
     budget; the rest stay intensional. Returns the subset and the tuple
     lists expanded to test it, by constraint id, for the build to reuse."""
-    from bincsp.core import CapacityError, materialize
+    from bincsp.core import CapacityError, GapRows, materialize
     subset, expanded = [], {}
+    rows = GapRows()
     for ci, c in enumerate(problem.constraints):
         if c.arity > max_arity:
             continue
         if c.relation is None:
             try:
-                expanded[ci] = materialize(problem, c, budget)
+                expanded[ci] = materialize(problem, c, budget, rows)
             except CapacityError:
                 continue
         subset.append(ci)

@@ -65,8 +65,8 @@ class Predicate:
     The two separation kinds are gap kinds: a tuple holds iff every pair of
     positions i < j is more than gaps(k)[i][j] apart, where the k x k
     minimum-gap table (s, or s2 when i or j is in `subset`) is built once
-    for the constraint's arity. `holds`, expansion and support search all
-    read its rows.
+    for the constraint's arity. `holds` reads the table directly; expansion
+    and support search read it through the byte-lane rows of `GapRows`.
     """
 
     KINDS = ("linear", "separation", "rich_separation", "not_all_equal", "parity_neq")
@@ -393,18 +393,88 @@ def is_valid(t: Sequence[int], scope: Sequence[int], state: DomainState,
     return True
 
 
+def value_index(tuples: Sequence[tuple], sizes: Iterable[int]) -> list:
+    """index[pos][a]: the ascending indices of the tuples holding value a at
+    position pos, for positions of the given domain sizes."""
+    index = [[[] for _ in range(size)] for size in sizes]
+    for idx, t in enumerate(tuples):
+        for pos, a in enumerate(t):
+            index[pos][a].append(idx)
+    return index
+
+
+class GapRows:
+    """Byte-lane compatibility rows of the gap kinds, built on demand.
+
+    For a position's label list `labels`, a gap g and a label l of another
+    position, the row is an int with one byte per value index v of the
+    position, byte v (bits 8v..8v+7) being 1 when |labels[v] - l| > g and 0
+    otherwise. `int.from_bytes(mask, "little") & row` then holds the live
+    values far enough from l, one byte each, which relies on domain masks
+    holding only 0 and 1 bytes; an empty candidate set is the int 0.
+
+    Rows are keyed by label content and gap, so every constraint whose
+    positions carry the same labels reads the same rows. One object serves
+    one run (an encoding build, one GAC-2001 engine) and nothing is stored
+    on the problem, its constraints or its predicates: each run builds the
+    rows it reads.
+    """
+
+    def __init__(self):
+        self._rows = {}
+
+    def tables(self, problem: Problem, c: Constraint) -> Optional[list]:
+        """tables[j][i] (i != j) maps a label of position i to its row over
+        position j's values at gap gaps(k)[j][i]; None on the diagonal, and
+        no tables at all for a constraint that is not of a gap kind."""
+        gaps = c.predicate.gaps(c.arity) if c.predicate is not None else None
+        if gaps is None:
+            return None
+        labels = [tuple(problem.domains[x]) for x in c.scope]
+        tables = []
+        for j, gap_row in enumerate(gaps):
+            table = [None] * len(gap_row)
+            for i, gap in enumerate(gap_row):
+                if i != j:
+                    key = (labels[j], gap)
+                    if key not in self._rows:
+                        self._rows[key] = _RowsByLabel(*key)
+                    table[i] = self._rows[key]
+            tables.append(table)
+        return tables
+
+
+class _RowsByLabel(dict):
+    """label -> byte-lane row over `labels` at `gap`, built on first read."""
+
+    def __init__(self, labels: tuple, gap):
+        super().__init__()
+        self.labels = labels
+        self.gap = gap
+
+    def __missing__(self, label):
+        gap = self.gap
+        row = int.from_bytes(bytes([label - b > gap or b - label > gap
+                                    for b in self.labels]), "little")
+        self[label] = row
+        return row
+
+
 def expand_predicate(problem: Problem, c: Constraint,
-                     budget: int = DEFAULT_EXPANSION_BUDGET) -> list:
+                     budget: int = DEFAULT_EXPANSION_BUDGET,
+                     rows: Optional[GapRows] = None) -> list:
     """All satisfying tuples of a predicate constraint over the initial
     domains, sorted lexicographically.
 
     Gap kinds (the separations) are generated by a forward-filtering
     depth-first search, so tight constraints never enumerate the full cross
-    product: each level keeps, for every later position, the (index, label)
-    candidates still compatible with the values placed so far, and the last
-    level emits its candidates in one step. More than `budget` tuples raise
-    CapacityError. Every other kind enumerates d^k, which must fit the
-    budget.
+    product: each level keeps, for every later position, the byte-lane set
+    of its values still far enough from the values placed so far (ANDed
+    with the placed label's `GapRows` row, and dropped when it reaches 0),
+    and the last level emits its survivors in one step. `rows` shares the
+    rows with other expansions of the same run; without it they are built
+    for this call. More than `budget` tuples raise CapacityError. Every
+    other kind enumerates d^k, which must fit the budget.
     """
     if c.predicate is None:
         raise ValueError("constraint is already extensional")
@@ -413,34 +483,38 @@ def expand_predicate(problem: Problem, c: Constraint,
     sizes = [len(d) for d in doms]
     k = len(sizes)
 
-    gaps = pred.gaps(k)
-    if gaps is not None:
+    tables = (rows if rows is not None else GapRows()).tables(problem, c)
+    if tables is not None:
         if k == 0:
             return [()]
         out = []
         last = k - 1
+        # later[pos]: the rows of positions pos + 1.. by position pos's label
+        later = [[tables[j][pos] for j in range(pos + 1, k)] for pos in range(k)]
 
         def rec(pos, prefix, cands):
-            # cands[j] holds the candidates of position pos + j
+            # cands[j] is the byte-lane candidate set of position pos + j
+            size = sizes[pos]
+            present = itertools.compress(range(size), cands[0].to_bytes(size, "little"))
             if pos == last:
-                out.extend([prefix + (a,) for a, _ in cands[0]])
+                out.extend([prefix + (a,) for a in present])
                 if len(out) > budget:
                     raise CapacityError(
                         f"expansion of {pred.kind} constraint exceeded budget {budget}")
                 return
-            row = gaps[pos]
-            for a, la in cands[0]:
+            dom, rows_later = doms[pos], later[pos]
+            for a in present:
+                label = dom[a]
                 kept = []
-                for j, later in enumerate(cands[1:], pos + 1):
-                    g = row[j]
-                    later = [(b, lb) for b, lb in later if la - lb > g or lb - la > g]
-                    if not later:
+                for cand, by_label in zip(cands[1:], rows_later):
+                    cand &= by_label[label]
+                    if cand == 0:
                         break
-                    kept.append(later)
+                    kept.append(cand)
                 else:
                     rec(pos + 1, prefix + (a,), kept)
 
-        rec(0, (), [list(enumerate(dom)) for dom in doms])
+        rec(0, (), [int.from_bytes(b"\x01" * size, "little") for size in sizes])
         return out
 
     space = 1
@@ -457,11 +531,13 @@ def expand_predicate(problem: Problem, c: Constraint,
 
 
 def materialize(problem: Problem, c: Constraint,
-                budget: int = DEFAULT_EXPANSION_BUDGET) -> list:
-    """The constraint's relation as a sorted tuple list (expanding if needed)."""
+                budget: int = DEFAULT_EXPANSION_BUDGET,
+                rows: Optional[GapRows] = None) -> list:
+    """The constraint's relation as a sorted tuple list (expanding if needed,
+    reading gap rows from `rows` when given)."""
     if c.relation is not None:
         return c.relation
-    return expand_predicate(problem, c, budget)
+    return expand_predicate(problem, c, budget, rows)
 
 
 def enumerate_solutions(problem: Problem, limit: Optional[int] = None,

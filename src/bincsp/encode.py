@@ -23,8 +23,8 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .core import (DEFAULT_EXPANSION_BUDGET, DomainState, Problem,
-                   materialize)
+from .core import (DEFAULT_EXPANSION_BUDGET, DomainState, GapRows, Problem,
+                   materialize, value_index)
 
 HVE = "HVE"
 DE = "DE"
@@ -46,14 +46,13 @@ class DualVariable:
 
     @cached_property
     def tuples_by_pos_val(self) -> list:
-        """Tuple indices holding value a at position pos, for eager
-        deletions. Built on first use: the hidden and double encodings read
-        it, the dual encoding never does."""
-        out = [[[] for _ in range(size)] for size in self.domain_sizes]
-        for idx, t in enumerate(self.tuples):
-            for pos, a in enumerate(t):
-                out[pos][a].append(idx)
-        return out
+        """Ascending tuple indices holding value a at position pos. Built on
+        first use: the hidden and double encodings read it, the dual
+        encoding never does. Eager deletions walk it, and it is HAC's
+        support index: a search for a after pointer p bisects into it and
+        tests only those tuples, counting as checks the indices p + 1.. up
+        to the support that the lexicographic scan stepped over."""
+        return value_index(self.tuples, self.domain_sizes)
 
     @property
     def arity(self) -> int:
@@ -182,12 +181,13 @@ def piecewise_decomposition(enc: EncodedProblem, vi: int, vj: int) -> Decomposit
 def _make_duals(problem: Problem, constraint_ids: Sequence[int],
                 budget: int, expanded: Optional[dict] = None) -> list:
     sizes = [problem.domain_size(x) for x in range(problem.n)]
+    rows = GapRows()
     duals = []
     for dual_id, ci in enumerate(constraint_ids):
         c = problem.constraints[ci]
         tuples = expanded.get(ci) if expanded else None
         if tuples is None:
-            tuples = materialize(problem, c, budget)
+            tuples = materialize(problem, c, budget, rows)
         duals.append(DualVariable(dual_id, ci, c.scope, tuples, sizes))
     return duals
 

@@ -1,12 +1,20 @@
 """Arc consistency engines: GAC-2001, HAC, AC-2001 and PW-AC.
 
-Counting discipline shared by GAC-2001 and HAC: a support search scans the
-sorted tuple list from the stored pointer onward and every scanned index is
-one tuple check; testing the stored support itself costs micro-ops only.
-The two engines therefore differ in micro-ops (per-position probes vs one
-dual-domain lookup) but never in checks, which is what the check-count
-comparisons rely on. PW-AC performs no tuple checks at all: its work is
-counter updates.
+Counting discipline shared by GAC-2001 and HAC: a support search counts as
+the scan of the sorted tuple list from the stored pointer onward, every
+scanned index one tuple check; testing the stored support itself costs
+micro-ops only. Neither engine scans. Each reads the ascending indices of
+the tuples holding the value at the position (HAC the dual's
+`tuples_by_pos_val`, GAC-2001 a value index it builds per relation on first
+use), bisects past the pointer, and tests only those tuples, paying the
+scan's micro-ops for each. The first valid one is the tuple the scan would
+have stopped at, so the scan's checks are the index distance to it from
+the pointer, or to the end of the list when there is none. The two engines
+therefore differ in micro-ops (per-position probes vs one dual-domain
+lookup) but never in checks, which is what the check-count comparisons
+rely on. On a predicate, GAC-2001 enumerates candidate tuples instead (see
+`_pred_enum`); the separation kinds read byte-lane rows of `core.GapRows`
+there. PW-AC performs no tuple checks at all: its work is counter updates.
 
 AC-2001 on the binary views keeps one support pointer per piecewise group
 and revises the live values of a group together, but counts checks and
@@ -34,7 +42,8 @@ from itertools import compress, islice
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .core import Counters, DomainState, Problem, is_valid
+from .core import (Counters, DomainState, GapRows, Problem, is_valid,
+                   value_index)
 from .encode import DE, EncodedProblem
 
 CONSISTENT = "CONSISTENT"
@@ -103,89 +112,82 @@ class GacSupports:
                 self.pred.append([[None] * problem.domain_size(x) for x in c.scope])
 
 
-def _scan_extension(rel, pos, a, start, accept, counters):
-    """Lexicographic support scan; every scanned index is one tuple check."""
-    for idx in range(start, len(rel)):
-        counters.checks += 1
-        t = rel[idx]
-        if t[pos] != a:
-            continue
-        if accept(idx, t):
-            return idx
-    return -1
-
-
-def _pred_enum(problem, c, pos, a, state, after, tight0, counters):
+def _pred_enum(problem, c, pos, a, state, after, tight0, counters, tables):
     """Lex-smallest valid satisfying tuple of a predicate constraint with
     value a at position pos (pos < 0: unconstrained), strictly after `after`
-    when tight0 is set.
+    when tight0 is set. `tables` are the constraint's `GapRows.tables` (None
+    for kinds without gaps).
 
-    One depth-first loop serves every kind. A level visits only live values
-    (only a at pos), from after[depth] while the prefix equals `after` and
-    from 0 otherwise; for gap kinds it keeps only values far enough from
-    the earlier positions by the predicate's gap rows, so a full tuple that
-    gets there already holds. Each completed candidate evaluated is one
-    check; a level costs one micro-op per value index it steps over, from
-    its start to the value it returns at, or to the end of the domain.
+    One depth-first loop serves every kind. A level's candidates are a
+    byte-lane int: its live mask (only a at pos) ANDed, for gap kinds, with
+    the rows of the labels placed at the earlier positions, so a full tuple
+    that gets there already holds. The level visits them in ascending
+    order, from after[depth] while the prefix equals `after` and from 0
+    otherwise. Each completed candidate evaluated is one check; a level
+    costs one micro-op per value index it steps over, from its start to the
+    value it returns at, or to the end of the domain.
     """
-    pred = c.predicate
     scope = c.scope
     k = len(scope)
     doms = [problem.domains[x] for x in scope]
-    masks = [state.masks[x] for x in scope]
-    gaps = pred.gaps(k)
-    holds = pred.holds if gaps is None else None
+    sizes = [len(dom) for dom in doms]
+    lives = [int.from_bytes(state.masks[x], "little") for x in scope]
+    if pos >= 0:
+        lives[pos] &= 1 << 8 * a
+    earlier = [()] * k if tables is None else [row[:j] for j, row in enumerate(tables)]
+    holds = c.predicate.holds if tables is None else None
     labels = [None] * k
     values = [0] * k
     last = k - 1
 
     def rec(depth, tight):
         lo = after[depth] if tight else 0
-        size = len(masks[depth])
-        if depth == pos:
-            cands = [a] if a >= lo and masks[depth][a] else []
-        else:
-            cands = compress(range(lo, size), islice(masks[depth], lo, None))
+        live = lives[depth]
+        for rows, label in zip(earlier[depth], labels):
+            live &= rows[label]
+        live >>= 8 * lo
+        if tight and depth == last:
+            live &= ~1  # drop the value equal to `after`; we need strictly greater
         dom = doms[depth]
-        if gaps is not None:
-            row = gaps[depth]
-            for i in range(depth):
-                li, g = labels[i], row[i]
-                cands = [v for v in cands if dom[v] - li > g or li - dom[v] > g]
-        for v in cands:
+        while live:
+            low = live & -live
+            v = lo + ((low.bit_length() - 1) >> 3)
             labels[depth] = dom[v]
             values[depth] = v
             if depth == last:
-                if tight and v == lo:
-                    continue  # equal to `after`; we need strictly greater
                 counters.checks += 1
                 if holds is not None and not holds(labels):
+                    live ^= low
                     continue
                 found = tuple(values)
             else:
                 found = rec(depth + 1, tight and v == lo)
                 if found is None:
+                    live ^= low
                     continue
             counters.microops += v - lo + 1
             return found
-        counters.microops += size - lo
+        counters.microops += sizes[depth] - lo
         return None
 
     return rec(0, tight0)
 
 
-def constraint_has_valid_tuple(problem, c, rel, state, counters=None) -> bool:
-    """Any valid tuple left in the constraint? Micro-op cost only."""
-    if rel is not None:
+def constraint_has_valid_tuple(problem, c, tables, state, counters=None) -> bool:
+    """Any valid tuple left in the constraint? Micro-op cost only for an
+    extensional one; a predicate's search counts as `_pred_enum` does, with
+    `tables` its `GapRows.tables`."""
+    if c.relation is not None:
         masks = state.masks
-        for t in rel:
+        for t in c.relation:
             if counters is not None:
                 counters.microops += 1
             if all(masks[x][t[p]] for p, x in enumerate(c.scope)):
                 return True
         return False
     cnt = counters if counters is not None else Counters()
-    return _pred_enum(problem, c, -1, -1, state, (-1,) * c.arity, False, cnt) is not None
+    return _pred_enum(problem, c, -1, -1, state, (-1,) * c.arity, False, cnt,
+                      tables) is not None
 
 
 class Gac2001:
@@ -205,35 +207,58 @@ class Gac2001:
         self.counters = counters if counters is not None else Counters()
         self.supports = GacSupports(problem)
         self.rels = [c.relation for c in problem.constraints]
+        rows = GapRows()
+        self.gap_tables = [rows.tables(problem, c) for c in problem.constraints]
+        # per relation, its `value_index`, built when it is first revised
+        self.index = [None] * len(problem.constraints)
         self.remove = remove_value if remove_value is not None else self.remove_value
 
     def revise_arc(self, ci: int, pos: int, state: DomainState) -> bool:
-        """Revise one (variable, constraint) arc; True if a value was deleted."""
+        """Revise one (variable, constraint) arc; True if a value was deleted.
+
+        On a relation, the support search reads the tuples holding a at pos
+        after the pointer from the value index and tests each for validity.
+        It counts the checks of the lexicographic scan from the pointer, one
+        per tuple index from pointer + 1 up to the support, or to the end of
+        the relation."""
         problem, counters = self.problem, self.counters
         c = problem.constraints[ci]
-        x = c.scope[pos]
+        scope = c.scope
+        x = scope[pos]
         rel = self.rels[ci]
+        if rel is not None:
+            pointers = self.supports.ext[ci][pos]
+            if self.index[ci] is None:
+                self.index[ci] = value_index(rel, map(problem.domain_size, scope))
+            by_value = self.index[ci][pos]
+            end = len(rel) - 1
+        else:
+            lasts = self.supports.pred[ci][pos]
+            tables = self.gap_tables[ci]
         deleted = False
         for a in state.live_values(x):
             if rel is not None:
-                ptr = self.supports.ext[ci][pos][a]
-                if ptr >= 0 and is_valid(rel[ptr], c.scope, state, counters, skip_pos=pos):
+                ptr = pointers[a]
+                if ptr >= 0 and is_valid(rel[ptr], scope, state, counters, skip_pos=pos):
                     continue
-                idx = _scan_extension(
-                    rel, pos, a, ptr + 1,
-                    lambda i, t: is_valid(t, c.scope, state, counters, skip_pos=pos),
-                    counters)
-                if idx >= 0:
-                    state.set_slot(self.supports.ext[ci][pos], a, idx)
+                cands = by_value[a]
+                support = -1
+                for idx in islice(cands, bisect_right(cands, ptr), None):
+                    if is_valid(rel[idx], scope, state, counters, skip_pos=pos):
+                        support = idx
+                        break
+                counters.checks += (support if support >= 0 else end) - ptr
+                if support >= 0:
+                    state.set_slot(pointers, a, support)
                     continue
             else:
-                last = self.supports.pred[ci][pos][a]
-                if last is not None and is_valid(last, c.scope, state, counters, skip_pos=pos):
+                last = lasts[a]
+                if last is not None and is_valid(last, scope, state, counters, skip_pos=pos):
                     continue
                 t = _pred_enum(problem, c, pos, a, state, last or (-1,) * c.arity,
-                               last is not None, counters)
+                               last is not None, counters, tables)
                 if t is not None:
-                    state.set_slot(self.supports.pred[ci][pos], a, t)
+                    state.set_slot(lasts, a, t)
                     continue
             self.remove(state, x, a)
             deleted = True
@@ -323,27 +348,40 @@ class Hac:
         return ok
 
     def revise_arc(self, x: int, v: int, state: DomainState):
-        """Revise original x against dual v. Returns (deleted, wiped)."""
+        """Revise original x against dual v. Returns (deleted, wiped).
+
+        The support search reads the tuples holding a at x's position after
+        the pointer from `tuples_by_pos_val`, one micro-op per tuple it
+        tests for liveness. It counts the checks of the lexicographic scan
+        from the pointer, which steps over every tuple index from pointer
+        + 1 up to the support, or to the end of the dual's tuples."""
         enc, counters = self.enc, self.counters
         dual = enc.duals[v]
         pos = dual.position[x]
-        tuples = dual.tuples
+        by_value = dual.tuples_by_pos_val[pos]
+        end = len(dual.tuples) - 1
+        pointers = self.supports[v][pos]
         dmask = state.dual_masks[v]
         deleted = False
-
-        def accept(i, t):
-            counters.microops += 1
-            return dmask[i]
-
         for a in state.live_values(x):
-            ptr = self.supports[v][pos][a]
+            ptr = pointers[a]
             if ptr >= 0:
                 counters.microops += 1
                 if dmask[ptr]:
                     continue
-            idx = _scan_extension(tuples, pos, a, ptr + 1, accept, counters)
-            if idx >= 0:
-                state.set_slot(self.supports[v][pos], a, idx)
+            cands = by_value[a]
+            start = bisect_right(cands, ptr)
+            support = -1
+            for i in range(start, len(cands)):
+                if dmask[cands[i]]:
+                    support = cands[i]
+                    counters.microops += i - start + 1
+                    break
+            else:
+                counters.microops += len(cands) - start
+            counters.checks += (support if support >= 0 else end) - ptr
+            if support >= 0:
+                state.set_slot(pointers, a, support)
                 continue
             deleted = True
             if not self.delete(state, x, a):

@@ -5,9 +5,9 @@ search (non-binary, HVE, DE, double, hybrid), the per-node lookahead
 (forward-checking levels 0..5 or maintained AC) and the propagation
 machinery (generic 2001-style vs HAC / PW-AC). The non-binary and HVE lanes
 keep rigorously parallel revision orders - selected constraints by index,
-scope order, ascending values, lexicographic support scans - so the
-equivalence theorems between nFCi/hFCi and MGAC/MHAC are testable as exact
-node-sequence equality.
+scope order, ascending values, supports found in lexicographic order - so
+the equivalence theorems between nFCi/hFCi and MGAC/MHAC are testable as
+exact node-sequence equality.
 
 A node is one value-assignment event; dead-end detection happens at the
 node after its lookahead. The node count of the backtrack-free dual
@@ -151,8 +151,21 @@ class Engine:
             self.problem = model
             self.state = DomainState.full(model)
         self.assigned = [False] * self.problem.n
+        self.degrees = self._original_degrees()
         # the PW-AC propagator, if any, whose counters an undo re-derives
         self.pw: Optional[PwAc] = None
+
+    def _original_degrees(self) -> list:
+        """Constraints on each original variable: its duals plus the
+        residual constraints over it (every constraint of a plain problem)."""
+        problem, enc = self.problem, self.enc
+        if enc is None:
+            return [len(cs) for cs in problem.constraints_of_var]
+        degrees = [len(vs) for vs in enc.duals_of_var]
+        for ci in enc.residual_constraints:
+            for x in problem.constraints[ci].scope:
+                degrees[x] += 1
+        return degrees
 
     # -- hooks -------------------------------------------------------------
 
@@ -167,14 +180,7 @@ class Engine:
         return self.state.counts[var]
 
     def degree(self, var) -> int:
-        """Constraints on an original variable: its duals plus the residual
-        constraints over it (every constraint of a plain problem)."""
-        problem, enc = self.problem, self.enc
-        if enc is None:
-            return len(problem.constraints_of_var[var])
-        return len(enc.duals_of_var[var]) + sum(
-            1 for ci in enc.residual_constraints
-            if var in problem.constraints[ci].scope)
+        return self.degrees[var]
 
     def live_values(self, var) -> list:
         return self.state.live_values(var)
@@ -331,7 +337,6 @@ class NonBinaryEngine(Engine):
         super().__init__(problem, spec, **kw)
         self.gac = Gac2001(problem, self.counters)
         self.scopes = [set(c.scope) for c in problem.constraints]
-        self.rels = [c.relation for c in problem.constraints]
         self._apply_unary_filters()
 
     def _apply_unary_filters(self):
@@ -390,8 +395,9 @@ class NonBinaryEngine(Engine):
         """No constraint may have an empty valid-tuple set: the non-binary
         analogue of a dual-domain wipeout, which the hidden encoding detects
         eagerly in constraints its lookahead set never revisits."""
+        gap_tables = self.gac.gap_tables
         for ci, c in enumerate(self.problem.constraints):
-            if not constraint_has_valid_tuple(self.problem, c, self.rels[ci],
+            if not constraint_has_valid_tuple(self.problem, c, gap_tables[ci],
                                               self.state, self.counters):
                 return False
         return True

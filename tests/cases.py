@@ -4,10 +4,13 @@ These are small hand-built instances with known behaviour: the running
 six-variable arithmetic example, the piecewise-decomposition examples, the
 two-constraint parity problem that only dual-dual propagation refutes, the
 support-pattern instance where hidden-encoding AC detects a wipeout early,
-and the pair of 4-ary constraints separating the dFC family from hFC.
+and the pair of 4-ary constraints separating the dFC family from hFC. The
+encoding and propagation tests also share a sample of the acceptance
+suite's criterion-1 instances.
 """
 
 from bincsp.core import Constraint, Predicate, Problem
+from bincsp.gen import ModelBParams, gen_model_b
 
 
 def six_var_linear() -> Problem:
@@ -117,3 +120,9 @@ def prop_51() -> Problem:
                     name="c2")
     return Problem([f"x{i}" for i in range(1, 6)], [dom] * 5,
                    [c1, c2], name="prop_51")
+
+
+def criterion_1_suite(step=50):
+    """Every `step`-th instance of the acceptance suite's criterion-1 set."""
+    for seed in range(0, 1000, step):
+        yield gen_model_b(ModelBParams(10, 4, 3, 10, 5 + (seed * 90) // 1000, seed))

@@ -11,7 +11,7 @@ from bincsp.gen import CrosswordSpec, ModelBParams, gen_crossword, gen_model_b
 from bincsp.propagate import pwac
 from bincsp.words import WORDS
 
-from cases import example_41, example_42, six_var_linear
+from cases import criterion_1_suite, example_41, example_42, six_var_linear
 
 
 def _projections(enc, pair):
@@ -177,12 +177,6 @@ def test_decomposition_partition_property():
                     assert len(flags) <= 1  # all cross pairs agree or none
 
 
-def _criterion_1_suite(step=50):
-    """Every `step`-th instance of the acceptance suite's criterion-1 set."""
-    for seed in range(0, 1000, step):
-        yield gen_model_b(ModelBParams(10, 4, 3, 10, 5 + (seed * 90) // 1000, seed))
-
-
 def _unsorted_scopes():
     """Scopes out of ascending order: the first pair shares (b, a), in the
     first dual's scope order."""
@@ -197,7 +191,7 @@ def test_tuple_groups_match_projections():
     pair.shared, with ids rising with the key and one id space per shared
     tuple; members lists each group's tuples in ascending order; and pair
     sides with the same (owner, shared) are one object."""
-    problems = [_unsorted_scopes(), example_42()] + list(_criterion_1_suite())
+    problems = [_unsorted_scopes(), example_42()] + list(criterion_1_suite())
     for enc in [build(p) for p in problems for build in (build_de, build_double)]:
         key_of_group = {}  # (shared, gid) -> key, over every decomposition
         side_of = {}
@@ -225,7 +219,7 @@ def test_pairs_match_a_scan_of_every_dual_pair():
     """Peers found through the variables give the pairs, their order and
     their shared-variable order of a scan over all dual pairs."""
     problems = [_unsorted_scopes(), example_41(), example_42(), six_var_linear()]
-    for p in problems + list(_criterion_1_suite(25)):
+    for p in problems + list(criterion_1_suite(25)):
         for enc in (build_de(p), build_double(p, encoded_subset=range(0, len(p.constraints), 2))):
             expected = []
             for i, di in enumerate(enc.duals):

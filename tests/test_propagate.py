@@ -1,17 +1,19 @@
 import itertools
 import random
 
-from bincsp.core import Constraint, Counters, DomainState, Predicate, Problem, \
-    ac1_fixpoint, enumerate_solutions
+from bincsp.core import Constraint, Counters, DomainState, GapRows, Predicate, \
+    Problem, ac1_fixpoint, enumerate_solutions, expand_predicate, is_valid
 from bincsp.encode import build_de, build_double, build_hve
-from bincsp.gen import ModelBParams, gen_model_b
-from bincsp.propagate import (Ac2001, DeView, DoubleView, PwAc, _pred_enum,
-                              ac2001, gac2001, hac, pwac, seed_assignment_hve,
+from bincsp.gen import ModelBParams, gen_model_b, gen_rlfa
+from bincsp.propagate import (Ac2001, DeView, DoubleView, Gac2001, Hac, PwAc,
+                              _pred_enum, ac2001, constraint_has_valid_tuple,
+                              gac2001, hac, pwac, seed_assignment_hve,
                               seed_assignment_nonbinary, sgac_check)
 from bincsp import search
 from bincsp.search import BOTH, DUAL_DUAL, HIDDEN_ONLY, double_ac
 
-from cases import appendix_a, example_42, example_51, six_var_linear
+from cases import (appendix_a, criterion_1_suite, example_42, example_51,
+                   six_var_linear)
 
 
 def _live_tuples_by_constraint(enc, state):
@@ -642,29 +644,56 @@ def _hand_predicate_problems():
                     [Constraint((0, 1, 2, 3), predicate=pred)]) for pred in preds]
 
 
+HAND_GAP_LABELS = [[9, 2, 14, 5, 0, 11, 7], [3, 12, 6, 0, 15, 9], [10, 4, 17, 1, 13],
+                   [0, 8, 16, 4, 12, 2], [6, 15, 2, 11, 19]]
+
+
+def _hand_gap_problems():
+    """Separation and rich_separation constraints over unsorted, scattered
+    labels that differ by position, with `subset` at the ends and in the
+    middle, at arities 4 and 5."""
+    preds = [
+        (Predicate("separation", s=1), 5), (Predicate("separation", s=2), 4),
+        (Predicate("rich_separation", s=1, s2=3, subset=(0,)), 5),
+        (Predicate("rich_separation", s=1, s2=3, subset=(4,)), 5),
+        (Predicate("rich_separation", s=1, s2=2, subset=(2,)), 5),
+        (Predicate("rich_separation", s=1, s2=4, subset=(1, 3)), 4),
+        (Predicate("rich_separation", s=2, s2=3, subset=(3,)), 4),
+    ]
+    return [Problem([f"z{i}" for i in range(k)], HAND_GAP_LABELS[:k],
+                    [Constraint(tuple(range(k)), predicate=pred)], name="hand_gap")
+            for pred, k in preds]
+
+
 def _pred_enum_suite():
-    from bincsp.gen import gen_rlfa
     for seed in range(3):
         yield gen_rlfa("prob1", 20, seed)
         yield gen_rlfa("prob2", 25, seed)
     yield from _hand_predicate_problems()
+    yield from _hand_gap_problems()
+
+
+def _random_state(p, scope, rng, density):
+    state = DomainState.full(p)
+    for x in scope:
+        for b in range(p.domain_size(x)):
+            if rng.random() > density:
+                state.remove_value(x, b)
+    return state
 
 
 def test_pred_enum_counts_like_the_reference():
     """Random masks, positions, values and `after` tuples, tight or not:
     the same tuple, checks and micro-ops."""
     rng = random.Random(5)
-    kinds, found, tight_found = set(), 0, 0
+    kinds, found, tight_found, hand_gap_found = set(), 0, 0, 0
     for p in _pred_enum_suite():
         for c in p.constraints:
             kinds.add(c.predicate.kind)
+            tables = GapRows().tables(p, c)
             for trial in range(12):
-                state = DomainState.full(p)
                 density = (0.35, 0.7, 1.0)[trial % 3]
-                for x in c.scope:
-                    for b in range(p.domain_size(x)):
-                        if rng.random() > density:
-                            state.remove_value(x, b)
+                state = _random_state(p, c.scope, rng, density)
                 pos = rng.randrange(-1, c.arity)
                 a = rng.randrange(p.domain_size(c.scope[pos])) if pos >= 0 else -1
                 tight = trial % 2 == 1
@@ -673,11 +702,233 @@ def test_pred_enum_counts_like_the_reference():
                 if tight and pos >= 0 and rng.random() < 0.8:
                     after = after[:pos] + (a,) + after[pos + 1:]
                 got, want = Counters(), Counters()
-                t = _pred_enum(p, c, pos, a, state, after, tight, got)
+                t = _pred_enum(p, c, pos, a, state, after, tight, got, tables)
                 assert t == _reference_pred_enum(p, c, pos, a, state, after, tight, want)
                 assert (got.checks, got.microops) == (want.checks, want.microops), \
                     (p.name, c, pos, a, after, tight)
                 found += t is not None
                 tight_found += t is not None and tight
+                hand_gap_found += t is not None and p.name == "hand_gap"
     assert kinds == set(Predicate.KINDS)
-    assert found > 100 and tight_found > 30
+    assert found > 100 and tight_found > 30 and hand_gap_found > 20
+
+
+def test_constraint_has_valid_tuple_counts_like_the_reference():
+    """Position -1 over the hand-built predicates, gap kinds included: the
+    same answer, checks and micro-ops as the reference enumeration."""
+    rng = random.Random(11)
+    answers = set()
+    for p in _hand_predicate_problems() + _hand_gap_problems():
+        c = p.constraints[0]
+        tables = GapRows().tables(p, c)
+        for trial in range(20):
+            state = _random_state(p, c.scope, rng, (0.3, 0.6, 1.0)[trial % 3])
+            got, want = Counters(), Counters()
+            ok = constraint_has_valid_tuple(p, c, tables, state, got)
+            ref = _reference_pred_enum(p, c, -1, -1, state, (-1,) * c.arity, False, want)
+            assert ok == (ref is not None), (c, trial)
+            assert (got.checks, got.microops) == (want.checks, want.microops), (c, trial)
+            answers.add((c.predicate.kind in Predicate.GAP_KINDS, ok))
+    assert answers == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_gap_rows_are_built_per_run():
+    """Runs keep no rows on the problem, its constraints or its predicates,
+    so every run builds the rows it reads."""
+    p = gen_rlfa("prob1", 20, 0)
+    objects = [p] + p.constraints + [c.predicate for c in p.constraints]
+    attributes = [sorted(vars(obj)) for obj in objects]
+    for algorithm in ("MGAC-2001", "MHAC-2001", "MAC-PW-ACd"):
+        search.solve(p, algorithm, node_limit=20)
+    assert [sorted(vars(obj)) for obj in objects] == attributes
+
+
+# ---------------------------------------------------------------------------
+# indexed HAC and GAC-2001 support search against the linear scan
+
+
+def _scan_extension(rel, pos, a, start, accept, counters):
+    """Lexicographic support scan; every scanned index is one tuple check."""
+    for idx in range(start, len(rel)):
+        counters.checks += 1
+        t = rel[idx]
+        if t[pos] != a:
+            continue
+        if accept(idx, t):
+            return idx
+    return -1
+
+
+class _ScanHac(Hac):
+    """HAC with the linear support scan the value index replaced."""
+
+    def revise_arc(self, x, v, state):
+        counters = self.counters
+        dual = self.enc.duals[v]
+        pos = dual.position[x]
+        dmask = state.dual_masks[v]
+        deleted = False
+
+        def accept(i, t):
+            counters.microops += 1
+            return dmask[i]
+
+        for a in state.live_values(x):
+            ptr = self.supports[v][pos][a]
+            if ptr >= 0:
+                counters.microops += 1
+                if dmask[ptr]:
+                    continue
+            idx = _scan_extension(dual.tuples, pos, a, ptr + 1, accept, counters)
+            if idx >= 0:
+                state.set_slot(self.supports[v][pos], a, idx)
+                continue
+            deleted = True
+            if not self.delete(state, x, a):
+                return True, True
+        return deleted, False
+
+
+class _ScanGac2001(Gac2001):
+    """GAC-2001 with the linear support scan on relations that the value
+    index replaced; predicates are searched as before."""
+
+    def revise_arc(self, ci, pos, state):
+        rel = self.rels[ci]
+        if rel is None:
+            return super().revise_arc(ci, pos, state)
+        counters = self.counters
+        c = self.problem.constraints[ci]
+        x = c.scope[pos]
+        deleted = False
+        for a in state.live_values(x):
+            ptr = self.supports.ext[ci][pos][a]
+            if ptr >= 0 and is_valid(rel[ptr], c.scope, state, counters, skip_pos=pos):
+                continue
+            idx = _scan_extension(
+                rel, pos, a, ptr + 1,
+                lambda i, t: is_valid(t, c.scope, state, counters, skip_pos=pos),
+                counters)
+            if idx >= 0:
+                state.set_slot(self.supports.ext[ci][pos], a, idx)
+                continue
+            self.remove(state, x, a)
+            deleted = True
+        return deleted
+
+
+def _rlfa_suite():
+    """rlfa prob1-prob3; prob3 at d = 25, whose relations are 5x smaller
+    than at d = 20."""
+    return [gen_rlfa("prob1", 20, 0), gen_rlfa("prob2", 20, 1), gen_rlfa("prob3", 25, 2)]
+
+
+def _expanded(p):
+    """The problem with every predicate expanded into its relation."""
+    return Problem(p.variables, p.domains,
+                   [Constraint(c.scope, relation=expand_predicate(p, c))
+                    for c in p.constraints], name=p.name)
+
+
+def _first_choice(state, assigned):
+    """An unassigned variable with two live values or more, and its first."""
+    for x, count in enumerate(state.counts):
+        if count > 1 and not assigned[x]:
+            return x, state.live_values(x)[0]
+    return None
+
+
+def _hac_outcome(engine_cls, enc):
+    """Root HAC, then two assignments each propagated from its duals, so
+    that searches also start from set pointers: verdicts, counters, support
+    pointers and domains after every step."""
+    counters = Counters()
+    engine = engine_cls(enc, counters)
+    state = enc.fresh_state()
+    assigned = [False] * enc.problem.n
+    steps = [engine.run(state, assigned=assigned)]
+    for _ in range(2):
+        choice = _first_choice(state, assigned) if steps[-1] else None
+        if choice is None:
+            break
+        x, a = choice
+        assigned[x] = True
+        ok = all([engine.delete(state, x, b) for b in state.live_values(x) if b != a])
+        steps.append(ok and engine.run(state, queue_seed=enc.duals_of_var[x],
+                                       assigned=assigned))
+    return (steps, counters.snapshot(), engine.supports, state.domains_as_lists(),
+            state.dual_domains_as_lists())
+
+
+def _gac_outcome(engine_cls, p):
+    """As `_hac_outcome`, for GAC-2001 on the non-binary problem."""
+    counters = Counters()
+    engine = engine_cls(p, counters)
+    state = DomainState.full(p)
+    assigned = [False] * p.n
+    steps = [engine.run(state, assigned=assigned)]
+    for _ in range(2):
+        choice = _first_choice(state, assigned) if steps[-1] else None
+        if choice is None:
+            break
+        x, a = choice
+        assigned[x] = True
+        state.assign_value(x, a)
+        steps.append(engine.run(state, queue_seed=p.constraints_of_var[x],
+                                assigned=assigned))
+    return (steps, counters.snapshot(), engine.supports.ext, engine.supports.pred,
+            state.domains_as_lists())
+
+
+def test_indexed_hac_counts_like_the_linear_scan():
+    outcomes = []
+    for p in list(_random_suite()) + list(criterion_1_suite()) + _rlfa_suite():
+        enc = build_hve(p)
+        fast = _hac_outcome(Hac, enc)
+        assert fast == _hac_outcome(_ScanHac, enc), p.name
+        outcomes.append(fast[0])
+    # refuted at the root, refuted after an assignment, and consistent
+    assert [False] in outcomes
+    assert any(len(steps) > 1 and not steps[-1] for steps in outcomes)
+    assert any(len(steps) == 3 and steps[-1] for steps in outcomes)
+
+
+def test_indexed_gac2001_counts_like_the_linear_scan_on_relations():
+    outcomes = []
+    problems = list(_random_suite()) + list(criterion_1_suite())
+    for p in problems + [_expanded(p) for p in _rlfa_suite()]:
+        fast = _gac_outcome(Gac2001, p)
+        assert fast == _gac_outcome(_ScanGac2001, p), p.name
+        outcomes.append(fast[0])
+    assert [False] in outcomes
+    assert any(len(steps) > 1 and not steps[-1] for steps in outcomes)
+    assert any(len(steps) == 3 and steps[-1] for steps in outcomes)
+
+
+def test_indexed_hac_and_gac2001_search_like_the_linear_scan(monkeypatch):
+    """Node sequences and counters of MHAC-2001, hFC3, dFC3 and MGAC-2001
+    under both orderings, which also cover pointer restores on backtrack."""
+    problems = list(_indexed_suite())[:16] + [gen_rlfa("prob1", 20, 0)]
+    runs = [(i, p, algo, ordering) for i, p in enumerate(problems)
+            for algo in ("MHAC-2001", "hFC3", "dFC3", "MGAC-2001")
+            for ordering in (search.FIXED, search.DOM_DEG)]
+    runs += [(len(problems), _expanded(problems[-1]), "MGAC-2001", ordering)
+             for ordering in (search.FIXED, search.DOM_DEG)]
+
+    def outcomes():
+        out = {}
+        for i, p, algo, ordering in runs:
+            r = search.solve(p, algo, ordering=ordering, node_limit=300,
+                             record_nodes=True)
+            out[i, algo, ordering] = (r.verdict, r.node_paths, r.counters.snapshot())
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "Hac", _ScanHac)
+        m.setattr(search, "Gac2001", _ScanGac2001)
+        expected = outcomes()
+    assert {v[0] for v in expected.values()} >= {"SAT", "UNSAT"}
+    backtracks = sum(len(paths) - max(map(len, paths), default=0)
+                     for _, paths, _ in expected.values())
+    assert backtracks >= 50
+    assert outcomes() == expected

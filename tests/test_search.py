@@ -174,6 +174,44 @@ def test_dom_deg_tie_breaks_on_lowest_index():
     assert engine.select_variable() == 0
 
 
+def _recounted_degree(engine, var):
+    """The degree of an original variable counted on every call: its duals
+    plus the residual constraints over it."""
+    problem, enc = engine.problem, engine.enc
+    if enc is None:
+        return len(problem.constraints_of_var[var])
+    return len(enc.duals_of_var[var]) + sum(
+        1 for ci in enc.residual_constraints if var in problem.constraints[ci].scope)
+
+
+def test_degrees_counted_at_build_order_like_a_recount(monkeypatch):
+    """MAC-hybrid on an rlfa instance whose four 8-ary constraints stay
+    residual: dom/deg reads degrees counted once, and visits the nodes of
+    a recount per call."""
+    from bincsp.bench import _default_hybrid_subset
+    from bincsp.gen import gen_rlfa
+    from bincsp import search
+    p = gen_rlfa("prob1", 20, 0, adjacent8=True)
+    subset, expanded = _default_hybrid_subset(p)
+    enc = build_double(p, subset, expanded=expanded)
+    assert len(enc.residual_constraints) == 4
+    engine = make_engine(enc, ALGORITHMS["MAC-hybrid"], ordering=DOM_DEG)
+    assert [engine.degree(x) for x in range(p.n)] == \
+        [_recounted_degree(engine, x) for x in range(p.n)]
+    assert any(engine.degree(x) > len(enc.duals_of_var[x]) for x in range(p.n))
+
+    def outcome():
+        r = solve(enc, "MAC-hybrid", ordering=DOM_DEG, node_limit=30,
+                  record_nodes=True)
+        return r.verdict, r.node_paths, r.counters.snapshot()
+
+    with monkeypatch.context() as m:
+        m.setattr(search.Engine, "degree", _recounted_degree)
+        expected = outcome()
+    assert len(expected[1]) > 10
+    assert outcome() == expected
+
+
 def test_dual_selected_only_when_strictly_better():
     p = six_var_linear()
     enc = build_hve(p)
