@@ -11,17 +11,15 @@ instances; a small CLI runs benchmark matrices to CSV.
 """
 
 from .core import (CapacityError, Constraint, Counters, DomainState, Predicate,
-                   Problem, ac1_fixpoint, check_tuple, enumerate_solutions,
-                   expand_predicate, is_valid, lex_compare, project,
-                   solution_check)
+                   Problem, ac1_fixpoint, enumerate_solutions, expand_predicate,
+                   is_valid, project, solution_check)
 from .encode import (Decomposition, DualVariable, EncodedProblem, build_de,
                      build_double, build_hve, induced_assignment,
                      piecewise_decomposition)
 from .propagate import (CONSISTENT, INCONSISTENT, PropagationResult, ac2001,
                         gac2001, hac, pwac, sgac_check)
-from .search import (ALGORITHMS, BOTH, DUAL_DUAL, HIDDEN_ONLY, AlgorithmSpec,
-                     SearchResult, double_ac, make_engine, prepare_model,
-                     solve)
+from .search import (ALGORITHMS, DUAL_DUAL, HIDDEN_ONLY, AlgorithmSpec,
+                     SearchResult, double_ac, make_engine, prepare_model, solve)
 from .gen import (CrosswordSpec, ModelBParams, gen_clique_embedded,
                   gen_config_like, gen_crossword, gen_model_b,
                   gen_parity_chain, gen_rlfa, tshirt_problem)

@@ -339,18 +339,6 @@ class DomainState:
         return [self.live_tuples(v) for v in range(len(self.dual_masks))]
 
 
-def lex_compare(t1: Sequence[int], t2: Sequence[int]) -> int:
-    """Total lexicographic order; returns -1, 0 or 1. Arities must match."""
-    if len(t1) != len(t2):
-        raise ValueError(f"arity mismatch: {len(t1)} vs {len(t2)}")
-    for a, b in zip(t1, t2):
-        if a < b:
-            return -1
-        if a > b:
-            return 1
-    return 0
-
-
 def project(t: Sequence[int], scope: Sequence[int], sub: Sequence[int]) -> tuple:
     """Sub-tuple of t at the positions of sub (in sub's order)."""
     position = {x: i for i, x in enumerate(scope)}
@@ -358,21 +346,6 @@ def project(t: Sequence[int], scope: Sequence[int], sub: Sequence[int]) -> tuple
         return tuple(t[position[x]] for x in sub)
     except KeyError as e:
         raise ValueError(f"variable {e.args[0]} not in scope {tuple(scope)}") from None
-
-
-def check_tuple(problem: Problem, c: Constraint, t: Sequence[int],
-                counters: Optional[Counters] = None) -> bool:
-    """One consistency check: is t allowed by c? Counts one tuple check."""
-    if counters is not None:
-        counters.checks += 1
-    t = tuple(t)
-    if len(t) != c.arity:
-        raise ValueError(f"tuple arity {len(t)} != constraint arity {c.arity}")
-    if c.relation is not None:
-        rel = c.relation
-        i = bisect_left(rel, t)
-        return i < len(rel) and rel[i] == t
-    return c.predicate.holds(problem.tuple_labels(c, t))
 
 
 def is_valid(t: Sequence[int], scope: Sequence[int], state: DomainState,

@@ -1,5 +1,12 @@
 """Arc consistency engines: GAC-2001, HAC, AC-2001 and PW-AC.
 
+GAC-2001 and HAC are one algorithm on two representations, and share one
+constraint-queue fixpoint, `UnitFixpoint`: its units are the constraints
+(GAC-2001) or the duals (HAC), `run` sweeps then drains the queue,
+`revise_units` is one revision pass over the units it is given, and each
+engine supplies only its per-arc step, `revise_arc(unit, pos, state) ->
+(deleted, wiped)`.
+
 Counting discipline shared by GAC-2001 and HAC: a support search counts as
 the scan of the sorted tuple list from the stored pointer onward, every
 scanned index one tuple check; testing the stored support itself costs
@@ -16,11 +23,12 @@ rely on. On a predicate, GAC-2001 enumerates candidate tuples instead (see
 `_pred_enum`); the separation kinds read byte-lane rows of `core.GapRows`
 there. PW-AC performs no tuple checks at all: its work is counter updates.
 
-AC-2001 on the binary views keeps one support pointer per piecewise group
-and revises the live values of a group together, but counts checks and
-micro-ops exactly as the lexicographic scan with one pointer per value
-would (see `Ac2001`), which relies on domain masks holding only 0 and 1
-bytes.
+AC-2001 runs on one binary view of any encoding, `BinaryView`: the duals
+and dual-dual arcs, plus the originals and hidden arcs when the encoding
+has them. It keeps one support pointer per piecewise group and revises
+the live values of a group together, but counts checks and micro-ops
+exactly as the lexicographic scan with one pointer per value would (see
+`Ac2001`), which relies on domain masks holding only 0 and 1 bytes.
 
 PW-AC keeps one counter array per piecewise decomposition, and a
 decomposition is shared by every pair in which its dual shares the same
@@ -44,7 +52,7 @@ from typing import Iterable, Optional, Sequence
 
 from .core import (Counters, DomainState, GapRows, Problem, is_valid,
                    value_index)
-from .encode import DE, EncodedProblem
+from .encode import EncodedProblem
 
 CONSISTENT = "CONSISTENT"
 INCONSISTENT = "INCONSISTENT"
@@ -93,23 +101,73 @@ def _sweep_then_queue(sweep: Iterable, queue: _Queue):
 
 
 # ---------------------------------------------------------------------------
+# The constraint-queue fixpoint of GAC-2001 and HAC
+
+
+class UnitFixpoint:
+    """The revision fixpoint GAC-2001 and HAC share. Its units are the
+    constraints of a non-binary problem (GAC-2001) or the duals of a hidden
+    encoding (HAC).
+
+    A subclass sets `scopes` (per unit, its variables in scope order) and
+    `units_of_var` (per original variable, the units over it in ascending
+    order), and supplies its one per-arc step, `revise_arc(unit, pos,
+    state) -> (deleted, wiped)`: revise the variable at `pos` of the unit
+    against the unit, reporting whether a value was deleted and whether a
+    deletion wiped out a unit.
+    """
+
+    def revise_units(self, units: Iterable[int], state: DomainState,
+                     assigned: Sequence[bool], requeue=None) -> bool:
+        """One revision pass: each unassigned variable of each unit once,
+        units in the order given and variables in scope order. False on a
+        wipeout. `requeue(x)` is called after each arc that deleted a value
+        of x; `run` feeds its queue in as `units`, so that one call revises
+        every unit it pops."""
+        revise_arc, counts, scopes = self.revise_arc, state.counts, self.scopes
+        for unit in units:
+            for pos, x in enumerate(scopes[unit]):
+                if assigned[x]:
+                    continue
+                deleted, wiped = revise_arc(unit, pos, state)
+                if wiped:
+                    return False
+                if deleted:
+                    if counts[x] == 0:
+                        return False
+                    if requeue is not None:
+                        requeue(x)
+        return True
+
+    def run(self, state: DomainState, queue_seed: Optional[Iterable[int]] = None,
+            assigned: Optional[Sequence[bool]] = None,
+            subset: Optional[Sequence[int]] = None) -> bool:
+        """Revise every unit once in index order, then the queued ones to a
+        fixpoint; with `queue_seed`, start from the queue of those units
+        instead. With `subset`, only those units are revised and queued.
+        A deletion queues the units over the variable it came from. False
+        on a wipeout."""
+        ids = list(subset) if subset is not None else range(len(self.scopes))
+        idset = set(ids)
+        if assigned is None:
+            assigned = [False] * len(state.masks)
+        if queue_seed is None:
+            sweep, queue = ids, _Queue()
+        else:
+            sweep, queue = (), _Queue(u for u in queue_seed if u in idset)
+        units_of_var = self.units_of_var
+
+        def requeue(x):
+            for u in units_of_var[x]:
+                if u in idset:
+                    queue.push(u)
+
+        return self.revise_units(_sweep_then_queue(sweep, queue), state, assigned,
+                                 requeue)
+
+
+# ---------------------------------------------------------------------------
 # GAC-2001 on the non-binary representation
-
-
-class GacSupports:
-    """currentSupport pointers for extensional constraints plus last-support
-    tuples for predicate constraints."""
-
-    def __init__(self, problem: Problem):
-        self.ext = []
-        self.pred = []
-        for c in problem.constraints:
-            if c.relation is not None:
-                self.ext.append([[-1] * problem.domain_size(x) for x in c.scope])
-                self.pred.append(None)
-            else:
-                self.ext.append(None)
-                self.pred.append([[None] * problem.domain_size(x) for x in c.scope])
 
 
 def _pred_enum(problem, c, pos, a, state, after, tight0, counters, tables):
@@ -190,9 +248,13 @@ def constraint_has_valid_tuple(problem, c, tables, state, counters=None) -> bool
                       tables) is not None
 
 
-class Gac2001:
-    """Constraint-queue GAC-2001. Does not maintain tuple liveness; validity
-    is per-position work.
+class Gac2001(UnitFixpoint):
+    """Constraint-queue GAC-2001: the units are the constraints. Does not
+    maintain tuple liveness; validity is per-position work.
+
+    `supports[ci][pos][a]` is the current support of value a at position
+    pos of constraint ci: a relation's tuple index (-1 before the first
+    search), or a predicate's last support tuple (None before).
 
     `remove_value(state, x, a)`, if given, replaces the default removal of a
     value that lost its support (the double encoding passes one that also
@@ -205,7 +267,11 @@ class Gac2001:
                  remove_value=None):
         self.problem = problem
         self.counters = counters if counters is not None else Counters()
-        self.supports = GacSupports(problem)
+        self.scopes = [c.scope for c in problem.constraints]
+        self.units_of_var = problem.constraints_of_var
+        self.supports = [[[-1 if c.relation is not None else None]
+                          * problem.domain_size(x) for x in c.scope]
+                         for c in problem.constraints]
         self.rels = [c.relation for c in problem.constraints]
         rows = GapRows()
         self.gap_tables = [rows.tables(problem, c) for c in problem.constraints]
@@ -213,8 +279,10 @@ class Gac2001:
         self.index = [None] * len(problem.constraints)
         self.remove = remove_value if remove_value is not None else self.remove_value
 
-    def revise_arc(self, ci: int, pos: int, state: DomainState) -> bool:
-        """Revise one (variable, constraint) arc; True if a value was deleted.
+    def revise_arc(self, ci: int, pos: int, state: DomainState) -> tuple:
+        """Revise one (variable, constraint) arc. Returns (deleted, False):
+        GAC-2001 deletes no tuples, so no unit wipes out here (a hybrid's
+        `remove_value` records the dual wipeouts its removals cause).
 
         On a relation, the support search reads the tuples holding a at pos
         after the pointer from the value index and tests each for validity.
@@ -226,19 +294,18 @@ class Gac2001:
         scope = c.scope
         x = scope[pos]
         rel = self.rels[ci]
+        pointers = self.supports[ci][pos]
         if rel is not None:
-            pointers = self.supports.ext[ci][pos]
             if self.index[ci] is None:
                 self.index[ci] = value_index(rel, map(problem.domain_size, scope))
             by_value = self.index[ci][pos]
             end = len(rel) - 1
         else:
-            lasts = self.supports.pred[ci][pos]
             tables = self.gap_tables[ci]
         deleted = False
         for a in state.live_values(x):
+            ptr = pointers[a]
             if rel is not None:
-                ptr = pointers[a]
                 if ptr >= 0 and is_valid(rel[ptr], scope, state, counters, skip_pos=pos):
                     continue
                 cands = by_value[a]
@@ -252,47 +319,20 @@ class Gac2001:
                     state.set_slot(pointers, a, support)
                     continue
             else:
-                last = lasts[a]
-                if last is not None and is_valid(last, scope, state, counters, skip_pos=pos):
+                if ptr is not None and is_valid(ptr, scope, state, counters, skip_pos=pos):
                     continue
-                t = _pred_enum(problem, c, pos, a, state, last or (-1,) * c.arity,
-                               last is not None, counters, tables)
+                t = _pred_enum(problem, c, pos, a, state, ptr or (-1,) * c.arity,
+                               ptr is not None, counters, tables)
                 if t is not None:
-                    state.set_slot(lasts, a, t)
+                    state.set_slot(pointers, a, t)
                     continue
             self.remove(state, x, a)
             deleted = True
-        return deleted
+        return deleted, False
 
     def remove_value(self, state, x, a):
         state.remove_value(x, a)
         self.counters.value_removals += 1
-
-    def run(self, state: DomainState, queue_seed: Optional[Iterable[int]] = None,
-            assigned: Optional[Sequence[bool]] = None,
-            constraint_subset: Optional[Sequence[int]] = None) -> bool:
-        """Revise every constraint once in index order, then the queued ones
-        to a fixpoint; with `queue_seed`, start from the queue of those
-        constraints instead. False on a wipeout."""
-        problem = self.problem
-        ids = list(constraint_subset) if constraint_subset is not None else list(
-            range(len(problem.constraints)))
-        idset = set(ids)
-        if queue_seed is None:
-            sweep, queue = ids, _Queue()
-        else:
-            sweep, queue = (), _Queue(ci for ci in queue_seed if ci in idset)
-        for ci in _sweep_then_queue(sweep, queue):
-            for pos, x in enumerate(problem.constraints[ci].scope):
-                if assigned is not None and assigned[x]:
-                    continue
-                if self.revise_arc(ci, pos, state):
-                    if state.counts[x] == 0:
-                        return False
-                    for cj in problem.constraints_of_var[x]:
-                        if cj in idset:
-                            queue.push(cj)
-        return True
 
 
 def gac2001(problem: Problem, state: Optional[DomainState] = None,
@@ -311,10 +351,11 @@ def gac2001(problem: Problem, state: Optional[DomainState] = None,
 # HAC on the hidden variable encoding
 
 
-class Hac:
-    """HAC: GAC-2001 adapted to the HVE. Tuple validity is a dual-domain
-    lookup and value deletions eagerly delete the tuples carrying them from
-    every adjacent dual variable, reporting a dual wipeout at once.
+class Hac(UnitFixpoint):
+    """HAC: GAC-2001 adapted to the HVE, the units being the duals. Tuple
+    validity is a dual-domain lookup and value deletions eagerly delete the
+    tuples carrying them from every adjacent dual variable, reporting a
+    dual wipeout at once.
 
     `delete_value(state, x, a) -> bool`, if given, replaces that deletion
     (the double encoding passes one that maintains its group counters);
@@ -325,6 +366,8 @@ class Hac:
                  delete_value=None):
         self.enc = enc
         self.counters = counters if counters is not None else Counters()
+        self.scopes = [v.scope for v in enc.duals]
+        self.units_of_var = enc.duals_of_var
         sizes = [enc.problem.domain_size(x) for x in range(enc.problem.n)]
         self.supports = [[[-1] * sizes[x] for x in v.scope] for v in enc.duals]
         self.delete = delete_value if delete_value is not None else self.delete_value
@@ -347,17 +390,19 @@ class Hac:
                 ok = False
         return ok
 
-    def revise_arc(self, x: int, v: int, state: DomainState):
-        """Revise original x against dual v. Returns (deleted, wiped).
+    def revise_arc(self, v: int, pos: int, state: DomainState) -> tuple:
+        """Revise the original at `pos` of dual v against v. Returns
+        (deleted, wiped).
 
-        The support search reads the tuples holding a at x's position after
-        the pointer from `tuples_by_pos_val`, one micro-op per tuple it
-        tests for liveness. It counts the checks of the lexicographic scan
-        from the pointer, which steps over every tuple index from pointer
-        + 1 up to the support, or to the end of the dual's tuples."""
-        enc, counters = self.enc, self.counters
-        dual = enc.duals[v]
-        pos = dual.position[x]
+        The support search reads the tuples holding a at that position
+        after the pointer from `tuples_by_pos_val`, one micro-op per tuple
+        it tests for liveness. It counts the checks of the lexicographic
+        scan from the pointer, which steps over every tuple index from
+        pointer + 1 up to the support, or to the end of the dual's
+        tuples."""
+        counters = self.counters
+        dual = self.enc.duals[v]
+        x = dual.scope[pos]
         by_value = dual.tuples_by_pos_val[pos]
         end = len(dual.tuples) - 1
         pointers = self.supports[v][pos]
@@ -390,33 +435,13 @@ class Hac:
 
     def run(self, state: DomainState, queue_seed: Optional[Iterable[int]] = None,
             assigned: Optional[Sequence[bool]] = None,
-            dual_subset: Optional[Sequence[int]] = None) -> bool:
-        """As `Gac2001.run`, over duals: every dual once, then the queued
-        ones; with `queue_seed`, start from the queue of those duals. False
-        on any wipeout."""
-        enc = self.enc
-        ids = list(dual_subset) if dual_subset is not None else [v.id for v in enc.duals]
-        idset = set(ids)
-        if any(state.dual_counts[v] == 0 for v in ids):
+            subset: Optional[Sequence[int]] = None) -> bool:
+        """`UnitFixpoint.run`, failing at once when a dual it would revise
+        is already empty."""
+        ids = subset if subset is not None else range(len(self.scopes))
+        if not all(state.dual_counts[v] for v in ids):
             return False
-        if queue_seed is None:
-            sweep, queue = ids, _Queue()
-        else:
-            sweep, queue = (), _Queue(v for v in queue_seed if v in idset)
-        for v in _sweep_then_queue(sweep, queue):
-            for x in enc.duals[v].scope:
-                if assigned is not None and assigned[x]:
-                    continue
-                deleted, wiped = self.revise_arc(x, v, state)
-                if wiped:
-                    return False
-                if deleted:
-                    if state.counts[x] == 0:
-                        return False
-                    for v_l in enc.duals_of_var[x]:
-                        if v_l in idset:
-                            queue.push(v_l)
-        return True
+        return super().run(state, queue_seed, assigned, subset)
 
 
 def hac(enc: EncodedProblem, state: Optional[DomainState] = None,
@@ -432,65 +457,28 @@ def hac(enc: EncodedProblem, state: Optional[DomainState] = None,
 
 
 # ---------------------------------------------------------------------------
-# Generic AC-2001 over a binary view (DE, or the full double encoding)
+# Generic AC-2001 over the binary view of an encoding
 
 
-class DeView:
-    """Binary view of the dual encoding: variables are the duals, one arc per
-    dual-dual constraint, compatibility is equal projection keys.
+class BinaryView:
+    """Binary view of an encoding. Its variables are the originals, when
+    the encoding has them, then the duals, so a dual encoding's variables
+    are its duals with ids 0..m-1. Its arcs are the hidden arcs
+    (projection equality), then one per dual-dual constraint (equal
+    projection keys).
 
     sides[arc][side] is a (group_of, members, peer_members) triple for
     revising that side: value a is in group group_of[a], members[g] lists
     the values of group g, and peer_members[g] the peer values compatible
     with every one of them, each in ascending order. A dual-dual arc reuses
-    its pair's decompositions.
+    its pair's decompositions. On a hidden arc (v, x, pos) a tuple's group
+    is its value at pos, whose members are v's `tuples_by_pos_val[pos]`,
+    and each value of x is a group of its own.
     """
 
     def __init__(self, enc: EncodedProblem):
         self.enc = enc
-        self.bvars = [("dual", v.id) for v in enc.duals]
-        self.arcs = [("pair", pair) for pair in enc.dual_pairs]
-        self.ends = [(pair.v1, pair.v2) for pair in enc.dual_pairs]
-        self.sides = _pair_sides(enc.dual_pairs)
-        self._build_adjacency()
-
-    def _build_adjacency(self):
-        self.adjacency = [[] for _ in self.bvars]
-        for arc_id, (b0, b1) in enumerate(self.ends):
-            self.adjacency[b0].append((arc_id, 0))
-            self.adjacency[b1].append((arc_id, 1))
-
-    def masks(self, state):
-        """The domain mask of every binary variable, indexed like `bvars`."""
-        return state.dual_masks
-
-    def remove(self, b, val, state, counters):
-        kind, ident = self.bvars[b]
-        if kind == "dual":
-            state.remove_tuple(ident, val)
-            counters.tuple_removals += 1
-            return state.dual_counts[ident]
-        state.remove_value(ident, val)
-        counters.value_removals += 1
-        return state.counts[ident]
-
-
-def _pair_sides(pairs):
-    return [((pair.side1.tuple_group, pair.side1.members, pair.side2.members),
-             (pair.side2.tuple_group, pair.side2.members, pair.side1.members))
-            for pair in pairs]
-
-
-class DoubleView(DeView):
-    """Binary view of a hidden or double encoding: originals + duals, the
-    hidden arcs (projection equality) plus any dual-dual arcs. On a hidden
-    arc (v, x, pos) a tuple's group is its value at pos, whose members are
-    v's `tuples_by_pos_val[pos]`, and each value of x is a group of its
-    own."""
-
-    def __init__(self, enc: EncodedProblem):
-        self.enc = enc
-        n = enc.problem.n
+        n = enc.problem.n if enc.has_originals else 0
         self.bvars = [("orig", x) for x in range(n)] + [("dual", v.id) for v in enc.duals]
         self.arcs = [("hidden", h) for h in enc.hidden] + \
                     [("pair", pair) for pair in enc.dual_pairs]
@@ -507,11 +495,29 @@ class DoubleView(DeView):
             ones = singletons[size]
             self.sides.append(((list(map(itemgetter(pos), dual.tuples)), by_value, ones),
                                (range(size), ones, by_value)))
-        self.sides += _pair_sides(enc.dual_pairs)
-        self._build_adjacency()
+        self.sides += [((pair.side1.tuple_group, pair.side1.members, pair.side2.members),
+                        (pair.side2.tuple_group, pair.side2.members, pair.side1.members))
+                       for pair in enc.dual_pairs]
+        self.adjacency = [[] for _ in self.bvars]
+        for arc_id, (b0, b1) in enumerate(self.ends):
+            self.adjacency[b0].append((arc_id, 0))
+            self.adjacency[b1].append((arc_id, 1))
 
     def masks(self, state):
-        return state.masks + state.dual_masks
+        """The domain mask of every binary variable, indexed like `bvars`."""
+        if self.enc.has_originals:
+            return state.masks + state.dual_masks
+        return state.dual_masks
+
+    def remove(self, b, val, state, counters):
+        kind, ident = self.bvars[b]
+        if kind == "dual":
+            state.remove_tuple(ident, val)
+            counters.tuple_removals += 1
+            return state.dual_counts[ident]
+        state.remove_value(ident, val)
+        counters.value_removals += 1
+        return state.counts[ident]
 
 
 class Ac2001:
@@ -625,11 +631,9 @@ class Ac2001:
 def ac2001(view_or_enc, state: Optional[DomainState] = None,
            queue_seed: Optional[Iterable[int]] = None,
            counters: Optional[Counters] = None) -> PropagationResult:
-    """AC-2001 on a binary view. An EncodedProblem of kind DE is viewed as
-    its dual-dual network; any other kind as its originals and duals with
-    every hidden and dual-dual arc."""
+    """AC-2001 on a binary view, or on the `BinaryView` of an encoding."""
     if isinstance(view_or_enc, EncodedProblem):
-        view = DeView(view_or_enc) if view_or_enc.kind == DE else DoubleView(view_or_enc)
+        view = BinaryView(view_or_enc)
         if state is None:
             state = view_or_enc.fresh_state()
     else:

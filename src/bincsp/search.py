@@ -19,10 +19,17 @@ and solution extraction (`induced_assignment` for an encoded model, the
 first live values for a `Problem`). A subclass supplies root propagation
 and lookahead, and overrides branching only where its lane branches
 differently: `HveEngine` also on duals (MHAC-2001-full) and with deletions
-pushed into the duals, `DeEngine` on duals only. `HveEngine.lookahead` is
-the one forward-checking level dispatch of the encoded lanes; its
-`DoubleEngine` subclass supplies the double encoding's propagation steps,
-and `double_ac` is that engine's root propagation, run on its own.
+pushed into the duals, `DeEngine` on duals only.
+
+`FixpointEngine` holds the one forward-checking level dispatch and the MAC
+seeding of every lane whose propagator is a `propagate.UnitFixpoint`:
+`NonBinaryEngine` (GAC-2001 over constraints) and `HveEngine` (HAC over
+duals), and through `HveEngine` the double encoding's `DoubleEngine`,
+which replaces the propagation steps; `double_ac` is that engine's root
+propagation, run on its own. Each lane keeps only its level-0/1 step and
+its wipe-out test. At the root every forward-checking lane revises its
+units of arity 1 (unary constraints) once. MAC-2001 and MAC-2001d run
+AC-2001 on the `propagate.BinaryView` of their encoding.
 
 Search below the root attaches the engine's trail to its `DomainState`,
 so deletions and pointer moves made by the propagators are trailed where
@@ -43,8 +50,8 @@ from .core import (Counters, DEFAULT_EXPANSION_BUDGET, DomainState, Problem,
                    solution_check)
 from .encode import (DE, DOUBLE, HVE, HYBRID, EncodedProblem, build_de,
                      build_double, build_hve, induced_assignment)
-from .propagate import (Ac2001, DeView, DoubleView, Gac2001, Hac,
-                        PropagationResult, PwAc, constraint_has_valid_tuple)
+from .propagate import (Ac2001, BinaryView, Gac2001, Hac, PropagationResult,
+                        PwAc, constraint_has_valid_tuple)
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -231,9 +238,9 @@ class Engine:
         if self.ordering == FIXED:
             return candidates[0]
         best = candidates[0]
-        best_dom, best_deg = self.live_count(best), max(self.degree(best), 0)
+        best_dom, best_deg = self.live_count(best), self.degree(best)
         for var in candidates[1:]:
-            dom, deg = self.live_count(var), max(self.degree(var), 0)
+            dom, deg = self.live_count(var), self.degree(var)
             # dom/deg comparison by cross-multiplication; zero degree = infinity
             if best_deg == 0 and deg == 0:
                 continue
@@ -329,73 +336,102 @@ def _fc_selected(scopes, assigned, currents, level):
 
 
 # ---------------------------------------------------------------------------
+# the lanes of one unit fixpoint: GAC-2001 (nFC, MGAC) and HAC (hFC, dFC, MAC)
+
+
+class FixpointEngine(Engine):
+    """Search on the original variables with a `UnitFixpoint` propagator,
+    whose units are constraints (GAC-2001) or duals (HAC).
+
+    It holds the one forward-checking level dispatch and the MAC seeding of
+    both lanes. A lane supplies `_make_fixpoint`, its level-0/1 step
+    (`_fc_low_level`) and its wipe-out test (`_no_empty_unit`); the double
+    encoding's `DoubleEngine` also replaces the propagation steps
+    `_maintain` (MAC), `_revise_selected` (levels 2 and 4, and the root of
+    every level) and `_restricted_fixpoint` (levels 3 and 5)."""
+
+    def __init__(self, model, spec: AlgorithmSpec, **kw):
+        super().__init__(model, spec, **kw)
+        self.fixpoint = self._make_fixpoint()
+        self.scopes = [set(scope) for scope in self.fixpoint.scopes]
+
+    def _make_fixpoint(self):
+        raise NotImplementedError
+
+    def root_propagate(self) -> bool:
+        """Fail on an empty domain, original or dual. MAC then runs the
+        fixpoint over every unit; forward checking revises each unit of
+        arity 1 once, as no assignment ever selects one."""
+        state = self.state
+        # a plain problem's state has no duals (dual_counts None)
+        if not (all(state.counts) and all(state.dual_counts or ())):
+            return False
+        if self.spec.scheme == "MAC":
+            return self._maintain()
+        return self._revise_selected([u for u, scope in enumerate(self.fixpoint.scopes)
+                                      if len(scope) == 1])
+
+    def lookahead(self, var) -> bool:
+        if isinstance(var, tuple):  # a dual assignment makes its scope current
+            current_vars = self.enc.duals[var[1]].scope
+        else:
+            current_vars = (var,)
+        if self.spec.scheme == "MAC":
+            return self._maintain(current_vars)
+        level = self.spec.level
+        if level <= 1:
+            return self._fc_low_level(current_vars)
+        selected = _fc_selected(self.scopes, self.assigned, set(current_vars),
+                                level)
+        if level in (2, 4):
+            ok = self._revise_selected(selected)
+        else:
+            ok = self._restricted_fixpoint(selected)
+        return ok and self._no_empty_unit()
+
+    def _fc_low_level(self, current_vars) -> bool:
+        raise NotImplementedError
+
+    def _no_empty_unit(self) -> bool:
+        raise NotImplementedError
+
+    def _maintain(self, current_vars=None) -> bool:
+        """MAC: the fixpoint from the units over the variables just
+        assigned, or from every unit at the root."""
+        seed = None
+        if current_vars is not None:
+            units_of_var = self.fixpoint.units_of_var
+            seed = [u for x in current_vars for u in units_of_var[x]]
+        return self.fixpoint.run(self.state, queue_seed=seed, assigned=self.assigned)
+
+    def _revise_selected(self, selected) -> bool:
+        """One revision pass over the selected units, in order."""
+        return self.fixpoint.revise_units(selected, self.state, self.assigned)
+
+    def _restricted_fixpoint(self, selected) -> bool:
+        return self.fixpoint.run(self.state, queue_seed=selected,
+                                 assigned=self.assigned, subset=selected)
+
+
+# ---------------------------------------------------------------------------
 # non-binary lane: nFC0..nFC5 and MGAC-2001
 
 
-class NonBinaryEngine(Engine):
-    def __init__(self, problem: Problem, spec: AlgorithmSpec, **kw):
-        super().__init__(problem, spec, **kw)
-        self.gac = Gac2001(problem, self.counters)
-        self.scopes = [set(c.scope) for c in problem.constraints]
-        self._apply_unary_filters()
+class NonBinaryEngine(FixpointEngine):
+    def _make_fixpoint(self) -> Gac2001:
+        return Gac2001(self.problem, self.counters)
 
-    def _apply_unary_filters(self):
-        for c in self.problem.constraints:
-            if c.arity != 1:
-                continue
-            x = c.scope[0]
-            allowed = ({t[0] for t in c.relation} if c.relation is not None else
-                       {a for a in range(self.problem.domain_size(x))
-                        if c.predicate.holds((self.problem.domains[x][a],))})
-            for a in self.state.live_values(x):
-                if a not in allowed:
-                    self.state.remove_value(x, a)
+    def _fc_low_level(self, current_vars) -> bool:
+        """nFC0/nFC1: revise the constraints left with one unassigned
+        variable."""
+        return self._revise_selected(_fc_selected(
+            self.scopes, self.assigned, set(current_vars), self.spec.level))
 
-    def root_propagate(self) -> bool:
-        if not all(self.state.counts):
-            return False
-        if self.spec.scheme == "MAC":
-            return self.gac.run(self.state, assigned=self.assigned)
-        return True
-
-    def _revise_constraint(self, ci) -> bool:
-        """Revise every unassigned variable of a constraint once; False on an
-        original-domain wipeout."""
-        c = self.problem.constraints[ci]
-        for pos, x in enumerate(c.scope):
-            if self.assigned[x]:
-                continue
-            if self.gac.revise_arc(ci, pos, self.state):
-                if self.state.counts[x] == 0:
-                    return False
-        return True
-
-    def lookahead(self, var) -> bool:
-        spec = self.spec
-        if spec.scheme == "MAC":
-            return self.gac.run(self.state,
-                                queue_seed=self.problem.constraints_of_var[var],
-                                assigned=self.assigned)
-        level = spec.level
-        selected = _fc_selected(self.scopes, self.assigned, {var}, level)
-        if level in (0, 1, 2, 4):
-            for ci in selected:
-                if not self._revise_constraint(ci):
-                    return False
-            if level in (2, 4):
-                return self._no_empty_relation()
-            return True
-        # levels 3 and 5: fixpoint restricted to the selected constraints
-        if not self.gac.run(self.state, queue_seed=selected,
-                            assigned=self.assigned, constraint_subset=selected):
-            return False
-        return self._no_empty_relation()
-
-    def _no_empty_relation(self) -> bool:
+    def _no_empty_unit(self) -> bool:
         """No constraint may have an empty valid-tuple set: the non-binary
         analogue of a dual-domain wipeout, which the hidden encoding detects
         eagerly in constraints its lookahead set never revisits."""
-        gap_tables = self.gac.gap_tables
+        gap_tables = self.fixpoint.gap_tables
         for ci, c in enumerate(self.problem.constraints):
             if not constraint_has_valid_tuple(self.problem, c, gap_tables[ci],
                                               self.state, self.counters):
@@ -407,34 +443,22 @@ class NonBinaryEngine(Engine):
 # HVE lane: hFC0..hFC5, MHAC-2001, MHAC-2001-full
 
 
-class HveEngine(Engine):
+class HveEngine(FixpointEngine):
     """Search on the originals of an encoding with hidden constraints. A
-    value deletion also deletes the tuples carrying it, and the lookahead
-    is one forward-checking level dispatch over three propagation steps
-    that the double encoding's `DoubleEngine` replaces: `_maintain` (MAC),
-    `_revise_selected` (levels 2 and 4) and `_restricted_fixpoint` (levels
-    3 and 5)."""
+    value deletion also deletes the tuples carrying it, so a dual can wipe
+    out without being revised; MHAC-2001-full also branches on duals."""
 
     def __init__(self, enc: EncodedProblem, spec: AlgorithmSpec, **kw):
         if not enc.has_originals:
             raise ValueError("HVE lane needs an encoding with original variables")
         super().__init__(enc, spec, **kw)
         self.dual_assigned = [False] * len(enc.duals)
-        self.hac = self._make_hac()
-        self.scopes = [set(v.scope) for v in enc.duals]
         self.pruned_duals: list = []
         # only FC+ (level 1) revises the duals that lost tuples at this node
         self.track_pruned = spec.scheme == "FC" and spec.level == 1
 
-    def _make_hac(self) -> Hac:
+    def _make_fixpoint(self) -> Hac:
         return Hac(self.enc, self.counters)
-
-    def root_propagate(self) -> bool:
-        if not self._no_wiped_dual():
-            return False
-        if self.spec.scheme == "MAC":
-            return self._maintain()
-        return True
 
     def branch_candidates(self) -> list:
         out = super().branch_candidates()
@@ -465,9 +489,9 @@ class HveEngine(Engine):
     def delete_value(self, x, a) -> bool:
         # also deletes the tuples carrying the value
         if not self.track_pruned:
-            return self.hac.delete(self.state, x, a)
+            return self.fixpoint.delete(self.state, x, a)
         before = {v: self.state.dual_counts[v] for v in self.enc.duals_of_var[x]}
-        ok = self.hac.delete(self.state, x, a)
+        ok = self.fixpoint.delete(self.state, x, a)
         for v, cnt in before.items():
             if self.state.dual_counts[v] != cnt:
                 self.pruned_duals.append(v)
@@ -499,58 +523,15 @@ class HveEngine(Engine):
                 ok = False
         return ok
 
-    def revise_dual(self, v) -> bool:
-        """One revision pass of a dual against its unassigned originals;
-        False on any wipeout (dual or original)."""
-        for x in self.enc.duals[v].scope:
-            if self.assigned[x]:
-                continue
-            deleted, wiped = self.hac.revise_arc(x, v, self.state)
-            if wiped:
-                return False
-            if deleted and self.state.counts[x] == 0:
-                return False
-        return True
+    def _fc_low_level(self, current_vars) -> bool:
+        """hFC0 only checks for an empty dual; hFC1 first revises once each
+        dual that lost tuples at this node, against its originals only."""
+        if self.spec.level == 1 and not self.fixpoint.revise_units(
+                sorted(set(self.pruned_duals)), self.state, self.assigned):
+            return False
+        return self._no_empty_unit()
 
-    def lookahead(self, var) -> bool:
-        if isinstance(var, tuple):  # a dual assignment makes its scope current
-            current_vars = self.enc.duals[var[1]].scope
-        else:
-            current_vars = (var,)
-        if self.spec.scheme == "MAC":
-            return self._maintain(current_vars)
-        level = self.spec.level
-        if level == 1:
-            for v in sorted(set(self.pruned_duals)):
-                if not self.revise_dual(v):
-                    return False
-        if level <= 1:
-            return self._no_wiped_dual()
-        selected = _fc_selected(self.scopes, self.assigned, set(current_vars),
-                                level)
-        if level in (2, 4):
-            return self._revise_selected(selected) and self._no_wiped_dual()
-        return self._restricted_fixpoint(selected)
-
-    def _maintain(self, current_vars=None) -> bool:
-        """MAC: HAC from the duals over the variables just assigned, or
-        from every dual at the root."""
-        seed = None
-        if current_vars is not None:
-            seed = [v for x in current_vars for v in self.enc.duals_of_var[x]]
-        return self.hac.run(self.state, queue_seed=seed, assigned=self.assigned)
-
-    def _revise_selected(self, selected) -> bool:
-        for v in selected:
-            if not self.revise_dual(v):
-                return False
-        return True
-
-    def _restricted_fixpoint(self, selected) -> bool:
-        return self.hac.run(self.state, queue_seed=selected,
-                            assigned=self.assigned, dual_subset=selected)
-
-    def _no_wiped_dual(self) -> bool:
+    def _no_empty_unit(self) -> bool:
         return all(self.state.dual_counts)
 
 
@@ -586,7 +567,7 @@ class DoubleEngine(HveEngine):
                              if enc.residual_constraints else None)
         self._residual_wiped = False
 
-    def _make_hac(self) -> Hac:
+    def _make_fixpoint(self) -> Hac:
         # tuple deletions must maintain the group counters
         return Hac(self.enc, self.counters, delete_value=self._delete_value_via_pw)
 
@@ -630,7 +611,7 @@ class DoubleEngine(HveEngine):
         """One round of residual GAC; returns (consistent, deleted_anything)."""
         before = self.counters.value_removals
         ok = self.residual_gac.run(self.state, assigned=self.assigned,
-                                   constraint_subset=self.enc.residual_constraints)
+                                   subset=self.enc.residual_constraints)
         return ok and not self._residual_wiped, self.counters.value_removals > before
 
     def _residual_remove(self, state, x, a):
@@ -641,6 +622,7 @@ class DoubleEngine(HveEngine):
         """One pass over the selected duals: piecewise revision against the
         selected peers, then revision of the unassigned adjacent originals."""
         sel = set(selected)
+        revise_units = self.fixpoint.revise_units
         for v in selected:
             for pair_index in self.enc.pairs_of_dual[v]:
                 pair = self.enc.dual_pairs[pair_index]
@@ -648,7 +630,7 @@ class DoubleEngine(HveEngine):
                     continue
                 if not self._revise_pair_side(pair, v):
                     return False
-            if not self.revise_dual(v):
+            if not revise_units((v,), self.state, self.assigned):
                 return False
         return True
 
@@ -680,22 +662,21 @@ class DoubleEngine(HveEngine):
 
 HIDDEN_ONLY = "HIDDEN_ONLY"
 DUAL_DUAL = "DUAL_DUAL"
-BOTH = "BOTH"
 
 
-def double_ac(enc: EncodedProblem, mode: str = BOTH) -> PropagationResult:
+def double_ac(enc: EncodedProblem, mode: str = DUAL_DUAL) -> PropagationResult:
     """AC on the double (or hybrid) encoding: the root propagation of a MAC
-    `DoubleEngine`, in one of three modes.
+    `DoubleEngine`, in one of two modes.
 
     DUAL_DUAL runs PW-AC between the duals plus the rule that an original
     value dies with its last supporting tuple in some adjacent dual. That
-    rule enforces exactly the hidden constraints' filtering, so BOTH is the
-    same fixpoint and the same run. HIDDEN_ONLY (HVE-level consistency) runs
+    rule enforces exactly the hidden constraints' filtering, so this is AC
+    on the whole double encoding. HIDDEN_ONLY (HVE-level consistency) runs
     the engine on the encoding without its dual-dual constraints, where the
     value rule alone is HAC's filtering. Residual non-binary constraints of
     a hybrid are propagated by GAC-2001 to a joint fixpoint.
     """
-    if mode not in (HIDDEN_ONLY, DUAL_DUAL, BOTH):
+    if mode not in (HIDDEN_ONLY, DUAL_DUAL):
         raise ValueError(f"unknown double AC mode: {mode!r}")
     if mode == HIDDEN_ONLY:
         enc = EncodedProblem(enc.kind, enc.problem, enc.duals, enc.hidden, [],
@@ -716,7 +697,7 @@ class DeEngine(Engine):
         if spec.specialized:
             self.pw = PwAc(enc, self.counters)
         else:
-            self.ac = Ac2001(DeView(enc), self.counters)
+            self.ac = Ac2001(BinaryView(enc), self.counters)
 
     def root_propagate(self) -> bool:
         if self.pw is not None:
@@ -766,7 +747,7 @@ class DoubleGenericEngine(Engine):
 
     def __init__(self, enc: EncodedProblem, spec: AlgorithmSpec, **kw):
         super().__init__(enc, spec, **kw)
-        self.ac = Ac2001(DoubleView(enc), self.counters)
+        self.ac = Ac2001(BinaryView(enc), self.counters)
 
     def root_propagate(self) -> bool:
         return self.ac.run(self.state)

@@ -3,27 +3,11 @@ import itertools
 import pytest
 
 from bincsp.core import (CapacityError, Constraint, Counters, DomainState,
-                         Predicate, Problem, ac1_fixpoint, check_tuple,
-                         enumerate_solutions, expand_predicate, is_valid,
-                         lex_compare, project, solution_check)
+                         Predicate, Problem, ac1_fixpoint, enumerate_solutions,
+                         expand_predicate, is_valid, project, solution_check)
 from bincsp.propagate import gac2001
 
 from cases import SIX_VAR_SOLUTIONS, appendix_a, example_51, six_var_linear
-
-
-def test_lex_compare_first_position_dominates():
-    assert lex_compare((0, 1, 0), (1, 0, 0)) == -1
-    assert lex_compare((1, 0, 0), (0, 1, 0)) == 1
-
-
-def test_lex_compare_tie_broken_at_last_position():
-    assert lex_compare((1, 1, 0), (1, 1, 1)) == -1
-    assert lex_compare((1, 1, 1), (1, 1, 1)) == 0
-
-
-def test_lex_compare_arity_mismatch():
-    with pytest.raises(ValueError):
-        lex_compare((0, 1), (0, 1, 2))
 
 
 def test_sorted_expansion_of_inequality_constraint():
@@ -40,21 +24,6 @@ def test_project():
     assert project((0, 1, 1), (1, 4, 5), (1,)) == (0,)
     with pytest.raises(ValueError):
         project((0, 1), (3, 4), (5,))
-
-
-def test_check_tuple_counts_checks():
-    p = six_var_linear()
-    counters = Counters()
-    assert check_tuple(p, p.constraints[2], (1, 1, 1), counters)  # 1+1-1 >= 1
-    assert not check_tuple(p, p.constraints[3], (1, 1, 1), counters)  # 1+1-1 != 0
-    assert counters.checks == 2
-
-
-def test_check_tuple_membership_of_own_tuples():
-    p = example_51()
-    c = p.constraints[0]
-    for t in c.relation:
-        assert check_tuple(p, c, t)
 
 
 def test_is_valid_counts_positional_microops():

@@ -5,12 +5,12 @@ from bincsp.core import Constraint, Counters, DomainState, GapRows, Predicate, \
     Problem, ac1_fixpoint, enumerate_solutions, expand_predicate, is_valid
 from bincsp.encode import build_de, build_double, build_hve
 from bincsp.gen import ModelBParams, gen_model_b, gen_rlfa
-from bincsp.propagate import (Ac2001, DeView, DoubleView, Gac2001, Hac, PwAc,
+from bincsp.propagate import (Ac2001, BinaryView, Gac2001, Hac, PwAc,
                               _pred_enum, ac2001, constraint_has_valid_tuple,
                               gac2001, hac, pwac, seed_assignment_hve,
                               seed_assignment_nonbinary, sgac_check)
 from bincsp import search
-from bincsp.search import BOTH, DUAL_DUAL, HIDDEN_ONLY, double_ac
+from bincsp.search import DUAL_DUAL, HIDDEN_ONLY, double_ac
 
 from cases import (appendix_a, criterion_1_suite, example_42, example_51,
                    six_var_linear)
@@ -82,7 +82,6 @@ def test_example_51_dual_dual_refutes():
     p = example_51()
     enc = build_double(p)
     assert double_ac(enc, DUAL_DUAL).verdict == "INCONSISTENT"
-    assert double_ac(enc, BOTH).verdict == "INCONSISTENT"
 
 
 def test_example_51_gac_sees_nothing():
@@ -115,13 +114,13 @@ def test_sgac_true_when_every_value_extends_to_a_solution():
             assert sgac_check(p)
 
 
-def test_double_ac_both_equals_hidden_only_without_intersections():
+def test_double_ac_dual_dual_equals_hidden_only_without_intersections():
     p = Problem(["a", "b", "c", "d", "e", "f"], [[0, 1]] * 6,
                 [Constraint((0, 1, 2), relation=[(0, 0, 0), (1, 1, 1)]),
                  Constraint((3, 4, 5), relation=[(0, 1, 0), (1, 0, 1)])])
     enc = build_double(p)
     assert enc.dual_pairs == []
-    rb = double_ac(enc, BOTH)
+    rb = double_ac(enc, DUAL_DUAL)
     rh = double_ac(enc, HIDDEN_ONLY)
     assert rb.consistent == rh.consistent
     assert rb.state.domains_as_lists() == rh.state.domains_as_lists()
@@ -319,12 +318,12 @@ def test_dual_dual_with_residuals_at_least_as_strong_as_flat_gac():
 
 
 def test_double_ac_reaches_the_ac1_fixpoint_of_its_encoding():
-    """BOTH is AC on the double encoding and HIDDEN_ONLY is AC on the HVE,
+    """DUAL_DUAL is AC on the double encoding and HIDDEN_ONLY is AC on the HVE,
     as the brute-force oracle computes them, on original domains."""
     verdicts = set()
     for p in _random_suite():
         enc = build_double(p)
-        for mode, oracle_enc in ((BOTH, enc), (HIDDEN_ONLY, build_hve(p))):
+        for mode, oracle_enc in ((DUAL_DUAL, enc), (HIDDEN_ONLY, build_hve(p))):
             r = double_ac(enc, mode)
             ok, oracle = ac1_fixpoint(oracle_enc)
             assert r.consistent == ok, (p.name, mode)
@@ -332,7 +331,7 @@ def test_double_ac_reaches_the_ac1_fixpoint_of_its_encoding():
                 assert r.state.domains_as_lists() == oracle.domains_as_lists(), \
                     (p.name, mode)
             verdicts.add((mode, ok))
-    assert verdicts == {(BOTH, True), (BOTH, False),
+    assert verdicts == {(DUAL_DUAL, True), (DUAL_DUAL, False),
                         (HIDDEN_ONLY, True), (HIDDEN_ONLY, False)}
 
 
@@ -342,6 +341,93 @@ def test_hac_empty_seed_spends_no_checks():
     counters = Counters()
     r = hac(enc, enc.fresh_state(), queue_seed=[], counters=counters)
     assert r.consistent and counters.checks == 0
+
+
+def _two_arms():
+    """a, b, c in {0,1}: (a,b) in {(0,0),(0,1)} and (a,c) in {(1,0)}, so
+    each constraint alone fixes a, to opposite values."""
+    return Problem(["a", "b", "c"], [[0, 1]] * 3,
+                   [Constraint((0, 1), relation=[(0, 0), (0, 1)]),
+                    Constraint((0, 2), relation=[(1, 0)])])
+
+
+def test_only_hac_revise_arc_reports_the_dual_wipeout_it_causes():
+    """Removing a = 1 (unsupported in the first constraint) deletes the only
+    tuple of the second dual: HAC reports the wipeout from the arc, while
+    GAC-2001 deletes no tuples and reports none."""
+    p = _two_arms()
+    enc = build_hve(p)
+    state = enc.fresh_state()
+    assert Hac(enc).revise_arc(0, 0, state) == (True, True)
+    assert state.counts == [1, 2, 2] and state.dual_counts == [2, 0]
+
+    state = DomainState.full(p)
+    assert Gac2001(p).revise_arc(0, 0, state) == (True, False)
+    assert state.counts == [1, 2, 2]
+    assert not gac2001(p).consistent and not hac(enc).consistent
+
+
+def test_unit_fixpoint_subset_revises_and_queues_only_its_units():
+    """With `subset`, GAC-2001 revises only those constraints, even when a
+    deletion touches a variable shared with a constraint outside it."""
+    p = _two_arms()
+    for subset, domains in (([0], [[0], [0, 1], [0, 1]]),
+                            ([1], [[1], [0, 1], [0]])):
+        for queue_seed in (None, subset):
+            state = DomainState.full(p)
+            assert Gac2001(p).run(state, queue_seed=queue_seed, subset=subset)
+            assert state.domains_as_lists() == domains, (subset, queue_seed)
+
+
+def test_gac2001_supports_start_unset_and_end_on_supporting_tuples():
+    """One `supports[ci][pos]` list per arc: -1 before the first search on a
+    relation, None on a predicate; after the fixpoint every live value's
+    entry names a valid tuple holding it at pos."""
+    p = Problem(["a", "b", "c"], [[0, 1, 2]] * 3,
+                [Constraint((0, 1), relation=[(0, 1), (1, 2), (2, 2)]),
+                 Constraint((1, 2), predicate=Predicate(
+                     "linear", coeffs=(1, 1), rel=">=", const=3))])
+    engine = Gac2001(p)
+    assert engine.supports == [[[-1] * 3, [-1] * 3], [[None] * 3, [None] * 3]]
+    state = DomainState.full(p)
+    assert engine.run(state)
+    assert state.domains_as_lists() == [[0, 1, 2], [1, 2], [1, 2]]
+    rel, pred = p.constraints
+    for pos, x in enumerate(rel.scope):
+        for a in state.live_values(x):
+            t = rel.relation[engine.supports[0][pos][a]]
+            assert t[pos] == a and is_valid(t, rel.scope, state)
+    for pos, x in enumerate(pred.scope):
+        for a in state.live_values(x):
+            t = engine.supports[1][pos][a]
+            assert t[pos] == a and is_valid(t, pred.scope, state)
+            assert pred.predicate.holds(p.tuple_labels(pred, t))
+
+
+def test_binary_view_numbers_the_originals_only_when_the_encoding_has_them():
+    """On the dual encoding the binary variables are the duals, ids 0..m-1;
+    on the double encoding the originals come first, then the duals, and
+    the hidden arcs precede the dual-dual arcs."""
+    p = example_51()
+    de, double = build_de(p), build_double(p)
+    view = BinaryView(de)
+    m = len(de.duals)
+    assert view.bvars == [("dual", v) for v in range(m)]
+    assert all(0 <= b < m for ends in view.ends for b in ends)
+    assert [kind for kind, _ in view.arcs] == ["pair"] * len(de.dual_pairs)
+    state = de.fresh_state()
+    assert view.masks(state) is state.dual_masks
+
+    view = BinaryView(double)
+    n = p.n
+    assert view.bvars == [("orig", x) for x in range(n)] + \
+        [("dual", v) for v in range(len(double.duals))]
+    assert [kind for kind, _ in view.arcs] == \
+        ["hidden"] * len(double.hidden) + ["pair"] * len(double.dual_pairs)
+    assert view.ends[:len(double.hidden)] == \
+        [(n + v, x) for v, x, _ in double.hidden]
+    state = double.fresh_state()
+    assert view.masks(state) == state.masks + state.dual_masks
 
 
 def test_pwac_no_empty_groups_means_zero_iterations():
@@ -472,7 +558,7 @@ def _scattered_pointers(view, state, seed):
 
 
 def _ac2001_outcome(engine_cls, enc, pointer_seed=None):
-    view = DeView(enc) if enc.kind == "DE" else DoubleView(enc)
+    view = BinaryView(enc)
     state = enc.fresh_state()
     counters = Counters(search_log=[])
     group_pointers = None if pointer_seed is None else \
@@ -515,7 +601,7 @@ def test_group_major_ac2001_counts_like_the_linear_scan_on_large_groups():
     for p in problems:
         enc = build_de(p)
         state = enc.fresh_state()
-        view, masks = DeView(enc), state.dual_masks
+        view, masks = BinaryView(enc), state.dual_masks
         values = groups = 0
         for arc_id, (b0, b1) in enumerate(view.ends):
             for side, b in ((0, b0), (1, b1)):
@@ -762,10 +848,10 @@ def _scan_extension(rel, pos, a, start, accept, counters):
 class _ScanHac(Hac):
     """HAC with the linear support scan the value index replaced."""
 
-    def revise_arc(self, x, v, state):
+    def revise_arc(self, v, pos, state):
         counters = self.counters
         dual = self.enc.duals[v]
-        pos = dual.position[x]
+        x = dual.scope[pos]
         dmask = state.dual_masks[v]
         deleted = False
 
@@ -802,7 +888,7 @@ class _ScanGac2001(Gac2001):
         x = c.scope[pos]
         deleted = False
         for a in state.live_values(x):
-            ptr = self.supports.ext[ci][pos][a]
+            ptr = self.supports[ci][pos][a]
             if ptr >= 0 and is_valid(rel[ptr], c.scope, state, counters, skip_pos=pos):
                 continue
             idx = _scan_extension(
@@ -810,11 +896,11 @@ class _ScanGac2001(Gac2001):
                 lambda i, t: is_valid(t, c.scope, state, counters, skip_pos=pos),
                 counters)
             if idx >= 0:
-                state.set_slot(self.supports.ext[ci][pos], a, idx)
+                state.set_slot(self.supports[ci][pos], a, idx)
                 continue
             self.remove(state, x, a)
             deleted = True
-        return deleted
+        return deleted, False
 
 
 def _rlfa_suite():
@@ -876,8 +962,7 @@ def _gac_outcome(engine_cls, p):
         state.assign_value(x, a)
         steps.append(engine.run(state, queue_seed=p.constraints_of_var[x],
                                 assigned=assigned))
-    return (steps, counters.snapshot(), engine.supports.ext, engine.supports.pred,
-            state.domains_as_lists())
+    return (steps, counters.snapshot(), engine.supports, state.domains_as_lists())
 
 
 def test_indexed_hac_counts_like_the_linear_scan():

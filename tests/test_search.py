@@ -79,6 +79,30 @@ def test_dfc01_equal_hfc01_node_sequences():
             assert rd.node_paths == rh.node_paths, (p.name, i)
 
 
+@pytest.mark.parametrize("ordering", [FIXED, DOM_DEG])
+def test_unary_constraints_keep_the_lanes_equal(ordering):
+    """A unary constraint is revised at the root of every lane, so its
+    removals are counted alike and no lane tries a value it excludes. No
+    generator emits unary constraints."""
+    p = Problem(["a", "b", "c"], [[0, 1, 2]] * 3,
+                [Constraint((0,), relation=[(2,)]),
+                 Constraint((0, 1, 2), relation=[(0, 0, 0), (1, 1, 1),
+                                                 (2, 0, 1), (2, 2, 2)])])
+
+    def outcome(algorithm):
+        r = run(p, algorithm, ordering)
+        return (r.verdict, r.node_paths, r.counters.checks,
+                r.counters.value_removals)
+
+    for i in (2, 3, 4, 5):
+        assert outcome(f"nFC{i}") == outcome(f"hFC{i}") == outcome(f"dFC{i}"), i
+    for i in (0, 1):
+        assert run(p, f"dFC{i}", ordering).node_paths == \
+            run(p, f"hFC{i}", ordering).node_paths, i
+    assert outcome("MGAC-2001") == outcome("MHAC-2001")
+    assert outcome("nFC2")[1][0] == ((0, 2),)
+
+
 # ---------------------------------------------------------------------------
 # node-set hierarchies
 
