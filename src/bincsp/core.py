@@ -657,7 +657,12 @@ def _ac1_encoded(enc, state):
 
 
 def solution_check(problem: Problem, assignment: Sequence[int]) -> bool:
-    """Does a full assignment (value indices) satisfy every constraint?"""
+    """Does a full assignment (value indices) satisfy every constraint? An
+    assignment of the wrong length or with a value outside its variable's
+    domain does not."""
+    if len(assignment) != problem.n or not all(
+            0 <= a < problem.domain_size(x) for x, a in enumerate(assignment)):
+        return False
     for c in problem.constraints:
         t = tuple(assignment[x] for x in c.scope)
         if c.relation is not None:

@@ -310,8 +310,8 @@ def build_double(problem: Problem, encoded_subset: Optional[Sequence[int]] = Non
 def induced_assignment(enc: EncodedProblem, state: DomainState) -> list:
     """Original-variable assignment induced by singleton dual domains.
 
-    Variables covered by no dual keep their first live value (pure DE cannot
-    constrain them). Raises if a dual domain is not a singleton or if two
+    Variables covered by no dual take their first live value (no dual
+    constrains them). Raises if a dual domain is not a singleton or if two
     duals disagree on a shared variable.
     """
     n = enc.problem.n
@@ -328,6 +328,5 @@ def induced_assignment(enc: EncodedProblem, state: DomainState) -> list:
                 raise AssertionError(f"duals disagree on variable {x}")
     for x in range(n):
         if assignment[x] is None:
-            live = state.live_values(x) if enc.has_originals else [0]
-            assignment[x] = live[0]
+            assignment[x] = state.live_values(x)[0]
     return assignment

@@ -14,12 +14,14 @@ node after its lookahead. The node count of the backtrack-free dual
 completion at a SAT leaf is not included.
 
 `Engine` holds what the lanes share: the model and its domain state, the
-default branching on the original variables with a flat assignment, undo,
-and solution extraction (`induced_assignment` for an encoded model, the
-first live values for a `Problem`). A subclass supplies root propagation
-and lookahead, and overrides branching only where its lane branches
-differently: `HveEngine` also on duals (MHAC-2001-full) and with deletions
-pushed into the duals, `DeEngine` on duals only.
+one empty-domain test at the root, branching, assignment, undo, and
+solution extraction (`induced_assignment` for an encoded model, the first
+live values for a `Problem`). Branching follows `spec.branch`: on the
+original variables, on every dual (`DUALS`), or on both (`ALL_VARIABLES`),
+a dual being written `("dual", v)`. Assigning a tuple to a dual deletes its
+other tuples through `delete_tuple` and, when the encoding has originals,
+instantiates its scope. A subclass supplies root propagation, lookahead and
+the deletion hooks.
 
 `FixpointEngine` holds the one forward-checking level dispatch and the MAC
 seeding of every lane whose propagator is a `propagate.UnitFixpoint`:
@@ -28,8 +30,11 @@ duals), and through `HveEngine` the double encoding's `DoubleEngine`,
 which replaces the propagation steps; `double_ac` is that engine's root
 propagation, run on its own. Each lane keeps only its level-0/1 step and
 its wipe-out test. At the root every forward-checking lane revises its
-units of arity 1 (unary constraints) once. MAC-2001 and MAC-2001d run
-AC-2001 on the `propagate.BinaryView` of their encoding.
+units of arity 1 (unary constraints) once. The dual encoding is a double
+encoding without originals or hidden arcs, so its MAC lanes run on the
+double-encoding engines: MAC-PW-AC on `DoubleEngine`, MAC-2001 (like
+MAC-2001d) on `Ac2001Engine`, which runs AC-2001 on the
+`propagate.BinaryView` of its encoding.
 
 Search below the root attaches the engine's trail to its `DomainState`,
 so deletions and pointer moves made by the propagators are trailed where
@@ -128,10 +133,13 @@ class _LimitHit(Exception):
 class Engine:
     """Chronological backtracking over one model.
 
-    The defaults branch on the original variables and assign one by
-    deleting its other live values through `delete_value`, which by default
-    propagates nothing. Subclasses supply root propagation and lookahead,
-    and override what their lane does differently.
+    Branching follows `spec.branch`, a dual variable v being written
+    `("dual", v)`. An original is assigned by deleting its other live
+    values through `delete_value`, which by default propagates nothing; a
+    dual by deleting its other tuples through `delete_tuple` and, when the
+    encoding has originals, instantiating its scope. Subclasses supply root
+    propagation and lookahead, and override the deletion hooks where their
+    deletions propagate.
     """
 
     def __init__(self, model, spec: AlgorithmSpec, ordering: str = DOM_DEG,
@@ -148,11 +156,19 @@ class Engine:
         self.nodes = 0
         self.path: list = []
         self.node_paths: list = [] if record_nodes else None
+        # the trail length when the node being expanded began
+        self.node_mark = 0
         self._t0 = 0.0
         if isinstance(model, EncodedProblem):
             self.enc = model
             self.problem = model.problem
             self.state = model.fresh_state()
+            self.dual_assigned = [False] * len(model.duals)
+            # per dual: its arity when the encoding has originals (its
+            # hidden arcs), plus its dual-dual constraints
+            self.dual_degrees = [
+                (v.arity if model.has_originals else 0) + len(model.pairs_of_dual[v.id])
+                for v in model.duals]
         else:
             self.enc = None
             self.problem = model
@@ -177,26 +193,77 @@ class Engine:
     # -- hooks -------------------------------------------------------------
 
     def root_propagate(self) -> bool:
-        return True
+        """Fail on an empty domain, original or dual, including that of a
+        variable in no constraint; otherwise the lane's root propagation."""
+        state = self.state
+        # a plain problem's state has no duals (dual_counts None)
+        if not (all(state.counts) and all(state.dual_counts or ())):
+            return False
+        return self._propagate_root()
+
+    def _propagate_root(self) -> bool:
+        raise NotImplementedError
 
     def branch_candidates(self) -> list:
-        assigned = self.assigned
-        return [x for x in range(self.problem.n) if not assigned[x]]
+        """ORIGINAL_ONLY: the unassigned originals. DUALS: every unassigned
+        dual. ALL_VARIABLES: the unassigned originals, then the unassigned
+        duals with an unassigned scope variable."""
+        assigned, branch = self.assigned, self.spec.branch
+        out = [] if branch == DUALS else \
+            [x for x in range(self.problem.n) if not assigned[x]]
+        if branch != ORIGINAL_ONLY:
+            dual_assigned = self.dual_assigned
+            out += [("dual", v.id) for v in self.enc.duals
+                    if not dual_assigned[v.id]
+                    and (branch == DUALS or not all(assigned[x] for x in v.scope))]
+        return out
 
     def live_count(self, var) -> int:
+        if isinstance(var, tuple):
+            return self.state.dual_counts[var[1]]
         return self.state.counts[var]
 
     def degree(self, var) -> int:
+        if isinstance(var, tuple):
+            return self.dual_degrees[var[1]]
         return self.degrees[var]
 
     def live_values(self, var) -> list:
+        if isinstance(var, tuple):
+            return self.state.live_tuples(var[1])
         return self.state.live_values(var)
 
     def assign(self, var, val) -> bool:
-        self.state.set_slot(self.assigned, var, True)
+        if isinstance(var, tuple):
+            return self._assign_dual(var[1], val)
+        return self._assign_original(var, val)
+
+    def _assign_original(self, x, a) -> bool:
+        self.state.set_slot(self.assigned, x, True)
         ok = True
-        for b in self.state.live_values(var):
-            if b != val and not self.delete_value(var, b):
+        for b in self.state.live_values(x):
+            if b != a and not self.delete_value(x, b):
+                ok = False
+        return ok
+
+    def _assign_dual(self, v, idx) -> bool:
+        """Keep only tuple idx of dual v; with originals, also instantiate
+        every variable of its scope. One node."""
+        state = self.state
+        state.set_slot(self.dual_assigned, v, True)
+        ok = True
+        for other in state.live_tuples(v):
+            if other != idx and not self.delete_tuple(v, other):
+                ok = False
+        if not self.enc.has_originals:
+            return ok
+        dual = self.enc.duals[v]
+        for x, a in zip(dual.scope, dual.tuples[idx]):
+            if not state.masks[x][a]:  # the tuple carries a deleted value
+                ok = False
+                if not self.assigned[x]:
+                    state.set_slot(self.assigned, x, True)
+            elif not self.assigned[x] and not self._assign_original(x, a):
                 ok = False
         return ok
 
@@ -205,6 +272,13 @@ class Engine:
         elsewhere. By default nothing else is deleted."""
         self.state.remove_value(x, a)
         self.counters.value_removals += 1
+        return True
+
+    def delete_tuple(self, v, idx) -> bool:
+        """Delete tuple idx of dual v; False on a wipeout this causes
+        elsewhere. By default nothing else is deleted."""
+        self.state.remove_tuple(v, idx)
+        self.counters.tuple_removals += 1
         return True
 
     def lookahead(self, var) -> bool:
@@ -277,6 +351,7 @@ class Engine:
                 if self.node_paths is not None:
                     self.node_paths.append(tuple(self.path))
                 self._tick()
+                self.node_mark = mark
                 if self.assign(var, val) and self.lookahead(var):
                     child = self.select_variable()
                     if child is None:
@@ -358,14 +433,9 @@ class FixpointEngine(Engine):
     def _make_fixpoint(self):
         raise NotImplementedError
 
-    def root_propagate(self) -> bool:
-        """Fail on an empty domain, original or dual. MAC then runs the
-        fixpoint over every unit; forward checking revises each unit of
-        arity 1 once, as no assignment ever selects one."""
-        state = self.state
-        # a plain problem's state has no duals (dual_counts None)
-        if not (all(state.counts) and all(state.dual_counts or ())):
-            return False
+    def _propagate_root(self) -> bool:
+        """MAC runs the fixpoint over every unit; forward checking revises
+        each unit of arity 1 once, as no assignment ever selects one."""
         if self.spec.scheme == "MAC":
             return self._maintain()
         return self._revise_selected([u for u, scope in enumerate(self.fixpoint.scopes)
@@ -448,87 +518,21 @@ class HveEngine(FixpointEngine):
     value deletion also deletes the tuples carrying it, so a dual can wipe
     out without being revised; MHAC-2001-full also branches on duals."""
 
-    def __init__(self, enc: EncodedProblem, spec: AlgorithmSpec, **kw):
-        if not enc.has_originals:
-            raise ValueError("HVE lane needs an encoding with original variables")
-        super().__init__(enc, spec, **kw)
-        self.dual_assigned = [False] * len(enc.duals)
-        self.pruned_duals: list = []
-        # only FC+ (level 1) revises the duals that lost tuples at this node
-        self.track_pruned = spec.scheme == "FC" and spec.level == 1
-
     def _make_fixpoint(self) -> Hac:
         return Hac(self.enc, self.counters)
 
-    def branch_candidates(self) -> list:
-        out = super().branch_candidates()
-        if self.spec.branch == ALL_VARIABLES:
-            for v in self.enc.duals:
-                if self.dual_assigned[v.id]:
-                    continue
-                if any(not self.assigned[x] for x in v.scope):
-                    out.append(("dual", v.id))
-        return out
-
-    def live_count(self, var) -> int:
-        if isinstance(var, tuple):
-            return self.state.dual_counts[var[1]]
-        return super().live_count(var)
-
-    def degree(self, var) -> int:
-        if isinstance(var, tuple):
-            v = self.enc.duals[var[1]]
-            return v.arity + len(self.enc.pairs_of_dual[v.id])
-        return super().degree(var)
-
-    def live_values(self, var) -> list:
-        if isinstance(var, tuple):
-            return self.state.live_tuples(var[1])
-        return super().live_values(var)
-
     def delete_value(self, x, a) -> bool:
         # also deletes the tuples carrying the value
-        if not self.track_pruned:
-            return self.fixpoint.delete(self.state, x, a)
-        before = {v: self.state.dual_counts[v] for v in self.enc.duals_of_var[x]}
-        ok = self.fixpoint.delete(self.state, x, a)
-        for v, cnt in before.items():
-            if self.state.dual_counts[v] != cnt:
-                self.pruned_duals.append(v)
-        return ok
-
-    def assign(self, var, val) -> bool:
-        self.pruned_duals = []
-        if isinstance(var, tuple):
-            return self._assign_dual(var[1], val)
-        return super().assign(var, val)
-
-    def _assign_dual(self, v, idx) -> bool:
-        """Assigning a tuple to a dual variable instantiates every original
-        variable in its scope and counts as one node."""
-        state = self.state
-        state.set_slot(self.dual_assigned, v, True)
-        dual = self.enc.duals[v]
-        for other in state.live_tuples(v):
-            if other != idx:
-                state.remove_tuple(v, other)
-                self.counters.tuple_removals += 1
-        ok = True
-        for x, a in zip(dual.scope, dual.tuples[idx]):
-            if not state.masks[x][a]:  # the tuple carries a deleted value
-                ok = False
-                if not self.assigned[x]:
-                    state.set_slot(self.assigned, x, True)
-            elif not self.assigned[x] and not super().assign(x, a):
-                ok = False
-        return ok
+        return self.fixpoint.delete(self.state, x, a)
 
     def _fc_low_level(self, current_vars) -> bool:
         """hFC0 only checks for an empty dual; hFC1 first revises once each
         dual that lost tuples at this node, against its originals only."""
-        if self.spec.level == 1 and not self.fixpoint.revise_units(
-                sorted(set(self.pruned_duals)), self.state, self.assigned):
-            return False
+        if self.spec.level == 1:
+            pruned = sorted({v for head, v, _ in self.trail[self.node_mark:]
+                             if head == "dt"})
+            if not self.fixpoint.revise_units(pruned, self.state, self.assigned):
+                return False
         return self._no_empty_unit()
 
     def _no_empty_unit(self) -> bool:
@@ -549,7 +553,8 @@ class DoubleEngine(HveEngine):
     tuple in some adjacent dual), whose counters are those of the hidden
     arcs' decompositions, and, for hybrids, residual GAC-2001. Every value
     deletion reaches the tuples carrying it through the same
-    decompositions."""
+    decompositions. On a dual encoding (MAC-PW-AC), which has no hidden
+    arcs, the value rule is empty and the engine is MAC with PW-AC."""
 
     def __init__(self, enc: EncodedProblem, spec: AlgorithmSpec, **kw):
         super().__init__(enc, spec, **kw)
@@ -558,10 +563,11 @@ class DoubleEngine(HveEngine):
         self.pw = PwAc(enc, self.counters, propagating=mac, value_rule=mac)
         self.pw.init_counts(self.state)
         # per original x: (dual, groups of its decomposition on (x,)) for
-        # each dual over x; group a holds the tuples carrying value a
-        self.value_groups = [[(v, enc.decompositions[v, (x,)].members)
-                              for v in enc.duals_of_var[x]]
-                             for x in range(self.problem.n)]
+        # each hidden arc on x, by ascending dual; group a holds the tuples
+        # carrying value a. A dual encoding has no hidden arcs.
+        self.value_groups = [[] for _ in range(self.problem.n)]
+        for v, x, _ in enc.hidden:
+            self.value_groups[x].append((v, enc.decompositions[v, (x,)].members))
         self.residual_gac = (Gac2001(self.problem, self.counters,
                                      remove_value=self._residual_remove)
                              if enc.residual_constraints else None)
@@ -570,6 +576,9 @@ class DoubleEngine(HveEngine):
     def _make_fixpoint(self) -> Hac:
         # tuple deletions must maintain the group counters
         return Hac(self.enc, self.counters, delete_value=self._delete_value_via_pw)
+
+    def delete_tuple(self, v, idx) -> bool:
+        return self.pw.delete_tuple(self.state, v, idx)
 
     def _delete_value_via_pw(self, state, x, a) -> bool:
         state.remove_value(x, a)
@@ -687,72 +696,26 @@ def double_ac(enc: EncodedProblem, mode: str = DUAL_DUAL) -> PropagationResult:
 
 
 # ---------------------------------------------------------------------------
-# dual-encoding lane: MAC-2001 and MAC-PW-AC branch on dual variables
+# generic MAC on the dual and double encodings (MAC-2001, MAC-2001d)
 
 
-class DeEngine(Engine):
-    def __init__(self, enc: EncodedProblem, spec: AlgorithmSpec, **kw):
-        super().__init__(enc, spec, **kw)
-        self.dual_assigned = [False] * len(enc.duals)
-        if spec.specialized:
-            self.pw = PwAc(enc, self.counters)
-        else:
-            self.ac = Ac2001(BinaryView(enc), self.counters)
-
-    def root_propagate(self) -> bool:
-        if self.pw is not None:
-            return self.pw.run(self.state)
-        return self.ac.run(self.state)
-
-    def branch_candidates(self) -> list:
-        return [v.id for v in self.enc.duals if not self.dual_assigned[v.id]]
-
-    def live_count(self, var) -> int:
-        return self.state.dual_counts[var]
-
-    def degree(self, var) -> int:
-        return len(self.enc.pairs_of_dual[var])
-
-    def live_values(self, var) -> list:
-        return self.state.live_tuples(var)
-
-    def assign(self, var, val) -> bool:
-        state, pw = self.state, self.pw
-        state.set_slot(self.dual_assigned, var, True)
-        ok = True
-        for other in state.live_tuples(var):
-            if other == val:
-                continue
-            if pw is not None:
-                if not pw.delete_tuple(state, var, other):
-                    ok = False
-            else:
-                state.remove_tuple(var, other)
-                self.counters.tuple_removals += 1
-        return ok
-
-    def lookahead(self, var) -> bool:
-        if self.pw is not None:
-            return self.pw.propagate(self.state)
-        return self.ac.run(self.state, queue_seed=[var])
-
-
-# ---------------------------------------------------------------------------
-# generic MAC on the double encoding (MAC-2001d)
-
-
-class DoubleGenericEngine(Engine):
-    """AC-2001 over the binary view of a double encoding; it has no
+class Ac2001Engine(Engine):
+    """AC-2001 over the binary view of a dual or double encoding; it has no
     propagation for the residual constraints of a hybrid."""
 
     def __init__(self, enc: EncodedProblem, spec: AlgorithmSpec, **kw):
         super().__init__(enc, spec, **kw)
-        self.ac = Ac2001(BinaryView(enc), self.counters)
+        view = BinaryView(enc)
+        self.ac = Ac2001(view, self.counters)
+        # the view numbers the originals, if any, then the duals
+        self.first_dual = len(view.bvars) - len(enc.duals)
 
-    def root_propagate(self) -> bool:
+    def _propagate_root(self) -> bool:
         return self.ac.run(self.state)
 
     def lookahead(self, var) -> bool:
+        if isinstance(var, tuple):
+            var = self.first_dual + var[1]
         return self.ac.run(self.state, queue_seed=[var])
 
 
@@ -774,33 +737,35 @@ def prepare_model(problem: Problem, spec: AlgorithmSpec, budget=None):
     raise ValueError("hybrid models must be built explicitly with build_double")
 
 
+# per representation, the model kinds its lanes search (a `Problem` is NONBINARY)
+_MODEL_KINDS = {NONBINARY: (NONBINARY,), HVE: (HVE,), DE: (DE,),
+                DOUBLE: (DOUBLE, HYBRID), HYBRID: (DOUBLE, HYBRID)}
+
+
 def make_engine(model, spec: AlgorithmSpec, **kw) -> Engine:
     rep = spec.representation
+    if rep not in _MODEL_KINDS:
+        raise ValueError(f"unknown representation {rep!r}")
+    if isinstance(model, EncodedProblem):
+        kind = model.kind
+    elif isinstance(model, Problem):
+        kind = NONBINARY
+    else:
+        raise ValueError(f"{spec.name} cannot search a {type(model).__name__}")
+    if kind not in _MODEL_KINDS[rep]:
+        raise ValueError(f"{spec.name} expects a model of kind "
+                         f"{' or '.join(_MODEL_KINDS[rep])}, got {kind}")
+    if kind == HYBRID and not (spec.scheme == "MAC" and spec.specialized):
+        raise ValueError(f"{spec.name} cannot search a hybrid model: only MAC "
+                         "with specialized propagation (MAC-hybrid, "
+                         "MAC-PW-ACd) propagates the residual constraints")
     if rep == NONBINARY:
-        if not isinstance(model, Problem):
-            raise ValueError(f"{spec.name} searches the non-binary problem")
         return NonBinaryEngine(model, spec, **kw)
-    if not isinstance(model, EncodedProblem):
-        raise ValueError(f"{spec.name} needs an encoded model")
     if rep == HVE:
-        if model.kind != HVE:
-            raise ValueError(f"{spec.name} expects an HVE model, got {model.kind}")
         return HveEngine(model, spec, **kw)
-    if rep == DE:
-        if model.kind != DE:
-            raise ValueError(f"{spec.name} expects a DE model, got {model.kind}")
-        return DeEngine(model, spec, **kw)
-    if rep in (DOUBLE, HYBRID):
-        if model.kind not in (DOUBLE, HYBRID):
-            raise ValueError(f"{spec.name} expects a double/hybrid model")
-        if model.kind == HYBRID and not (spec.scheme == "MAC" and spec.specialized):
-            raise ValueError(f"{spec.name} cannot search a hybrid model: only MAC "
-                             "with specialized propagation (MAC-hybrid, "
-                             "MAC-PW-ACd) propagates the residual constraints")
-        if spec.specialized:
-            return DoubleEngine(model, spec, **kw)
-        return DoubleGenericEngine(model, spec, **kw)
-    raise ValueError(f"unknown representation {rep!r}")
+    if spec.specialized:
+        return DoubleEngine(model, spec, **kw)
+    return Ac2001Engine(model, spec, **kw)
 
 
 def solve(model, algorithm: str, ordering: str = DOM_DEG,

@@ -348,3 +348,15 @@ def test_gap_expansion_budget_is_exact():
     with pytest.raises(CapacityError):
         expand_predicate(q, q.constraints[0], budget=1)
     assert expand_predicate(q, q.constraints[0], budget=2) == [(0, 2), (2, 0)]
+
+
+def test_solution_check_rejects_a_malformed_assignment():
+    p = Problem(["a", "b", "c"], [[0, 1], [0, 1], []],
+                [Constraint((0, 1), relation=[(0, 1), (1, 0)])])
+    assert not solution_check(p, (0, 1))       # too short
+    assert not solution_check(p, (0, 1, 0))    # 0 is outside D(c)
+    q = Problem(["a", "b"], [[0, 1], [0, 1]],
+                [Constraint((0, 1), relation=[(0, 1), (1, 0)])])
+    assert solution_check(q, (0, 1))
+    assert not solution_check(q, (0, 1, 0))    # too long
+    assert not solution_check(q, (0, 2))       # 2 is outside D(b)

@@ -14,7 +14,14 @@ The rlfa cells run the lanes of the intensional benchmark workload
 through `bench.run_one` (dom/deg, node limit 100, the default hybrid
 subset); MGAC-2001 searches the separation predicates for supports and the
 other lanes expand them. They were recorded before the pairwise-gap table.
+
+`PINNED_PATHS` holds, per cell of `PINNED`, the first 16 hex digits of the
+sha256 of `repr(node_paths)`, so a change is checked node for node, not
+only by its counters. They were recorded while the dual encoding still had
+its own engine, with its dual ids rewritten as `("dual", v)`.
 """
+
+import hashlib
 
 import pytest
 
@@ -87,28 +94,105 @@ PINNED = {
     ("search", "MAC-hybrid"): ("SAT", 49, 17985, 21846, 569, 5208, 38606),
 }
 
+PINNED_PATHS = {
+    ("root", "MAC-2001"): "4f53cda18c2baa0c",
+    ("root", "MAC-2001d"): "4f53cda18c2baa0c",
+    ("root", "MAC-PW-AC"): "4f53cda18c2baa0c",
+    ("root", "MAC-PW-ACd"): "4f53cda18c2baa0c",
+    ("root", "MAC-hybrid"): "b72a776a6f3f5086",
+    ("root", "MGAC-2001"): "b3d20d35dcccddd5",
+    ("root", "MHAC-2001"): "b3d20d35dcccddd5",
+    ("root", "MHAC-2001-full"): "b3d20d35dcccddd5",
+    ("root", "dFC0"): "cb9d45a605c0915d",
+    ("root", "dFC1"): "6a4e56ed8cade7ee",
+    ("root", "dFC2"): "a0351ad387e72c3c",
+    ("root", "dFC3"): "a0351ad387e72c3c",
+    ("root", "dFC4"): "a0351ad387e72c3c",
+    ("root", "dFC5"): "a0351ad387e72c3c",
+    ("root", "hFC0"): "cb9d45a605c0915d",
+    ("root", "hFC1"): "6a4e56ed8cade7ee",
+    ("root", "hFC2"): "d62d79d1efb28cf8",
+    ("root", "hFC3"): "a0351ad387e72c3c",
+    ("root", "hFC4"): "e9777bbe2d841759",
+    ("root", "hFC5"): "a0351ad387e72c3c",
+    ("root", "nFC0"): "6a61a178560fe62a",
+    ("root", "nFC1"): "6a61a178560fe62a",
+    ("root", "nFC2"): "d62d79d1efb28cf8",
+    ("root", "nFC3"): "a0351ad387e72c3c",
+    ("root", "nFC4"): "e9777bbe2d841759",
+    ("root", "nFC5"): "a0351ad387e72c3c",
+    ("search", "MAC-2001"): "9c289454abb16119",
+    ("search", "MAC-2001d"): "1cf7140cd81f34f8",
+    ("search", "MAC-PW-AC"): "9c289454abb16119",
+    ("search", "MAC-PW-ACd"): "1cf7140cd81f34f8",
+    ("search", "MAC-hybrid"): "20b22ee1dd60fa76",
+    ("search", "MGAC-2001"): "20b22ee1dd60fa76",
+    ("search", "MHAC-2001"): "20b22ee1dd60fa76",
+    ("search", "MHAC-2001-full"): "20b22ee1dd60fa76",
+    ("search", "dFC0"): "ca39a7be04f5e188",
+    ("search", "dFC1"): "d4ce19433e98916c",
+    ("search", "dFC2"): "d15fe0327001dc57",
+    ("search", "dFC3"): "d15fe0327001dc57",
+    ("search", "dFC4"): "9e97cc98f8a6a48f",
+    ("search", "dFC5"): "aea95028f216a6ba",
+    ("search", "hFC0"): "ca39a7be04f5e188",
+    ("search", "hFC1"): "d4ce19433e98916c",
+    ("search", "hFC2"): "a178f02b09b21200",
+    ("search", "hFC3"): "d15fe0327001dc57",
+    ("search", "hFC4"): "a9fa7fb5e3099ada",
+    ("search", "hFC5"): "29e01aba8f125bdc",
+    ("search", "nFC0"): "656948af41950d1f",
+    ("search", "nFC1"): "656948af41950d1f",
+    ("search", "nFC2"): "a178f02b09b21200",
+    ("search", "nFC3"): "d15fe0327001dc57",
+    ("search", "nFC4"): "a9fa7fb5e3099ada",
+    ("search", "nFC5"): "29e01aba8f125bdc",
+}
+
 
 @pytest.fixture(scope="module")
 def problems():
     return {label: gen_model_b(params) for label, params in INSTANCES.items()}
 
 
+@pytest.fixture(scope="module")
+def results(problems):
+    """Each pinned cell's SearchResult, with node paths, run once."""
+    cache = {}
+
+    def result(label, algorithm):
+        if (label, algorithm) not in cache:
+            p = problems[label]
+            spec = ALGORITHMS[algorithm]
+            if spec.representation == "HYBRID":
+                model = build_double(p, encoded_subset=range(0, len(p.constraints), 2))
+            else:
+                model = prepare_model(p, spec)
+            cache[label, algorithm] = make_engine(
+                model, spec, ordering=DOM_DEG, node_limit=NODE_LIMIT,
+                record_nodes=True).solve()
+        return cache[label, algorithm]
+    return result
+
+
 def test_every_lane_is_pinned():
-    assert set(PINNED) == {(label, name) for label in INSTANCES for name in ALGORITHMS}
+    cells = {(label, name) for label in INSTANCES for name in ALGORITHMS}
+    assert set(PINNED) == cells and set(PINNED_PATHS) == cells
 
 
 @pytest.mark.parametrize("label,algorithm", sorted(PINNED))
-def test_counters_match_the_pinned_table(problems, label, algorithm):
-    p = problems[label]
-    spec = ALGORITHMS[algorithm]
-    if spec.representation == "HYBRID":
-        model = build_double(p, encoded_subset=range(0, len(p.constraints), 2))
-    else:
-        model = prepare_model(p, spec)
-    result = make_engine(model, spec, ordering=DOM_DEG, node_limit=NODE_LIMIT).solve()
+def test_counters_match_the_pinned_table(results, label, algorithm):
+    result = results(label, algorithm)
     snapshot = result.counters.snapshot()
     got = (result.verdict, result.nodes) + tuple(snapshot[k] for k in COUNTER_KEYS)
     assert got == PINNED[(label, algorithm)]
+
+
+@pytest.mark.parametrize("label,algorithm", sorted(PINNED_PATHS))
+def test_node_paths_match_the_pinned_digests(results, label, algorithm):
+    paths = results(label, algorithm).node_paths
+    digest = hashlib.sha256(repr(paths).encode()).hexdigest()[:16]
+    assert digest == PINNED_PATHS[(label, algorithm)]
 
 
 RLFA_NODE_LIMIT = 100

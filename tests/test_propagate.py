@@ -196,6 +196,21 @@ def test_fixpoint_equivalence_pwac_ac2001_on_de():
                     == _live_tuples_by_constraint(enc, w.state))
 
 
+def test_double_ac_on_the_de_is_pwac():
+    """The dual encoding is a double encoding without originals or hidden
+    arcs, so the double-encoding propagator run on it is PW-AC: same
+    verdict, dual domains and counters on every instance."""
+    verdicts = set()
+    for p in _random_suite():
+        enc = build_de(p)
+        d, w = double_ac(enc), pwac(enc)
+        assert d.consistent == w.consistent, p.name
+        assert d.state.dual_domains_as_lists() == w.state.dual_domains_as_lists(), p.name
+        assert d.counters.snapshot() == w.counters.snapshot(), p.name
+        verdicts.add(d.consistent)
+    assert verdicts == {True, False}
+
+
 def test_check_counts_equal_on_arc_consistent_instances():
     for p in _random_suite():
         gc, hc = Counters(), Counters()

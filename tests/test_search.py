@@ -1,10 +1,10 @@
 import pytest
 
 from bincsp.core import Constraint, Problem, enumerate_solutions
-from bincsp.encode import build_double, build_hve, induced_assignment
+from bincsp.encode import build_de, build_double, build_hve, induced_assignment
 from bincsp.gen import (CrosswordSpec, ModelBParams, gen_crossword,
                         gen_model_b, gen_parity_chain)
-from bincsp.search import (ALGORITHMS, DOM_DEG, FIXED, make_engine,
+from bincsp.search import (ALGORITHMS, DOM_DEG, FIXED, double_ac, make_engine,
                            prepare_model, solve)
 
 from cases import prop_51, six_var_linear
@@ -252,6 +252,40 @@ def test_dual_selected_only_when_strictly_better():
     for cand, ratio in ratios.items():
         if isinstance(cand, tuple):
             assert not ratio < best_original or choice == cand
+
+
+def test_de_lanes_branch_on_every_unassigned_dual():
+    enc = build_de(six_var_linear())
+    for algorithm in ("MAC-2001", "MAC-PW-AC"):
+        engine = make_engine(enc, ALGORITHMS[algorithm], ordering=FIXED)
+        assert engine.root_propagate()
+        duals = [("dual", v.id) for v in enc.duals]
+        assert engine.branch_candidates() == duals, algorithm
+        assert engine.assign(duals[1], engine.live_values(duals[1])[0])
+        assert engine.branch_candidates() == duals[:1] + duals[2:], algorithm
+
+
+def test_dual_degree_is_the_pair_count_on_a_de_and_the_arity_on_an_hve():
+    p = six_var_linear()
+    de, hve = build_de(p), build_hve(p)
+    assert any(de.pairs_of_dual[v.id] for v in de.duals)
+    de_engine = make_engine(de, ALGORITHMS["MAC-PW-AC"])
+    hve_engine = make_engine(hve, ALGORITHMS["MHAC-2001-full"])
+    for v in de.duals:
+        assert de_engine.degree(("dual", v.id)) == len(de.pairs_of_dual[v.id])
+        assert hve_engine.degree(("dual", v.id)) == v.arity
+
+
+def test_a_declared_empty_domain_is_refuted_by_every_lane():
+    """Variable c has an empty domain and is in no constraint: no dual
+    wipes out, yet there is no solution."""
+    p = Problem(["a", "b", "c"], [[0, 1], [0, 1], []],
+                [Constraint((0, 1), relation=[(0, 1), (1, 0)])])
+    for algorithm in ALGORITHMS:
+        model = build_double(p, [0]) if algorithm == "MAC-hybrid" else p
+        result = solve(model, algorithm)
+        assert (result.verdict, result.nodes) == ("UNSAT", 0), algorithm
+    assert not double_ac(build_double(p)).consistent
 
 
 def test_mhac_full_branches_on_duals_and_assigns_their_scope():
