@@ -24,7 +24,8 @@ import os
 from multiprocessing import Pool
 from typing import Optional
 
-from .core import Problem
+from . import core
+from .core import CapacityError, GapRows, Problem
 from .encode import EncodedProblem, build_double
 from .gen import (CrosswordSpec, ModelBParams, gen_clique_embedded,
                   gen_config_like, gen_crossword, gen_model_b,
@@ -92,8 +93,9 @@ def _default_hybrid_subset(problem: Problem, max_arity: int = 5,
                            budget: int = 200_000) -> tuple:
     """Constraints worth double-encoding: low arity and expandable within
     budget; the rest stay intensional. Returns the subset and the tuple
-    lists expanded to test it, by constraint id, for the build to reuse."""
-    from bincsp.core import CapacityError, GapRows, materialize
+    lists expanded to test it, by constraint id, for the build to reuse.
+    `materialize` is read from the `core` module at call time, so a wrapper
+    installed there sees these expansions too."""
     subset, expanded = [], {}
     rows = GapRows()
     for ci, c in enumerate(problem.constraints):
@@ -101,7 +103,7 @@ def _default_hybrid_subset(problem: Problem, max_arity: int = 5,
             continue
         if c.relation is None:
             try:
-                expanded[ci] = materialize(problem, c, budget, rows)
+                expanded[ci] = core.materialize(problem, c, budget, rows)
             except CapacityError:
                 continue
         subset.append(ci)
@@ -119,7 +121,8 @@ def run_one(problem: Problem, algorithm: str, ordering: str, seed: int,
             encode_subset: Optional[list] = None,
             record_nodes: bool = False,
             instance_id: str = "", time_mode: str = "wall"):
-    """One matrix cell run; returns (RunRecord, node_paths or None)."""
+    """One matrix cell run; returns (RunRecord, SearchResult or None), the
+    result being None when the run failed."""
     spec = ALGORITHMS[algorithm]
     order = FIXED if ordering == "fixed" else DOM_DEG
     try:

@@ -248,11 +248,12 @@ class DomainState:
     Original variables always have a mask; dual variables (for encoded
     problems) get masks over their tuple lists. Removal is monotone within a
     propagation run. Search attaches a trail (a list) and every change goes
-    through `remove_value`, `remove_tuple` or `set_slot`, which record it
+    through `remove_value`, `remove_tuples` or `set_slot`, which record it
     there; `undo` pops the trail back to a mark. The trail holds only those
-    three entry kinds: ("ov", x, a), ("dt", v, idx) and (table, index, old).
+    three entry kinds: ("ov", x, a), ("dt", v, idxs) and (table, index,
+    old), where idxs is one batch of tuples of dual v deleted together.
     Counters derived from tuple liveness are not trailed: `undo` passes each
-    restored tuple to a hook of the counters' owner, which re-derives them.
+    restored batch to a hook of the counters' owner, which re-derives them.
     """
 
     trail = None
@@ -293,11 +294,14 @@ class DomainState:
         self.masks[x][a] = 0
         self.counts[x] -= 1
 
-    def remove_tuple(self, v: int, idx: int) -> None:
+    def remove_tuples(self, v: int, idxs: Sequence[int]) -> None:
+        """Delete the live tuples idxs of dual v as one trail entry."""
         if self.trail is not None:
-            self.trail.append(("dt", v, idx))
-        self.dual_masks[v][idx] = 0
-        self.dual_counts[v] -= 1
+            self.trail.append(("dt", v, idxs))
+        mask = self.dual_masks[v]
+        for idx in idxs:
+            mask[idx] = 0
+        self.dual_counts[v] -= len(idxs)
 
     def set_slot(self, table, index, value) -> None:
         """table[index] = value, restored by `undo` (support pointers,
@@ -306,19 +310,21 @@ class DomainState:
             self.trail.append((table, index, table[index]))
         table[index] = value
 
-    def undo(self, mark: int, restore_tuple=None) -> None:
+    def undo(self, mark: int, restore_tuples=None) -> None:
         """Pop the trail back to `mark`, restoring what each entry changed;
-        `restore_tuple(v, idx)` is called after each tuple comes back."""
+        `restore_tuples(v, idxs)` is called after each batch comes back."""
         trail = self.trail
         masks, counts = self.masks, self.counts
         dual_masks, dual_counts = self.dual_masks, self.dual_counts
         while len(trail) > mark:
             head, i, j = trail.pop()
-            if head == "dt":  # tuple j of dual i
-                dual_masks[i][j] = 1
-                dual_counts[i] += 1
-                if restore_tuple is not None:
-                    restore_tuple(i, j)
+            if head == "dt":  # the batch j of tuples of dual i
+                mask = dual_masks[i]
+                for idx in j:
+                    mask[idx] = 1
+                dual_counts[i] += len(j)
+                if restore_tuples is not None:
+                    restore_tuples(i, j)
             elif head == "ov":  # value j of variable i
                 masks[i][j] = 1
                 counts[i] += 1
@@ -637,7 +643,7 @@ def _ac1_encoded(enc, state):
             xmask = state.masks[x]
             for i in range(len(tuples)):
                 if dmask[i] and not xmask[tuples[i][pos]]:
-                    state.remove_tuple(v, i)
+                    state.remove_tuples(v, (i,))
                     changed = True
             if state.dual_counts[v] == 0:
                 return False, state
@@ -649,7 +655,7 @@ def _ac1_encoded(enc, state):
                 live_peer_keys = {keys_j[t] for t in range(len(mask_j)) if mask_j[t]}
                 for t in range(len(mask_i)):
                     if mask_i[t] and keys_i[t] not in live_peer_keys:
-                        state.remove_tuple(vi, t)
+                        state.remove_tuples(vi, (t,))
                         changed = True
                 if state.dual_counts[vi] == 0:
                     return False, state

@@ -115,9 +115,6 @@ class DualPair:
     def side_for(self, owner: int) -> Decomposition:
         return self.side1 if owner == self.v1 else self.side2
 
-    def other(self, owner: int) -> int:
-        return self.v2 if owner == self.v1 else self.v1
-
     def __repr__(self):
         return f"DualPair(v{self.v1}~v{self.v2} shared={self.shared})"
 

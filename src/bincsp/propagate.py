@@ -381,11 +381,12 @@ class Hac(UnitFixpoint):
         for v_l in enc.duals_of_var[x]:
             dual = enc.duals[v_l]
             mask = state.dual_masks[v_l]
-            for idx in dual.tuples_by_pos_val[dual.position[x]][a]:
-                counters.microops += 1
-                if mask[idx]:
-                    state.remove_tuple(v_l, idx)
-                    counters.tuple_removals += 1
+            members = dual.tuples_by_pos_val[dual.position[x]][a]
+            counters.microops += len(members)
+            live = [idx for idx in members if mask[idx]]
+            if live:
+                state.remove_tuples(v_l, live)
+                counters.tuple_removals += len(live)
             if state.dual_counts[v_l] == 0:
                 ok = False
         return ok
@@ -512,7 +513,7 @@ class BinaryView:
     def remove(self, b, val, state, counters):
         kind, ident = self.bvars[b]
         if kind == "dual":
-            state.remove_tuple(ident, val)
+            state.remove_tuples(ident, (val,))
             counters.tuple_removals += 1
             return state.dual_counts[ident]
         state.remove_value(ident, val)
@@ -654,12 +655,17 @@ class PwAc:
 
     `counts` holds one live-tuple counter array per decomposition in use,
     keyed by the Decomposition, so pairs that share a decomposition share
-    its counters and a deletion decrements each of them once. Only when one
-    reaches zero are the owner's pair sides walked, in pairs_of_dual order,
-    to queue (pair, side, gid): group gid on that side has no live tuples,
-    so every live tuple of the same-keyed group on the other side loses its
-    support and is deleted. A group the peer side does not realize is not
-    queued, since deleting it would do nothing.
+    its counters and a deletion decrements each of them once. When group
+    gid of a decomposition reaches zero, each pair side on it is queued, in
+    pairs_of_dual order, as (peer, gid), the peer being the other side of
+    the pair: every live tuple of the peer's group gid has lost its support
+    and is deleted. An item is queued only while that peer group still has
+    live tuples, and `propagate` skips a popped item whose peer group has
+    none left. Within one propagation counts only fall, so an item left out
+    or skipped would have deleted nothing, and the order of the other items
+    on the LIFO queue is the same. `queue` is a plain stack: a group
+    reaches zero at most once between two undos (what root propagation
+    deletes never comes back), so no item is queued twice.
 
     With `value_rule` (the double encoding under MAC) the decompositions of
     the hidden arcs are counted too: a zero there means value a of x lost
@@ -667,9 +673,12 @@ class PwAc:
     `value_queue`, which the caller drains. Without `propagating` (forward
     checking, which revises pair sides itself) nothing is queued.
 
-    The counters are not trailed: `restore_tuple` re-counts a tuple that an
-    undo brings back. group_updates counts one update per pair side of the
-    dual, as if each side kept its own counters.
+    Every deletion is a batch of live tuples of one dual, `delete_tuples`,
+    which the state trails as one entry; counter decrements and pushes
+    still happen tuple by tuple, in the batch's order. The counters are not
+    trailed: `restore_tuples` re-counts a batch that an undo brings back.
+    group_updates counts one update per pair side of the dual and tuple, as
+    if each side kept its own counters.
     """
 
     def __init__(self, enc: EncodedProblem, counters: Optional[Counters] = None,
@@ -677,7 +686,7 @@ class PwAc:
         self.enc = enc
         self.counters = counters if counters is not None else Counters()
         self.propagating = propagating
-        self.queue = _Queue()
+        self.queue = []
         self.value_queue = _Queue() if value_rule else None
         self.counts: dict = {}
 
@@ -692,19 +701,20 @@ class PwAc:
                 counts[dec] = dec.fresh_counters(state)
             return counts[dec]
 
-        # sides_of_dual[v]: (pair index, side bit, counters, tuple_group,
-        # peer members) of each pair side v owns, in pairs_of_dual order
+        # sides_of_dual[v]: (counters, tuple_group, peer, members) of each
+        # pair side v owns, in pairs_of_dual order, the peer being the
+        # (owner, members, counters) of the other side of its pair
         self.sides_of_dual = [[] for _ in enc.duals]
         for pair in enc.dual_pairs:
-            for side_bit, side, peer in ((0, pair.side1, pair.side2),
-                                         (1, pair.side2, pair.side1)):
+            for side, other in ((pair.side1, pair.side2), (pair.side2, pair.side1)):
                 own = counted(side)
+                peer = (other.owner, other.members, counted(other))
                 self.sides_of_dual[side.owner].append(
-                    (pair.index, side_bit, own, side.tuple_group, peer.members))
+                    (own, side.tuple_group, peer, side.members))
                 if self.propagating:
-                    for gid, (live, peer_members) in enumerate(zip(own, peer.members)):
-                        if not live and peer_members:
-                            self.queue.push((pair.index, side_bit, gid))
+                    for gid, (live, peer_live) in enumerate(zip(own, peer[2])):
+                        if not live and peer_live:
+                            self.queue.append((peer, gid))
         # values_of_dual[v]: (x, counters, tuple_group) per hidden arc of v
         self.values_of_dual = [[] for _ in enc.duals]
         if self.value_queue is not None:
@@ -720,60 +730,66 @@ class PwAc:
         for dec, own in counts.items():
             self.parts_of_dual[dec.owner].append((own, dec.tuple_group))
 
-    def delete_tuple(self, state: DomainState, v: int, idx: int) -> bool:
-        """Shared deletion path; decrements every counter the tuple sits in
-        and queues what reached zero. False on wipeout."""
-        if not state.dual_masks[v][idx]:
-            return True
+    def delete_tuples(self, state: DomainState, v: int, idxs: list) -> bool:
+        """Shared deletion path for the live tuples idxs of dual v, trailed
+        as one batch. Each tuple in turn decrements every counter it sits
+        in and queues what reached zero. False on wipeout."""
+        state.remove_tuples(v, idxs)
         counters = self.counters
-        state.remove_tuple(v, idx)
-        counters.tuple_removals += 1
+        counters.tuple_removals += len(idxs)
         sides = self.sides_of_dual[v]
-        counters.group_updates += len(sides)
-        emptied = False
-        for counts, tuple_group in self.parts_of_dual[v]:
-            gid = tuple_group[idx]
-            live = counts[gid] - 1
-            counts[gid] = live
-            if not live:
-                emptied = True
-        if emptied and self.propagating:
-            push = self.queue.push
-            for pair_index, side_bit, counts, tuple_group, peer_members in sides:
+        counters.group_updates += len(idxs) * len(sides)
+        parts = self.parts_of_dual[v]
+        if not self.propagating:
+            for counts, tuple_group in parts:
+                for idx in idxs:
+                    counts[tuple_group[idx]] -= 1
+            return state.dual_counts[v] > 0
+        push = self.queue.append
+        values_of = self.values_of_dual[v]  # empty without the value rule
+        masks = state.masks
+        for idx in idxs:
+            emptied = False
+            for counts, tuple_group in parts:
                 gid = tuple_group[idx]
-                if not counts[gid] and peer_members[gid]:
-                    push((pair_index, side_bit, gid))
-            if self.value_queue is not None:
-                masks = state.masks
-                for x, counts, values in self.values_of_dual[v]:
-                    a = values[idx]
-                    if not counts[a] and masks[x][a]:
-                        self.value_queue.push((x, a))
+                live = counts[gid] - 1
+                counts[gid] = live
+                if not live:
+                    emptied = True
+            if not emptied:
+                continue
+            for counts, tuple_group, peer, _ in sides:
+                gid = tuple_group[idx]
+                if not counts[gid] and peer[2][gid]:
+                    push((peer, gid))
+            for x, counts, values in values_of:
+                a = values[idx]
+                if not counts[a] and masks[x][a]:
+                    self.value_queue.push((x, a))
         return state.dual_counts[v] > 0
 
-    def restore_tuple(self, v: int, idx: int) -> None:
-        """Undo hook: count a restored tuple in its groups again."""
+    def restore_tuples(self, v: int, idxs) -> None:
+        """Undo hook: count a restored batch in its groups again."""
         for counts, tuple_group in self.parts_of_dual[v]:
-            counts[tuple_group[idx]] += 1
+            for idx in idxs:
+                counts[tuple_group[idx]] += 1
 
     def clear_queues(self) -> None:
         """Drop queued work, which an undo makes stale."""
-        self.queue = _Queue()
+        self.queue = []
         if self.value_queue is not None:
             self.value_queue = _Queue()
 
     def propagate(self, state: DomainState) -> bool:
-        enc = self.enc
-        while self.queue:
-            pair_index, side_bit, gid = self.queue.pop()
-            pair = enc.dual_pairs[pair_index]
-            peer_side = pair.side2 if side_bit == 0 else pair.side1
-            vj = peer_side.owner
-            mask = state.dual_masks[vj]
-            for idx in peer_side.members[gid]:
-                if mask[idx]:
-                    if not self.delete_tuple(state, vj, idx):
-                        return False
+        queue, dual_masks = self.queue, state.dual_masks
+        while queue:
+            (vj, members, counts), gid = queue.pop()
+            if not counts[gid]:  # emptied since it was queued
+                continue
+            mask = dual_masks[vj]
+            if not self.delete_tuples(state, vj,
+                                      [idx for idx in members[gid] if mask[idx]]):
+                return False
         return True
 
     def check_counters(self, state: DomainState) -> None:

@@ -19,7 +19,7 @@ solution extraction (`induced_assignment` for an encoded model, the first
 live values for a `Problem`). Branching follows `spec.branch`: on the
 original variables, on every dual (`DUALS`), or on both (`ALL_VARIABLES`),
 a dual being written `("dual", v)`. Assigning a tuple to a dual deletes its
-other tuples through `delete_tuple` and, when the encoding has originals,
+other tuples through `delete_tuples` and, when the encoding has originals,
 instantiates its scope. A subclass supplies root propagation, lookahead and
 the deletion hooks.
 
@@ -38,10 +38,11 @@ MAC-2001d) on `Ac2001Engine`, which runs AC-2001 on the
 
 Search below the root attaches the engine's trail to its `DomainState`,
 so deletions and pointer moves made by the propagators are trailed where
-they happen, and `undo_to` pops the trail through `DomainState.undo`.
+they happen, and `undo_to` pops the trail through `DomainState.undo`. Tuple
+deletions are trailed in batches, one entry per call that deletes them.
 Counters derived from tuple liveness (PW-AC groups, value supports) are not
 trailed: when the engine has a PW-AC propagator (`pw`), `undo_to` counts
-each restored tuple back into them through `pw.restore_tuple` and drops
+each restored batch back into them through `pw.restore_tuples` and drops
 its stale queues.
 """
 
@@ -49,6 +50,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter, not_
 from typing import Optional
 
 from .core import (Counters, DEFAULT_EXPANSION_BUDGET, DomainState, Problem,
@@ -136,7 +139,7 @@ class Engine:
     Branching follows `spec.branch`, a dual variable v being written
     `("dual", v)`. An original is assigned by deleting its other live
     values through `delete_value`, which by default propagates nothing; a
-    dual by deleting its other tuples through `delete_tuple` and, when the
+    dual by deleting its other tuples through `delete_tuples` and, when the
     encoding has originals, instantiating its scope. Subclasses supply root
     propagation and lookahead, and override the deletion hooks where their
     deletions propagate.
@@ -251,10 +254,8 @@ class Engine:
         every variable of its scope. One node."""
         state = self.state
         state.set_slot(self.dual_assigned, v, True)
-        ok = True
-        for other in state.live_tuples(v):
-            if other != idx and not self.delete_tuple(v, other):
-                ok = False
+        others = [other for other in state.live_tuples(v) if other != idx]
+        ok = not others or self.delete_tuples(v, others)
         if not self.enc.has_originals:
             return ok
         dual = self.enc.duals[v]
@@ -274,11 +275,11 @@ class Engine:
         self.counters.value_removals += 1
         return True
 
-    def delete_tuple(self, v, idx) -> bool:
-        """Delete tuple idx of dual v; False on a wipeout this causes
-        elsewhere. By default nothing else is deleted."""
-        self.state.remove_tuple(v, idx)
-        self.counters.tuple_removals += 1
+    def delete_tuples(self, v, idxs) -> bool:
+        """Delete the live tuples idxs of dual v; False on a wipeout this
+        causes. By default nothing else is deleted."""
+        self.state.remove_tuples(v, idxs)
+        self.counters.tuple_removals += len(idxs)
         return True
 
     def lookahead(self, var) -> bool:
@@ -289,7 +290,7 @@ class Engine:
         if pw is None:
             self.state.undo(mark)
         else:
-            self.state.undo(mark, pw.restore_tuple)
+            self.state.undo(mark, pw.restore_tuples)
             # drop queued work that referred to the undone deletions
             pw.clear_queues()
 
@@ -488,6 +489,11 @@ class FixpointEngine(Engine):
 
 
 class NonBinaryEngine(FixpointEngine):
+    # per constraint, for the wipe-out test: one byte column per position
+    # (byte i the value at that position of tuple i) of a relation whose
+    # variables have at most 256 values, else None; built on first use
+    columns = None
+
     def _make_fixpoint(self) -> Gac2001:
         return Gac2001(self.problem, self.counters)
 
@@ -500,12 +506,41 @@ class NonBinaryEngine(FixpointEngine):
     def _no_empty_unit(self) -> bool:
         """No constraint may have an empty valid-tuple set: the non-binary
         analogue of a dual-domain wipeout, which the hidden encoding detects
-        eagerly in constraints its lookahead set never revisits."""
-        gap_tables = self.fixpoint.gap_tables
-        for ci, c in enumerate(self.problem.constraints):
-            if not constraint_has_valid_tuple(self.problem, c, gap_tables[ci],
-                                              self.state, self.counters):
-                return False
+        eagerly in constraints its lookahead set never revisits.
+
+        A relation with byte columns is tested without a loop over its
+        tuples: each column, translated through its variable's mask padded
+        to 256 bytes, holds 1 where that position is live, and the AND of
+        the columns as ints holds 1 at the valid tuples. It counts the
+        micro-ops of `constraint_has_valid_tuple`'s scan: the index of the
+        first valid tuple plus one, or every tuple when none is valid."""
+        problem, state, counters = self.problem, self.state, self.counters
+        masks, gap_tables = state.masks, self.fixpoint.gap_tables
+        if self.columns is None:
+            self.columns = [
+                [bytes(map(itemgetter(pos), c.relation)) for pos in range(c.arity)]
+                if c.relation is not None and c.arity
+                and max(map(problem.domain_size, c.scope)) <= 256 else None
+                for c in problem.constraints]
+        tables = {}
+        for ci, c in enumerate(problem.constraints):
+            columns = self.columns[ci]
+            if columns is None:
+                if not constraint_has_valid_tuple(problem, c, gap_tables[ci],
+                                                  state, counters):
+                    return False
+                continue
+            valid = -1
+            for x, column in zip(c.scope, columns):
+                table = tables.get(x)
+                if table is None:
+                    mask = masks[x]
+                    table = tables[x] = mask + bytes(256 - len(mask))
+                valid &= int.from_bytes(column.translate(table), "little")
+                if not valid:
+                    counters.microops += len(column)
+                    return False
+            counters.microops += ((valid & -valid).bit_length() + 7) >> 3
         return True
 
 
@@ -577,8 +612,8 @@ class DoubleEngine(HveEngine):
         # tuple deletions must maintain the group counters
         return Hac(self.enc, self.counters, delete_value=self._delete_value_via_pw)
 
-    def delete_tuple(self, v, idx) -> bool:
-        return self.pw.delete_tuple(self.state, v, idx)
+    def delete_tuples(self, v, idxs) -> bool:
+        return self.pw.delete_tuples(self.state, v, idxs)
 
     def _delete_value_via_pw(self, state, x, a) -> bool:
         state.remove_value(x, a)
@@ -586,10 +621,9 @@ class DoubleEngine(HveEngine):
         ok = True
         for v_l, groups in self.value_groups[x]:
             mask = state.dual_masks[v_l]
-            for idx in groups[a]:
-                if mask[idx]:
-                    if not self.pw.delete_tuple(state, v_l, idx):
-                        ok = False
+            live = [idx for idx in groups[a] if mask[idx]]
+            if live and not self.pw.delete_tuples(state, v_l, live):
+                ok = False
         return ok
 
     def _maintain(self, current_vars=None) -> bool:
@@ -629,17 +663,26 @@ class DoubleEngine(HveEngine):
 
     def _revise_selected(self, selected) -> bool:
         """One pass over the selected duals: piecewise revision against the
-        selected peers, then revision of the unassigned adjacent originals."""
+        selected peers, then revision of the unassigned adjacent originals.
+        A pair side deletes v's live tuples in the groups whose peer group
+        is empty; a side with no such group live on v's side has nothing
+        to delete and is skipped."""
         sel = set(selected)
+        state, assigned, pw = self.state, self.assigned, self.pw
         revise_units = self.fixpoint.revise_units
         for v in selected:
-            for pair_index in self.enc.pairs_of_dual[v]:
-                pair = self.enc.dual_pairs[pair_index]
-                if pair.other(v) not in sel:
+            mask = state.dual_masks[v]
+            for own_counts, _, (peer, _, peer_counts), members in pw.sides_of_dual[v]:
+                if peer not in sel or not any(
+                        compress(own_counts, map(not_, peer_counts))):
                     continue
-                if not self._revise_pair_side(pair, v):
+                doomed = [idx for gid, (peer_live, own_live)
+                          in enumerate(zip(peer_counts, own_counts))
+                          if not peer_live and own_live
+                          for idx in members[gid] if mask[idx]]
+                if not pw.delete_tuples(state, v, doomed):
                     return False
-            if not revise_units((v,), self.state, self.assigned):
+            if not revise_units((v,), state, assigned):
                 return False
         return True
 
@@ -652,21 +695,6 @@ class DoubleEngine(HveEngine):
                 return False
             if (counters.tuple_removals, counters.value_removals) == before:
                 return True
-
-    def _revise_pair_side(self, pair, v) -> bool:
-        """Delete v's live tuples in groups whose peer-side group is empty."""
-        own_side = pair.side_for(v)
-        counts = self.pw.counts
-        own_counts = counts[own_side]
-        peer_counts = counts[pair.side2 if own_side is pair.side1 else pair.side1]
-        mask = self.state.dual_masks[v]
-        for gid, (peer_live, own_live) in enumerate(zip(peer_counts, own_counts)):
-            if not peer_live and own_live:
-                for idx in own_side.members[gid]:
-                    if mask[idx]:
-                        if not self.pw.delete_tuple(self.state, v, idx):
-                            return False
-        return True
 
 
 HIDDEN_ONLY = "HIDDEN_ONLY"

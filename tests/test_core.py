@@ -360,3 +360,27 @@ def test_solution_check_rejects_a_malformed_assignment():
     assert solution_check(q, (0, 1))
     assert not solution_check(q, (0, 1, 0))    # too long
     assert not solution_check(q, (0, 2))       # 2 is outside D(b)
+
+
+def test_remove_tuples_is_one_trail_entry_undone_as_one_batch():
+    """A batch of tuple deletions is one trail entry; undo restores the
+    masks and live counts and calls the restore hook once per batch, with
+    that batch, latest batch first."""
+    state = DomainState.full(Problem(["a"], [[0, 1]], []))
+    state.add_duals([5, 3])
+    state.trail = []
+    state.remove_tuples(0, [1, 3])
+    mark = len(state.trail)
+    state.remove_tuples(1, [0])
+    state.remove_tuples(0, [0, 4])
+    assert state.trail == [("dt", 0, [1, 3]), ("dt", 1, [0]), ("dt", 0, [0, 4])]
+    assert state.dual_masks == [bytearray([0, 0, 1, 0, 0]), bytearray([0, 1, 1])]
+    assert state.dual_counts == [1, 2]
+    restored = []
+    state.undo(mark, lambda v, idxs: restored.append((v, list(idxs))))
+    assert restored == [(0, [0, 4]), (1, [0])]
+    assert state.dual_masks == [bytearray([1, 0, 1, 0, 1]), bytearray([1, 1, 1])]
+    assert state.dual_counts == [3, 3]
+    state.undo(0)
+    assert state.trail == [] and state.dual_counts == [5, 3]
+    assert state.dual_masks == [bytearray([1]) * 5, bytearray([1]) * 3]

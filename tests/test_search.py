@@ -1,9 +1,13 @@
+import itertools
+import random
+
 import pytest
 
-from bincsp.core import Constraint, Problem, enumerate_solutions
+from bincsp.core import Constraint, Counters, Problem, enumerate_solutions
 from bincsp.encode import build_de, build_double, build_hve, induced_assignment
 from bincsp.gen import (CrosswordSpec, ModelBParams, gen_crossword,
                         gen_model_b, gen_parity_chain)
+from bincsp.propagate import constraint_has_valid_tuple
 from bincsp.search import (ALGORITHMS, DOM_DEG, FIXED, double_ac, make_engine,
                            prepare_model, solve)
 
@@ -523,7 +527,8 @@ def test_derived_counters_are_right_after_every_undo():
     verdicts, undos = set(), {}
     for seed, q in enumerate((45, 50, 55, 60, 65), start=1):
         p = gen_model_b(ModelBParams(15, 4, 3, 8, q, seed))
-        for algorithm in ("MAC-PW-AC", "MAC-PW-ACd", "dFC3", "dFC5", "MAC-hybrid"):
+        for algorithm in ("MAC-PW-AC", "MAC-PW-ACd", "dFC1", "dFC3", "dFC5",
+                          "MAC-hybrid"):
             spec = ALGORITHMS[algorithm]
             if spec.representation == "HYBRID":
                 model = build_double(p, encoded_subset=range(0, len(p.constraints), 2))
@@ -540,7 +545,39 @@ def test_derived_counters_are_right_after_every_undo():
             engine.undo_to = checked_undo
             verdicts.add(engine.solve().verdict)
     assert {"SAT", "UNSAT"} <= verdicts
-    assert min(undos.values()) >= 20 and len(undos) == 5, undos
+    assert min(undos.values()) >= 20 and len(undos) == 6, undos
+
+
+def test_fc1_reads_exactly_the_duals_that_lost_tuples_from_the_trail():
+    """hFC1 and dFC1 revise the duals named by the node's "dt" trail
+    entries, one per batch of deleted tuples. Those must be exactly the
+    duals whose live count fell since the node began."""
+    checked = {}
+    for seed, q in enumerate((45, 55, 65), start=1):
+        p = gen_model_b(ModelBParams(15, 4, 3, 8, q, seed))
+        for algorithm in ("hFC1", "dFC1"):
+            spec = ALGORITHMS[algorithm]
+            engine = make_engine(prepare_model(p, spec), spec, ordering=DOM_DEG,
+                                 node_limit=300)
+            before = []
+
+            def assign(var, val, engine=engine, assign=engine.assign):
+                before[:] = engine.state.dual_counts
+                return assign(var, val)
+
+            def fc_low_level(current_vars, engine=engine,
+                             fc_low_level=engine._fc_low_level):
+                named = {v for head, v, _ in engine.trail[engine.node_mark:]
+                         if head == "dt"}
+                fell = {v for v, (was, now) in
+                        enumerate(zip(before, engine.state.dual_counts)) if now < was}
+                assert named == fell, engine.spec.name
+                checked[engine.spec.name] = checked.get(engine.spec.name, 0) + bool(fell)
+                return fc_low_level(current_vars)
+
+            engine.assign, engine._fc_low_level = assign, fc_low_level
+            engine.solve()
+    assert set(checked) == {"hFC1", "dFC1"} and min(checked.values()) >= 20, checked
 
 
 def test_fc_lanes_on_the_double_encoding_queue_nothing():
@@ -608,3 +645,41 @@ def test_zero_constraint_problem_is_sat_everywhere():
     for algorithm in ("nFC2", "MGAC-2001", "MHAC-2001", "MAC-PW-ACd"):
         r = solve(p, algorithm, ordering=FIXED)
         assert r.verdict == "SAT" and r.nodes == 2
+
+
+def test_byte_lane_wipeout_test_counts_like_the_relation_scan():
+    """nFC2-nFC5's wipe-out test reads a relation through byte columns when
+    its domains have at most 256 values. On one-constraint problems under
+    random 0/1 masks it must give `constraint_has_valid_tuple`'s verdict
+    and count its micro-ops: the scan to the first valid tuple, or the
+    whole relation when none is valid. A domain of more than 256 values
+    takes the scan itself."""
+    rng = random.Random(17)
+    problems = []
+    for _ in range(40):
+        sizes = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+        space = list(itertools.product(*map(range, sizes)))
+        problems.append((sizes, rng.sample(space, rng.randint(0, len(space)))))
+    problems.append(([256, 3], [(a, a % 3) for a in range(0, 256, 5)]))
+    problems.append(([300, 3], [(a, a % 3) for a in range(0, 300, 7)]))
+    outcomes = set()
+    for sizes, rel in problems:
+        p = Problem([f"x{i}" for i in range(len(sizes))],
+                    [list(range(d)) for d in sizes],
+                    [Constraint(range(len(sizes)), relation=rel)])
+        engine = make_engine(p, ALGORITHMS["nFC3"])
+        for _ in range(25):
+            keep = rng.random()
+            for x, d in enumerate(sizes):
+                engine.state.masks[x][:] = bytes(rng.random() < keep for _ in range(d))
+            scan = Counters()
+            expected = constraint_has_valid_tuple(p, p.constraints[0], None,
+                                                  engine.state, scan)
+            before = engine.counters.microops
+            assert engine._no_empty_unit() == expected, (sizes, rel)
+            assert engine.counters.microops - before == scan.microops, (sizes, rel)
+            assert (engine.columns[0] is None) == (max(sizes) > 256)
+            outcomes.add((expected, bool(rel), engine.columns[0] is None))
+    # found and not found, on empty and non-empty relations, both paths
+    assert {(True, True, False), (False, True, False), (False, False, False),
+            (True, True, True), (False, True, True)} <= outcomes
