@@ -94,8 +94,10 @@ def _default_hybrid_subset(problem: Problem, max_arity: int = 5,
     """Constraints worth double-encoding: low arity and expandable within
     budget; the rest stay intensional. Returns the subset and the tuple
     lists expanded to test it, by constraint id, for the build to reuse.
-    `materialize` is read from the `core` module at call time, so a wrapper
-    installed there sees these expansions too."""
+    The expansions share one `GapRows`, so equal relations are one list,
+    and each is tested against `budget` even when it was expanded for an
+    earlier constraint. `materialize` is read from the `core` module at
+    call time, so a wrapper installed there sees these expansions too."""
     subset, expanded = [], {}
     rows = GapRows()
     for ci, c in enumerate(problem.constraints):

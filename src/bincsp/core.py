@@ -9,9 +9,11 @@ expanded to that form over the initial domains.
 from __future__ import annotations
 
 import itertools
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class CapacityError(Exception):
@@ -146,6 +148,18 @@ class Predicate:
         # parity_neq
         (a0, a1), (b0, b1) = self.pairs
         return (values[a0] + values[a1]) % 2 != (values[b0] + values[b1]) % 2
+
+    def key(self) -> tuple:
+        """The kind and parameters, hashable; `subset` is order-free."""
+        if self.kind == "linear":
+            return (self.kind, self.coeffs, self.rel, self.const)
+        if self.kind == "separation":
+            return (self.kind, self.s)
+        if self.kind == "rich_separation":
+            return (self.kind, self.s, self.s2, frozenset(self.subset))
+        if self.kind == "parity_neq":
+            return (self.kind, self.pairs)
+        return (self.kind,)
 
     def spec(self) -> dict:
         """JSON-ready parameter description."""
@@ -282,11 +296,11 @@ class DomainState:
 
     def live_values(self, x: int) -> list:
         mask = self.masks[x]
-        return [a for a in range(len(mask)) if mask[a]]
+        return list(itertools.compress(range(len(mask)), mask))
 
     def live_tuples(self, v: int) -> list:
         mask = self.dual_masks[v]
-        return [i for i in range(len(mask)) if mask[i]]
+        return list(itertools.compress(range(len(mask)), mask))
 
     def remove_value(self, x: int, a: int) -> None:
         if self.trail is not None:
@@ -333,7 +347,10 @@ class DomainState:
 
     def assign_value(self, x: int, a: int) -> list:
         """Restrict D(x) to {a}; returns the removed values."""
-        removed = [b for b in range(len(self.masks[x])) if self.masks[x][b] and b != a]
+        mask = self.masks[x]
+        removed = list(itertools.compress(range(len(mask)), mask))
+        if mask[a]:
+            removed.remove(a)
         for b in removed:
             self.remove_value(x, b)
         return removed
@@ -382,45 +399,71 @@ def value_index(tuples: Sequence[tuple], sizes: Iterable[int]) -> list:
     return index
 
 
+class GapTables(NamedTuple):
+    """The `GapRows` rows one gap-kind constraint reads.
+
+    later[i][m] maps a label of position i to its row over position i + 1 +
+    m's values; `pair` is the `GapPair` of the last two positions (None
+    below arity 2)."""
+
+    later: list
+    pair: Optional["GapPair"]
+
+
 class GapRows:
-    """Byte-lane compatibility rows of the gap kinds, built on demand.
+    """Byte-lane compatibility rows of the gap kinds, built on demand, and
+    the relations expanded in one run.
 
     For a position's label list `labels`, a gap g and a label l of another
     position, the row is an int with one byte per value index v of the
     position, byte v (bits 8v..8v+7) being 1 when |labels[v] - l| > g and 0
     otherwise. `int.from_bytes(mask, "little") & row` then holds the live
     values far enough from l, one byte each, which relies on domain masks
-    holding only 0 and 1 bytes; an empty candidate set is the int 0.
+    holding only 0 and 1 bytes; an empty candidate set is the int 0, and
+    `int.bit_count` counts a set's values.
 
     Rows are keyed by label content and gap, so every constraint whose
-    positions carry the same labels reads the same rows. One object serves
-    one run (an encoding build, one GAC-2001 engine) and nothing is stored
-    on the problem, its constraints or its predicates: each run builds the
-    rows it reads.
+    positions carry the same labels reads the same rows. The last two
+    positions of a constraint read one `GapPair`, keyed by both label lists
+    and their gap. `relations` maps a predicate's `key()` and the label
+    lists of its scope to the tuple list `expand_predicate` made for them,
+    so equal relations are expanded once. One object serves one run (an
+    encoding build, one GAC-2001 engine) and nothing is stored on the
+    problem, its constraints or its predicates: each run builds the rows it
+    reads.
     """
 
     def __init__(self):
         self._rows = {}
+        self._pairs = {}
+        self.relations = {}
 
-    def tables(self, problem: Problem, c: Constraint) -> Optional[list]:
-        """tables[j][i] (i != j) maps a label of position i to its row over
-        position j's values at gap gaps(k)[j][i]; None on the diagonal, and
-        no tables at all for a constraint that is not of a gap kind."""
+    def _by_label(self, labels: tuple, gap) -> "_RowsByLabel":
+        key = (labels, gap)
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = self._rows[key] = _RowsByLabel(labels, gap)
+        return rows
+
+    def tables(self, problem: Problem, c: Constraint) -> Optional[GapTables]:
+        """The rows a gap-kind constraint reads (None for other kinds): the
+        rows of position j read by a label of position i < j sit at
+        later[i][j - i - 1], at gap gaps(k)[i][j]."""
         gaps = c.predicate.gaps(c.arity) if c.predicate is not None else None
         if gaps is None:
             return None
         labels = [tuple(problem.domains[x]) for x in c.scope]
-        tables = []
-        for j, gap_row in enumerate(gaps):
-            table = [None] * len(gap_row)
-            for i, gap in enumerate(gap_row):
-                if i != j:
-                    key = (labels[j], gap)
-                    if key not in self._rows:
-                        self._rows[key] = _RowsByLabel(*key)
-                    table[i] = self._rows[key]
-            tables.append(table)
-        return tables
+        k = len(labels)
+        later = [[self._by_label(labels[j], gaps[i][j]) for j in range(i + 1, k)]
+                 for i in range(k)]
+        pair = None
+        if k >= 2:
+            key = (labels[k - 2], labels[k - 1], gaps[k - 2][k - 1])
+            pair = self._pairs.get(key)
+            if pair is None:
+                pair = self._pairs[key] = GapPair(
+                    self._by_label(labels[k - 2], key[2]), later[k - 2][0])
+        return GapTables(later, pair)
 
 
 class _RowsByLabel(dict):
@@ -439,73 +482,148 @@ class _RowsByLabel(dict):
         return row
 
 
+def _column(values: list, size: int):
+    """Value indices of a domain of `size` values: bytes up to 256 values,
+    array('H') beyond."""
+    return bytes(values) if size <= 256 else array("H", values)
+
+
+def _pick(column, cand: int, size: int) -> bytes:
+    """Byte i is 1 when column[i] is in the byte-lane set `cand` of a domain
+    of `size` values."""
+    flags = cand.to_bytes(size, "little")
+    if size <= 256:
+        return column.translate(flags + bytes(256 - size))
+    return bytes(map(flags.__getitem__, column))
+
+
+class GapPair:
+    """The last two positions p and q of a gap-kind constraint at their gap.
+
+    `back` maps a label of q to its row over p's values and `fwd` a label of
+    p to its row over q's values (the gap is symmetric). `table` lists the
+    compatible index pairs (a, b) in lexicographic order, with a byte column
+    of a's and one of b's; `select` picks from it the pairs whose a and b are
+    both candidates, and `union` is the set of p's values compatible with
+    some value of a set of q's, cached per set.
+    """
+
+    def __init__(self, back: _RowsByLabel, fwd: _RowsByLabel):
+        self.back = back
+        self.fwd = fwd
+        self._unions = {}
+
+    @cached_property
+    def table(self) -> tuple:
+        back, fwd = self.back, self.fwd
+        size_q = len(fwd.labels)
+        pairs = [(a, b) for a, label in enumerate(back.labels)
+                 for b in itertools.compress(range(size_q),
+                                             fwd[label].to_bytes(size_q, "little"))]
+        return (pairs, _column([a for a, _ in pairs], len(back.labels)),
+                _column([b for _, b in pairs], size_q))
+
+    def select(self, cand_p: int, cand_q: int):
+        """The pairs (a, b) of `table` with a in cand_p and b in cand_q, in
+        order."""
+        pairs, col_a, col_b = self.table
+        picked = (int.from_bytes(_pick(col_a, cand_p, len(self.back.labels)), "little")
+                  & int.from_bytes(_pick(col_b, cand_q, len(self.fwd.labels)), "little"))
+        return itertools.compress(pairs, picked.to_bytes(len(pairs), "little"))
+
+    def union(self, cand_q: int) -> int:
+        """The OR of the back rows of the labels of cand_q's values."""
+        union = self._unions.get(cand_q)
+        if union is None:
+            back, labels = self.back, self.fwd.labels
+            union = 0
+            for b in itertools.compress(range(len(labels)),
+                                        cand_q.to_bytes(len(labels), "little")):
+                union |= back[labels[b]]
+            self._unions[cand_q] = union
+        return union
+
+
 def expand_predicate(problem: Problem, c: Constraint,
                      budget: int = DEFAULT_EXPANSION_BUDGET,
                      rows: Optional[GapRows] = None) -> list:
     """All satisfying tuples of a predicate constraint over the initial
     domains, sorted lexicographically.
 
+    With `rows`, the run's expansions are shared: a relation already in
+    `rows.relations` is returned as that same list, after the budget test
+    its expansion would have made. Without it, rows are built for this call.
+
     Gap kinds (the separations) are generated by a forward-filtering
     depth-first search, so tight constraints never enumerate the full cross
     product: each level keeps, for every later position, the byte-lane set
     of its values still far enough from the values placed so far (ANDed
-    with the placed label's `GapRows` row, and dropped when it reaches 0),
-    and the last level emits its survivors in one step. `rows` shares the
-    rows with other expansions of the same run; without it they are built
-    for this call. More than `budget` tuples raise CapacityError. Every
-    other kind enumerates d^k, which must fit the budget.
+    with the placed label's `GapRows` row, and dropped when it reaches 0).
+    The search stops at position k - 2 and emits the last two positions of
+    each prefix in one batch, `GapPair.select` over their candidate sets.
+    More than `budget` tuples raise CapacityError. Every other kind
+    enumerates d^k, which must fit the budget.
     """
     if c.predicate is None:
         raise ValueError("constraint is already extensional")
     pred = c.predicate
     doms = [problem.domains[x] for x in c.scope]
     sizes = [len(d) for d in doms]
+    gap_kind = pred.kind in Predicate.GAP_KINDS
+    if not gap_kind:
+        space = 1
+        for s in sizes:
+            space *= s
+            if space > budget:
+                raise CapacityError(
+                    f"expansion space {'x'.join(map(str, sizes))} exceeds budget {budget}")
+    if rows is None:
+        rows = GapRows()
+    key = (pred.key(), tuple(tuple(d) for d in doms))
+    out = rows.relations.get(key)
+    if out is None:
+        if gap_kind:
+            out = _expand_gaps(doms, sizes, rows.tables(problem, c), budget, pred.kind)
+        else:
+            out = [t for t in itertools.product(*(range(s) for s in sizes))
+                   if pred.holds(tuple(doms[pos][a] for pos, a in enumerate(t)))]
+        rows.relations[key] = out
+    if len(out) > budget:
+        raise CapacityError(f"expansion of {pred.kind} constraint exceeded budget {budget}")
+    return out
+
+
+def _expand_gaps(doms, sizes, tables: GapTables, budget: int, kind: str) -> list:
+    """The gap-kind search of `expand_predicate`, which raises as soon as
+    it has more than `budget` tuples."""
     k = len(sizes)
-
-    tables = (rows if rows is not None else GapRows()).tables(problem, c)
-    if tables is not None:
-        if k == 0:
-            return [()]
-        out = []
-        last = k - 1
-        # later[pos]: the rows of positions pos + 1.. by position pos's label
-        later = [[tables[j][pos] for j in range(pos + 1, k)] for pos in range(k)]
-
-        def rec(pos, prefix, cands):
-            # cands[j] is the byte-lane candidate set of position pos + j
-            size = sizes[pos]
-            present = itertools.compress(range(size), cands[0].to_bytes(size, "little"))
-            if pos == last:
-                out.extend([prefix + (a,) for a in present])
-                if len(out) > budget:
-                    raise CapacityError(
-                        f"expansion of {pred.kind} constraint exceeded budget {budget}")
-                return
-            dom, rows_later = doms[pos], later[pos]
-            for a in present:
-                label = dom[a]
-                kept = []
-                for cand, by_label in zip(cands[1:], rows_later):
-                    cand &= by_label[label]
-                    if cand == 0:
-                        break
-                    kept.append(cand)
-                else:
-                    rec(pos + 1, prefix + (a,), kept)
-
-        rec(0, (), [int.from_bytes(b"\x01" * size, "little") for size in sizes])
-        return out
-
-    space = 1
-    for s in sizes:
-        space *= s
-        if space > budget:
-            raise CapacityError(
-                f"expansion space {'x'.join(map(str, sizes))} exceeds budget {budget}")
+    if k < 2:
+        return [()] if k == 0 else [(a,) for a in range(sizes[0])]
     out = []
-    for t in itertools.product(*(range(s) for s in sizes)):
-        if pred.holds(tuple(doms[pos][a] for pos, a in enumerate(t))):
-            out.append(t)
+    stop, later, select = k - 2, tables.later, tables.pair.select
+
+    def rec(pos, prefix, cands):
+        # cands[j] is the byte-lane candidate set of position pos + j
+        if pos == stop:
+            out.extend(map(prefix.__add__, select(*cands)))
+            if len(out) > budget:
+                raise CapacityError(
+                    f"expansion of {kind} constraint exceeded budget {budget}")
+            return
+        size = sizes[pos]
+        dom, rows_later = doms[pos], later[pos]
+        for a in itertools.compress(range(size), cands[0].to_bytes(size, "little")):
+            label = dom[a]
+            kept = []
+            for cand, by_label in zip(cands[1:], rows_later):
+                cand &= by_label[label]
+                if cand == 0:
+                    break
+                kept.append(cand)
+            else:
+                rec(pos + 1, prefix + (a,), kept)
+
+    rec(0, (), [int.from_bytes(b"\x01" * size, "little") for size in sizes])
     return out
 
 
@@ -513,7 +631,7 @@ def materialize(problem: Problem, c: Constraint,
                 budget: int = DEFAULT_EXPANSION_BUDGET,
                 rows: Optional[GapRows] = None) -> list:
     """The constraint's relation as a sorted tuple list (expanding if needed,
-    reading gap rows from `rows` when given)."""
+    reading gap rows and the run's expansions from `rows` when given)."""
     if c.relation is not None:
         return c.relation
     return expand_predicate(problem, c, budget, rows)

@@ -33,16 +33,22 @@ HYBRID = "HYBRID"
 
 
 class DualVariable:
-    """One dual variable: a constraint turned into a variable over its tuples."""
+    """One dual variable: a constraint turned into a variable over its tuples.
+
+    `tuples` is the list the build expanded, not a copy: duals of equal
+    relations share it. `indexes` maps the id of a tuple list to its value
+    index, and is shared by every dual of one build, so such duals also
+    share `tuples_by_pos_val`."""
 
     def __init__(self, dual_id: int, constraint_index: int, scope: Sequence[int],
-                 tuples: Sequence[tuple], domain_sizes: Sequence[int]):
+                 tuples: list, domain_sizes: Sequence[int], indexes: dict):
         self.id = dual_id
         self.constraint_index = constraint_index
         self.scope = tuple(scope)
-        self.tuples = list(tuples)
+        self.tuples = tuples
         self.position = {x: i for i, x in enumerate(self.scope)}
         self.domain_sizes = [domain_sizes[x] for x in self.scope]
+        self._indexes = indexes
 
     @cached_property
     def tuples_by_pos_val(self) -> list:
@@ -52,7 +58,11 @@ class DualVariable:
         support index: a search for a after pointer p bisects into it and
         tests only those tuples, counting as checks the indices p + 1.. up
         to the support that the lexicographic scan stepped over."""
-        return value_index(self.tuples, self.domain_sizes)
+        index = self._indexes.get(id(self.tuples))
+        if index is None:
+            index = self._indexes[id(self.tuples)] = value_index(self.tuples,
+                                                                 self.domain_sizes)
+        return index
 
     @property
     def arity(self) -> int:
@@ -177,15 +187,18 @@ def piecewise_decomposition(enc: EncodedProblem, vi: int, vj: int) -> Decomposit
 
 def _make_duals(problem: Problem, constraint_ids: Sequence[int],
                 budget: int, expanded: Optional[dict] = None) -> list:
+    """One dual per constraint id. Equal relations are expanded once (see
+    `core.GapRows.relations`), and their duals share the tuple list and its
+    value index."""
     sizes = [problem.domain_size(x) for x in range(problem.n)]
-    rows = GapRows()
+    rows, indexes = GapRows(), {}
     duals = []
     for dual_id, ci in enumerate(constraint_ids):
         c = problem.constraints[ci]
         tuples = expanded.get(ci) if expanded else None
         if tuples is None:
             tuples = materialize(problem, c, budget, rows)
-        duals.append(DualVariable(dual_id, ci, c.scope, tuples, sizes))
+        duals.append(DualVariable(dual_id, ci, c.scope, tuples, sizes, indexes))
     return duals
 
 

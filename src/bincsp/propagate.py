@@ -20,8 +20,10 @@ the pointer, or to the end of the list when there is none. The two engines
 therefore differ in micro-ops (per-position probes vs one dual-domain
 lookup) but never in checks, which is what the check-count comparisons
 rely on. On a predicate, GAC-2001 enumerates candidate tuples instead (see
-`_pred_enum`); the separation kinds read byte-lane rows of `core.GapRows`
-there. PW-AC performs no tuple checks at all: its work is counter updates.
+`_pred_enum`). The separation kinds read byte-lane rows of `core.GapRows`
+there, and count the last two levels of that enumeration from their
+candidate sets (`_gap_enum`, with `core.GapPair.union`) without walking
+them. PW-AC performs no tuple checks at all: its work is counter updates.
 
 AC-2001 runs on one binary view of any encoding, `BinaryView`: the duals
 and dual-dual arcs, plus the originals and hidden arcs when the encoding
@@ -176,14 +178,13 @@ def _pred_enum(problem, c, pos, a, state, after, tight0, counters, tables):
     when tight0 is set. `tables` are the constraint's `GapRows.tables` (None
     for kinds without gaps).
 
-    One depth-first loop serves every kind. A level's candidates are a
-    byte-lane int: its live mask (only a at pos) ANDed, for gap kinds, with
-    the rows of the labels placed at the earlier positions, so a full tuple
-    that gets there already holds. The level visits them in ascending
-    order, from after[depth] while the prefix equals `after` and from 0
-    otherwise. Each completed candidate evaluated is one check; a level
-    costs one micro-op per value index it steps over, from its start to the
-    value it returns at, or to the end of the domain.
+    The count is that of one depth-first search. A level's candidates are
+    its live values (only a at pos); it visits them in ascending order, from
+    after[depth] while the prefix equals `after` and from 0 otherwise. Each
+    completed candidate evaluated is one check; a level costs one micro-op
+    per value index it steps over, from its start to the value it returns
+    at, or to the end of the domain. Gap kinds are searched by `_gap_enum`,
+    which counts the same search without walking all of it.
     """
     scope = c.scope
     k = len(scope)
@@ -192,18 +193,16 @@ def _pred_enum(problem, c, pos, a, state, after, tight0, counters, tables):
     lives = [int.from_bytes(state.masks[x], "little") for x in scope]
     if pos >= 0:
         lives[pos] &= 1 << 8 * a
-    earlier = [()] * k if tables is None else [row[:j] for j, row in enumerate(tables)]
-    holds = c.predicate.holds if tables is None else None
+    if tables is not None:
+        return _gap_enum(doms, sizes, lives, after, tight0, counters, tables)
+    holds = c.predicate.holds
     labels = [None] * k
     values = [0] * k
     last = k - 1
 
     def rec(depth, tight):
         lo = after[depth] if tight else 0
-        live = lives[depth]
-        for rows, label in zip(earlier[depth], labels):
-            live &= rows[label]
-        live >>= 8 * lo
+        live = lives[depth] >> 8 * lo
         if tight and depth == last:
             live &= ~1  # drop the value equal to `after`; we need strictly greater
         dom = doms[depth]
@@ -214,7 +213,7 @@ def _pred_enum(problem, c, pos, a, state, after, tight0, counters, tables):
             values[depth] = v
             if depth == last:
                 counters.checks += 1
-                if holds is not None and not holds(labels):
+                if not holds(labels):
                     live ^= low
                     continue
                 found = tuple(values)
@@ -229,6 +228,81 @@ def _pred_enum(problem, c, pos, a, state, after, tight0, counters, tables):
         return None
 
     return rec(0, tight0)
+
+
+def _gap_enum(doms, sizes, lives, after, tight0, counters, tables):
+    """`_pred_enum` on a gap kind. Each level holds one byte-lane candidate
+    int per later position: its live values far enough from every label
+    placed so far. A full tuple reached that way holds, so a last level with
+    candidates returns its first one at one check.
+
+    While the prefix equals `after`, levels step as `_pred_enum` describes.
+    Once it leaves `after`, the last two levels p and q are closed
+    arithmetically from their candidates c_p and c_q. hit = c_p &
+    `GapPair.union`(c_q) holds the values of p that some value of q
+    completes. If it is set, its lowest value v is the answer at p, each
+    candidate of p below v cost a failed q level (size[q] micro-ops), and
+    the answer at q is the lowest w of c_q compatible with v: v + 1 and
+    w + 1 more. Otherwise both levels fail at size[p] + |c_p| * size[q].
+    """
+    k = len(sizes)
+    last, later, pair = k - 1, tables.later, tables.pair
+    values = [0] * k
+
+    def close(cands):
+        # the free search of the last one or two levels
+        if len(cands) == 1:
+            cand = cands[0]
+            if not cand:
+                counters.microops += sizes[last]
+                return None
+            values[last] = w = ((cand & -cand).bit_length() - 1) >> 3
+            counters.checks += 1
+            counters.microops += w + 1
+            return tuple(values)
+        cand_p, cand_q = cands
+        hit = cand_p & pair.union(cand_q)
+        if not hit:
+            counters.microops += sizes[last - 1] + cand_p.bit_count() * sizes[last]
+            return None
+        low = hit & -hit
+        values[last - 1] = v = (low.bit_length() - 1) >> 3
+        cand_q &= pair.fwd[doms[last - 1][v]]
+        values[last] = w = ((cand_q & -cand_q).bit_length() - 1) >> 3
+        counters.checks += 1
+        counters.microops += (cand_p & (low - 1)).bit_count() * sizes[last] + v + w + 2
+        return tuple(values)
+
+    def rec(depth, tight, cands):
+        # cands[j] is the candidate set of position depth + j
+        if not tight and depth >= last - 1:
+            return close(cands)
+        lo = after[depth] if tight else 0
+        live = cands[0] >> 8 * lo
+        if depth == last:  # tight: we need strictly greater than `after`
+            live &= ~1
+            if not live:
+                counters.microops += sizes[last] - lo
+                return None
+            values[last] = w = lo + (((live & -live).bit_length() - 1) >> 3)
+            counters.checks += 1
+            counters.microops += w - lo + 1
+            return tuple(values)
+        dom, rows_later, rest = doms[depth], later[depth], cands[1:]
+        while live:
+            low = live & -live
+            values[depth] = v = lo + ((low.bit_length() - 1) >> 3)
+            label = dom[v]
+            found = rec(depth + 1, tight and v == lo,
+                        [cand & by_label[label] for cand, by_label in zip(rest, rows_later)])
+            if found is not None:
+                counters.microops += v - lo + 1
+                return found
+            live ^= low
+        counters.microops += sizes[depth] - lo
+        return None
+
+    return rec(0, tight0, lives)
 
 
 def constraint_has_valid_tuple(problem, c, tables, state, counters=None) -> bool:

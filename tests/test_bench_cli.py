@@ -1,6 +1,8 @@
 import json
 from collections import Counter
 
+import pytest
+
 import bincsp.bench as bench
 import bincsp.core as core
 import bincsp.encode as encode
@@ -225,3 +227,22 @@ def test_mac_hybrid_expands_each_encoded_constraint_once(monkeypatch):
     assert (record.verdict, record.nodes, record.checks, record.microops,
             record.removals, result.counters.group_updates) == \
         ("SAT", 48, 0, 0, 27989, 96806)
+
+
+def test_hybrid_subset_budget_holds_on_a_relation_shared_from_a_larger_one(monkeypatch):
+    """Two equal 3-ary separations of 205 320 tuples: expanded once under
+    500 000, the relation is shared, and the subset's 200 000 budget still
+    turns it away."""
+    pred = core.Predicate("separation", s=0)
+    problem = core.Problem([f"f{i}" for i in range(6)], [list(range(60))] * 6,
+                           [core.Constraint((0, 1, 2), predicate=pred),
+                            core.Constraint((3, 4, 5), predicate=pred)])
+    c0, c1 = problem.constraints
+    rows = core.GapRows()
+    shared = core.materialize(problem, c0, 500_000, rows)
+    assert len(shared) == 60 * 59 * 58
+    assert core.materialize(problem, c1, len(shared), rows) is shared
+    with pytest.raises(core.CapacityError):
+        core.materialize(problem, c1, 200_000, rows)
+    monkeypatch.setattr(bench, "GapRows", lambda: rows)
+    assert bench._default_hybrid_subset(problem) == ([], {})

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -331,6 +332,21 @@ def test_rich_separation_subsets_at_the_ends_and_in_the_middle(arity, subset):
     assert got  # tight enough to prune, loose enough to keep tuples
     if arity <= 4:
         assert got == _product_expand(p, c)
+
+
+@pytest.mark.parametrize("pred", [
+    Predicate("separation", s=4),
+    Predicate("rich_separation", s=2, s2=30, subset=(0,)),
+], ids=repr)
+@pytest.mark.parametrize("sizes", [(300, 300), (4, 300, 30), (3, 25, 300)])
+def test_gap_expansion_over_300_values(pred, sizes):
+    """The last two positions read array columns past 256 values."""
+    rng = random.Random(len(sizes) * 1000 + sum(sizes))
+    p = _scattered_labels_problem(pred, [rng.sample(range(2000), size) for size in sizes])
+    c = p.constraints[0]
+    got = expand_predicate(p, c, 100_000)
+    assert got == _product_expand(p, c)
+    assert len(got) > 1000
 
 
 def test_gap_expansion_budget_is_exact():

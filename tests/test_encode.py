@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from bincsp.core import CapacityError, Constraint, Predicate, Problem, \
-    enumerate_solutions, project
+    enumerate_solutions, expand_predicate, project
 from bincsp.encode import (DE, DOUBLE, HVE, HYBRID, build_de, build_double,
                            build_hve, induced_assignment,
                            piecewise_decomposition)
@@ -344,3 +344,44 @@ def test_ac1_on_encodings_matches_specialized_engines():
         if ok_d:
             assert st_d.dual_domains_as_lists() == \
                 w.state.dual_domains_as_lists()
+
+
+def _sharing_problem():
+    """Constraints by name over nine variables: x6 carries other labels than
+    the rest. "a" and "b" are one relation, "d" and "e" another (the same
+    `subset` in another order); "c", "f" and "g" each differ from one of
+    them in s, in `subset` or in one position's labels."""
+    labels = [0, 3, 7, 12, 18, 25, 31]
+    domains = [labels] * 6 + [[0, 4, 7, 12, 18, 25, 31]] + [labels] * 2
+    rich = dict(s=1, s2=4)
+    named = {
+        "a": ((0, 1, 2), Predicate("separation", s=2)),
+        "b": ((3, 4, 5), Predicate("separation", s=2)),
+        "c": ((3, 1, 7), Predicate("separation", s=3)),
+        "d": ((0, 3, 7), Predicate("rich_separation", subset=(0, 2), **rich)),
+        "e": ((1, 4, 8), Predicate("rich_separation", subset=(2, 0), **rich)),
+        "f": ((2, 5, 8), Predicate("rich_separation", subset=(0, 1), **rich)),
+        "g": ((6, 1, 2), Predicate("separation", s=2)),
+    }
+    constraints = [Constraint(scope, predicate=pred, name=name)
+                   for name, (scope, pred) in named.items()]
+    return Problem([f"x{i}" for i in range(9)], domains, constraints)
+
+
+@pytest.mark.parametrize("build", [build_hve, build_double])
+def test_equal_relations_share_one_tuple_list_and_index(build):
+    p = _sharing_problem()
+    enc = build(p)
+    dual = {p.constraints[v.constraint_index].name: v for v in enc.duals}
+    for one, other in (("a", "b"), ("d", "e")):
+        assert dual[one].tuples is dual[other].tuples
+        assert dual[one].tuples_by_pos_val is dual[other].tuples_by_pos_val
+    # a change of s, of the subset or of one position's labels
+    for one, other in (("a", "c"), ("d", "f"), ("a", "g")):
+        assert dual[one].tuples is not dual[other].tuples
+        assert dual[one].tuples_by_pos_val is not dual[other].tuples_by_pos_val
+    # every dual still holds its own relation, and counts in the tables
+    for v in enc.duals:
+        c = p.constraints[v.constraint_index]
+        assert v.tuples == expand_predicate(p, c)
+    assert enc.tuple_table_bytes() == sum(3 * len(v.tuples) * 4 for v in enc.duals)

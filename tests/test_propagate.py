@@ -766,12 +766,32 @@ def _hand_gap_problems():
             for pred, k in preds]
 
 
+def _short_and_wide_gap_problems():
+    """Separations at arities 2 and 3, then over 300-value domains at the
+    last position and the one before it, where byte lanes pass 256."""
+    for pred in (Predicate("separation", s=1), Predicate("separation", s=3),
+                 Predicate("rich_separation", s=1, s2=3, subset=(0,)),
+                 Predicate("rich_separation", s=1, s2=4, subset=(1,))):
+        for k in (2, 3):
+            yield Problem([f"z{i}" for i in range(k)], HAND_GAP_LABELS[:k],
+                          [Constraint(tuple(range(k)), predicate=pred)])
+    rng = random.Random(7)
+    labels = [HAND_GAP_LABELS[0], rng.sample(range(1000), 300), HAND_GAP_LABELS[2],
+              rng.sample(range(1000), 300)]
+    for pred in (Predicate("separation", s=3),
+                 Predicate("rich_separation", s=2, s2=40, subset=(1,))):
+        for scope in ((0, 1, 2), (2, 0, 1), (1, 3)):
+            yield Problem([f"z{i}" for i in range(4)], labels,
+                          [Constraint(scope, predicate=pred)])
+
+
 def _pred_enum_suite():
     for seed in range(3):
         yield gen_rlfa("prob1", 20, seed)
         yield gen_rlfa("prob2", 25, seed)
     yield from _hand_predicate_problems()
     yield from _hand_gap_problems()
+    yield from _short_and_wide_gap_problems()
 
 
 def _random_state(p, scope, rng, density):
@@ -787,7 +807,7 @@ def test_pred_enum_counts_like_the_reference():
     """Random masks, positions, values and `after` tuples, tight or not:
     the same tuple, checks and micro-ops."""
     rng = random.Random(5)
-    kinds, found, tight_found, hand_gap_found = set(), 0, 0, 0
+    kinds, found, tight_found, hand_gap_found, wide_found = set(), 0, 0, 0, 0
     for p in _pred_enum_suite():
         for c in p.constraints:
             kinds.add(c.predicate.kind)
@@ -810,8 +830,9 @@ def test_pred_enum_counts_like_the_reference():
                 found += t is not None
                 tight_found += t is not None and tight
                 hand_gap_found += t is not None and p.name == "hand_gap"
+                wide_found += t is not None and max(map(p.domain_size, c.scope)) > 256
     assert kinds == set(Predicate.KINDS)
-    assert found > 100 and tight_found > 30 and hand_gap_found > 20
+    assert found > 100 and tight_found > 30 and hand_gap_found > 20 and wide_found > 20
 
 
 def test_constraint_has_valid_tuple_counts_like_the_reference():
@@ -831,6 +852,37 @@ def test_constraint_has_valid_tuple_counts_like_the_reference():
             assert (got.checks, got.microops) == (want.checks, want.microops), (c, trial)
             answers.add((c.predicate.kind in Predicate.GAP_KINDS, ok))
     assert answers == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_pred_enum_union_is_kept_apart_by_the_last_labels():
+    """Two constraints share their second-to-last labels and gap, hence the
+    rows over those values, but not their last labels. Their last positions
+    hold equal masks over as many values, so a candidate set of one reads
+    as the same int as a candidate set of the other."""
+    labels = [[9, 2, 14, 5, 0, 11], [3, 12, 6, 0, 15, 9, 20], [10, 4, 17, 1, 13, 7],
+              [1, 8, 16, 4, 19, 2], [6, 15, 2, 11, 19]]
+    pred = Predicate("separation", s=2)
+    p = Problem([f"z{i}" for i in range(5)], labels,
+                [Constraint((0, 1, 2), predicate=pred),
+                 Constraint((4, 1, 3), predicate=pred)])
+    rows, rng = GapRows(), random.Random(3)
+    tables = [rows.tables(p, c) for c in p.constraints]
+    assert tables[0].pair.back is tables[1].pair.back
+    assert tables[0].pair is not tables[1].pair
+    found = 0
+    for trial in range(80):
+        state = _random_state(p, range(5), rng, (0.4, 0.7, 1.0)[trial % 3])
+        state.masks[3][:] = state.masks[2]
+        state.counts[3] = state.counts[2]
+        for c, table in zip(p.constraints, tables):
+            pos = rng.randrange(-1, 3)
+            a = rng.randrange(p.domain_size(c.scope[pos])) if pos >= 0 else -1
+            got, want = Counters(), Counters()
+            t = _pred_enum(p, c, pos, a, state, (-1,) * 3, False, got, table)
+            assert t == _reference_pred_enum(p, c, pos, a, state, (-1,) * 3, False, want)
+            assert (got.checks, got.microops) == (want.checks, want.microops)
+            found += t is not None
+    assert found > 40
 
 
 def test_gap_rows_are_built_per_run():
