@@ -14,8 +14,7 @@ from .core import (CapacityError, Constraint, Counters, DomainState, Predicate,
                    Problem, ac1_fixpoint, enumerate_solutions, expand_predicate,
                    is_valid, project, solution_check)
 from .encode import (Decomposition, DualVariable, EncodedProblem, build_de,
-                     build_double, build_hve, induced_assignment,
-                     piecewise_decomposition)
+                     build_double, build_hve, induced_assignment)
 from .propagate import (CONSISTENT, INCONSISTENT, PropagationResult, ac2001,
                         gac2001, hac, pwac, sgac_check)
 from .search import (ALGORITHMS, DUAL_DUAL, HIDDEN_ONLY, AlgorithmSpec,

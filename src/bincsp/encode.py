@@ -12,16 +12,18 @@ with that dual and tuple uses it as its side. All decompositions on one
 shared-variable tuple number their groups in one id space, the projection
 keys realized on that tuple in ascending order, so group g on one side of a
 pair is keyed like group g on the other. A key missing from one side shows
-up there as an empty group and drives deletions on the other. In encodings
-with original variables, each hidden arc (v, x, pos) reads v's
-decomposition on (x,), whose group ids are the values of x.
+up there as an empty group and drives deletions on the other. A hidden arc
+is piecewise functional too, so `EncodedProblem.arcs` lists every binary
+arc with two decompositions as its sides: the hidden arcs (v, x, pos), as
+v's decomposition on (x,) against the identity grouping of x's values,
+then the dual-dual pairs.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (DEFAULT_EXPANSION_BUDGET, DomainState, GapRows, Problem,
                    materialize, value_index)
@@ -36,33 +38,16 @@ class DualVariable:
     """One dual variable: a constraint turned into a variable over its tuples.
 
     `tuples` is the list the build expanded, not a copy: duals of equal
-    relations share it. `indexes` maps the id of a tuple list to its value
-    index, and is shared by every dual of one build, so such duals also
-    share `tuples_by_pos_val`."""
+    relations share it, and with it the value index of their hidden arcs."""
 
     def __init__(self, dual_id: int, constraint_index: int, scope: Sequence[int],
-                 tuples: list, domain_sizes: Sequence[int], indexes: dict):
+                 tuples: list, domain_sizes: Sequence[int]):
         self.id = dual_id
         self.constraint_index = constraint_index
         self.scope = tuple(scope)
         self.tuples = tuples
         self.position = {x: i for i, x in enumerate(self.scope)}
         self.domain_sizes = [domain_sizes[x] for x in self.scope]
-        self._indexes = indexes
-
-    @cached_property
-    def tuples_by_pos_val(self) -> list:
-        """Ascending tuple indices holding value a at position pos. Built on
-        first use: the hidden and double encodings read it, the dual
-        encoding never does. Eager deletions walk it, and it is HAC's
-        support index: a search for a after pointer p bisects into it and
-        tests only those tuples, counting as checks the indices p + 1.. up
-        to the support that the lexicographic scan stepped over."""
-        index = self._indexes.get(id(self.tuples))
-        if index is None:
-            index = self._indexes[id(self.tuples)] = value_index(self.tuples,
-                                                                 self.domain_sizes)
-        return index
 
     @property
     def arity(self) -> int:
@@ -73,19 +58,19 @@ class DualVariable:
 
 
 class Decomposition:
-    """Piecewise decomposition of one dual variable's tuples on an ordered
-    tuple of shared variables.
+    """Piecewise decomposition of one variable's domain on an ordered tuple
+    of shared variables: a dual's tuples, or the values of an original.
 
     Groups are keyed by the projection onto `shared`. Group ids are shared
     by every decomposition on the same tuple and rise with the key, so the
-    supporting group of id g on a pair's peer side is simply id g over there
+    supporting group of id g on an arc's peer side is simply id g over there
     (empty there if no peer tuple carries the key). tuple_group makes group
     lookup a constant-time array read; members lists each group's tuple
-    indices in ascending order. One object serves every pair in which its
-    owner shares exactly `shared`.
+    indices in ascending order. One object serves every arc in which its
+    owner shares exactly `shared`; an original's is the identity grouping.
     """
 
-    def __init__(self, owner: int, shared: tuple, tuple_group: list,
+    def __init__(self, owner: int, shared: tuple, tuple_group: Sequence[int],
                  members: list):
         self.owner = owner
         self.shared = shared
@@ -106,6 +91,29 @@ class Decomposition:
     def __repr__(self):
         return (f"Decomposition(v{self.owner} on {self.shared}, "
                 f"{self.group_count} groups)")
+
+
+class ValueDecomposition(Decomposition):
+    """A dual's decomposition on the variable at position pos: its members
+    are the value index of its tuple list at pos, shared by the duals of the
+    list, and `tuple_group`, that position's column, is built on first read."""
+
+    def __init__(self, owner: int, x: int, tuples: list, pos: int, members: list):
+        self.owner = owner
+        self.shared = (x,)
+        self.members = members
+        self._column = tuples, pos
+
+    @cached_property
+    def tuple_group(self) -> list:
+        tuples, pos = self._column
+        return list(map(itemgetter(pos), tuples))
+
+
+class HiddenArc(NamedTuple):
+    """Hidden constraint (v, x, pos): side1 is v's decomposition on (x,), side2 x's."""
+    side1: Decomposition
+    side2: Decomposition
 
 
 class DualPair:
@@ -151,6 +159,15 @@ class EncodedProblem:
         self.residual_constraints = list(residual_constraints)
         # (dual id, shared-variable tuple) -> Decomposition
         self.decompositions = decompositions if decompositions is not None else {}
+        # every binary arc, with sides side1 and side2: the hidden arcs, then the pairs
+        identity = {}
+        for _, x, _ in self.hidden:
+            if x not in identity:
+                size = problem.domain_size(x)
+                identity[x] = Decomposition(x, (x,), range(size),
+                                            [[a] for a in range(size)])
+        self.arcs = [HiddenArc(self.decompositions[v, (x,)], identity[x])
+                     for v, x, _ in self.hidden] + self.dual_pairs
         self.has_originals = kind != DE
         self.duals_of_var = _duals_of_var(problem.n, self.duals)
         self.pairs_of_dual = [[] for _ in range(len(self.duals))]
@@ -177,28 +194,20 @@ class EncodedProblem:
                 f"{len(self.residual_constraints)} residual)")
 
 
-def piecewise_decomposition(enc: EncodedProblem, vi: int, vj: int) -> Decomposition:
-    """The decomposition of D(v_i) with respect to the constraint with v_j."""
-    for pair in enc.dual_pairs:
-        if (pair.v1, pair.v2) in ((vi, vj), (vj, vi)):
-            return pair.side_for(vi)
-    raise ValueError(f"dual variables v{vi} and v{vj} share no constraint")
-
-
 def _make_duals(problem: Problem, constraint_ids: Sequence[int],
                 budget: int, expanded: Optional[dict] = None) -> list:
     """One dual per constraint id. Equal relations are expanded once (see
     `core.GapRows.relations`), and their duals share the tuple list and its
     value index."""
     sizes = [problem.domain_size(x) for x in range(problem.n)]
-    rows, indexes = GapRows(), {}
+    rows = GapRows()
     duals = []
     for dual_id, ci in enumerate(constraint_ids):
         c = problem.constraints[ci]
         tuples = expanded.get(ci) if expanded else None
         if tuples is None:
             tuples = materialize(problem, c, budget, rows)
-        duals.append(DualVariable(dual_id, ci, c.scope, tuples, sizes, indexes))
+        duals.append(DualVariable(dual_id, ci, c.scope, tuples, sizes))
     return duals
 
 
@@ -240,26 +249,26 @@ def _decompose(duals: Sequence[DualVariable], pairs: Sequence[DualPair],
 
     The ids of a tuple are the keys that its duals realize, in ascending
     order. A hidden arc's original variable realizes every value, so on a
-    single hidden variable the ids are the values themselves and the members
-    are the dual's `tuples_by_pos_val[pos]` lists.
+    single hidden variable the ids are the values themselves: the
+    decomposition is a `ValueDecomposition`, whose members are the value
+    index of the dual's tuple list at that position.
     """
     users = {}  # shared tuple -> {dual id: positions}
     for pair in pairs:
         owners = users.setdefault(pair.shared, {})
         owners[pair.v1] = pair.pos1
         owners[pair.v2] = pair.pos2
-    by_value = {}  # (x,) -> {dual id: pos} of the hidden arcs
+    out, indexes = {}, {}  # indexes: id of a tuple list -> its value index
     for v, x, pos in hidden:
-        by_value.setdefault((x,), {})[v] = pos
-    out = {}
-    for shared, owners in by_value.items():
-        for v, pos in owners.items():
-            dual = duals[v]
-            out[v, shared] = Decomposition(v, shared,
-                                           list(map(itemgetter(pos), dual.tuples)),
-                                           dual.tuples_by_pos_val[pos])
+        dual = duals[v]
+        index = indexes.get(id(dual.tuples))
+        if index is None:
+            index = indexes[id(dual.tuples)] = value_index(dual.tuples,
+                                                           dual.domain_sizes)
+        out[v, (x,)] = ValueDecomposition(v, x, dual.tuples, pos, index[pos])
+    hidden_vars = {(x,) for _, x, _ in hidden}
     for shared, owners in users.items():
-        if shared in by_value:
+        if shared in hidden_vars:
             continue
         keys = {v: list(map(itemgetter(*positions), duals[v].tuples))
                 for v, positions in owners.items()}
@@ -281,7 +290,9 @@ def build_hve(problem: Problem, budget: int = DEFAULT_EXPANSION_BUDGET) -> Encod
     """Hidden variable encoding: one dual per constraint, a binary constraint
     between the dual and each original variable in its scope."""
     duals = _make_duals(problem, range(len(problem.constraints)), budget)
-    return EncodedProblem(HVE, problem, duals, _make_hidden(duals), [])
+    hidden = _make_hidden(duals)
+    return EncodedProblem(HVE, problem, duals, hidden, [],
+                          decompositions=_decompose(duals, [], hidden))
 
 
 def build_de(problem: Problem, budget: int = DEFAULT_EXPANSION_BUDGET) -> EncodedProblem:

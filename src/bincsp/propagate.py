@@ -11,8 +11,8 @@ Counting discipline shared by GAC-2001 and HAC: a support search counts as
 the scan of the sorted tuple list from the stored pointer onward, every
 scanned index one tuple check; testing the stored support itself costs
 micro-ops only. Neither engine scans. Each reads the ascending indices of
-the tuples holding the value at the position (HAC the dual's
-`tuples_by_pos_val`, GAC-2001 a value index it builds per relation on first
+the tuples holding the value at the position (HAC the dual side of the
+hidden arc, GAC-2001 a value index it builds per relation on first
 use), bisects past the pointer, and tests only those tuples, paying the
 scan's micro-ops for each. The first valid one is the tuple the scan would
 have stopped at, so the scan's checks are the index distance to it from
@@ -25,9 +25,9 @@ there, and count the last two levels of that enumeration from their
 candidate sets (`_gap_enum`, with `core.GapPair.union`) without walking
 them. PW-AC performs no tuple checks at all: its work is counter updates.
 
-AC-2001 runs on one binary view of any encoding, `BinaryView`: the duals
-and dual-dual arcs, plus the originals and hidden arcs when the encoding
-has them. It keeps one support pointer per piecewise group and revises
+AC-2001 runs on one binary view of any encoding, `BinaryView`: the duals,
+the originals when the encoding has them, and `EncodedProblem.arcs`. It
+keeps one support pointer per piecewise group and revises
 the live values of a group together, but counts checks and micro-ops
 exactly as the lexicographic scan with one pointer per value would (see
 `Ac2001`), which relies on domain masks holding only 0 and 1 bytes.
@@ -40,8 +40,11 @@ its dual once.
 Propagation on the double encoding (PW-AC between duals plus the rule that
 an original value dies with its last supporting tuple) is
 `search.DoubleEngine`; `search.double_ac` is its root-only call. This module
-supplies its parts: `Hac`, `PwAc` (whose single-variable decompositions
-count the value supports) and, for hybrids, `Gac2001`.
+supplies its parts: `Hac`, `PwAc` (which counts the value supports on the
+hidden arcs' dual sides and revises dFC's pair sides) and, for hybrids,
+`Gac2001`. `BinaryView`, `PwAc`, `Hac` and the value rule all read one
+list of arcs, `EncodedProblem.arcs`, with two decompositions as each arc's
+sides (see `encode`).
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, islice
-from operator import itemgetter
+from operator import itemgetter, not_
 from typing import Iterable, Optional, Sequence
 
 from .core import (Counters, DomainState, GapRows, Problem, is_valid,
@@ -429,7 +432,9 @@ class Hac(UnitFixpoint):
     """HAC: GAC-2001 adapted to the HVE, the units being the duals. Tuple
     validity is a dual-domain lookup and value deletions eagerly delete the
     tuples carrying them from every adjacent dual variable, reporting a
-    dual wipeout at once.
+    dual wipeout at once. Both read the dual sides of the hidden arcs in
+    `arcs`, group a holding the tuples carrying a: `dual_sides[v][pos]` is
+    that of arc (v, x, pos), and `var_sides[x]` lists those on x by dual.
 
     `delete_value(state, x, a) -> bool`, if given, replaces that deletion
     (the double encoding passes one that maintains its group counters);
@@ -444,18 +449,23 @@ class Hac(UnitFixpoint):
         self.units_of_var = enc.duals_of_var
         sizes = [enc.problem.domain_size(x) for x in range(enc.problem.n)]
         self.supports = [[[-1] * sizes[x] for x in v.scope] for v in enc.duals]
+        self.dual_sides = [[] for _ in enc.duals]
+        self.var_sides = [[] for _ in sizes]
+        for arc in enc.arcs[:len(enc.hidden)]:
+            self.dual_sides[arc.side1.owner].append(arc.side1)
+            self.var_sides[arc.side2.owner].append(arc.side1)
         self.delete = delete_value if delete_value is not None else self.delete_value
 
     def delete_value(self, state: DomainState, x: int, a: int) -> bool:
         """Remove a from D(x) and every tuple carrying it; False on dual wipeout."""
-        enc, counters = self.enc, self.counters
+        counters = self.counters
         state.remove_value(x, a)
         counters.value_removals += 1
         ok = True
-        for v_l in enc.duals_of_var[x]:
-            dual = enc.duals[v_l]
+        for side in self.var_sides[x]:
+            v_l = side.owner
             mask = state.dual_masks[v_l]
-            members = dual.tuples_by_pos_val[dual.position[x]][a]
+            members = side.members[a]
             counters.microops += len(members)
             live = [idx for idx in members if mask[idx]]
             if live:
@@ -470,7 +480,7 @@ class Hac(UnitFixpoint):
         (deleted, wiped).
 
         The support search reads the tuples holding a at that position
-        after the pointer from `tuples_by_pos_val`, one micro-op per tuple
+        after the pointer from the arc's dual side, one micro-op per tuple
         it tests for liveness. It counts the checks of the lexicographic
         scan from the pointer, which steps over every tuple index from
         pointer + 1 up to the support, or to the end of the dual's
@@ -478,7 +488,7 @@ class Hac(UnitFixpoint):
         counters = self.counters
         dual = self.enc.duals[v]
         x = dual.scope[pos]
-        by_value = dual.tuples_by_pos_val[pos]
+        by_value = self.dual_sides[v][pos].members
         end = len(dual.tuples) - 1
         pointers = self.supports[v][pos]
         dmask = state.dual_masks[v]
@@ -538,41 +548,27 @@ def hac(enc: EncodedProblem, state: Optional[DomainState] = None,
 class BinaryView:
     """Binary view of an encoding. Its variables are the originals, when
     the encoding has them, then the duals, so a dual encoding's variables
-    are its duals with ids 0..m-1. Its arcs are the hidden arcs
-    (projection equality), then one per dual-dual constraint (equal
-    projection keys).
+    are its duals with ids 0..m-1. Its arcs are the encoding's `arcs`: the
+    hidden arcs (projection equality), then one per dual-dual constraint
+    (equal projection keys).
 
     sides[arc][side] is a (group_of, members, peer_members) triple for
-    revising that side: value a is in group group_of[a], members[g] lists
-    the values of group g, and peer_members[g] the peer values compatible
-    with every one of them, each in ascending order. A dual-dual arc reuses
-    its pair's decompositions. On a hidden arc (v, x, pos) a tuple's group
-    is its value at pos, whose members are v's `tuples_by_pos_val[pos]`,
-    and each value of x is a group of its own.
+    revising that side, read from the arc's two decompositions: value a is
+    in group group_of[a], members[g] lists the values of group g, and
+    peer_members[g] the peer values compatible with every one of them, each
+    in ascending order. On a hidden arc each value of x is a group of its
+    own, and the dual's group a holds its tuples carrying a.
     """
 
     def __init__(self, enc: EncodedProblem):
         self.enc = enc
         n = enc.problem.n if enc.has_originals else 0
         self.bvars = [("orig", x) for x in range(n)] + [("dual", v.id) for v in enc.duals]
-        self.arcs = [("hidden", h) for h in enc.hidden] + \
-                    [("pair", pair) for pair in enc.dual_pairs]
         self.ends = [(n + v, x) for v, x, pos in enc.hidden] + \
                     [(n + pair.v1, n + pair.v2) for pair in enc.dual_pairs]
-        singletons = {}
-        self.sides = []
-        for v, x, pos in enc.hidden:
-            dual = enc.duals[v]
-            by_value = dual.tuples_by_pos_val[pos]
-            size = len(by_value)
-            if size not in singletons:
-                singletons[size] = [[a] for a in range(size)]
-            ones = singletons[size]
-            self.sides.append(((list(map(itemgetter(pos), dual.tuples)), by_value, ones),
-                               (range(size), ones, by_value)))
-        self.sides += [((pair.side1.tuple_group, pair.side1.members, pair.side2.members),
-                        (pair.side2.tuple_group, pair.side2.members, pair.side1.members))
-                       for pair in enc.dual_pairs]
+        self.sides = [((arc.side1.tuple_group, arc.side1.members, arc.side2.members),
+                       (arc.side2.tuple_group, arc.side2.members, arc.side1.members))
+                      for arc in enc.arcs]
         self.adjacency = [[] for _ in self.bvars]
         for arc_id, (b0, b1) in enumerate(self.ends):
             self.adjacency[b0].append((arc_id, 0))
@@ -680,7 +676,7 @@ class Ac2001:
             return False
 
         if queue_seed is None:
-            for arc_id in range(len(view.arcs)):
+            for arc_id in range(len(view.ends)):
                 for side in (0, 1):
                     deleted, remaining = self.revise(arc_id, side, state, masks)
                     if deleted:
@@ -741,11 +737,12 @@ class PwAc:
     reaches zero at most once between two undos (what root propagation
     deletes never comes back), so no item is queued twice.
 
-    With `value_rule` (the double encoding under MAC) the decompositions of
+    With `value_rule` (the double encoding under MAC) the dual sides of
     the hidden arcs are counted too: a zero there means value a of x lost
     its last supporting tuple in that dual, and (x, a) goes on
     `value_queue`, which the caller drains. Without `propagating` (forward
-    checking, which revises pair sides itself) nothing is queued.
+    checking, which revises pair sides through `revise_pairs`) nothing is
+    queued.
 
     Every deletion is a batch of live tuples of one dual, `delete_tuples`,
     which the state trails as one entry; counter decrements and pushes
@@ -765,10 +762,12 @@ class PwAc:
         self.counts: dict = {}
 
     def init_counts(self, state: DomainState) -> None:
-        """Count every decomposition in use on `state` and, when
-        propagating, queue the groups and values that start out empty."""
+        """Count on `state` every side in use of the encoding's `arcs` (the
+        pairs, and the hidden arcs' dual sides under the value rule) and,
+        when propagating, queue the groups and values that start out empty."""
         enc, counts = self.enc, self.counts
         counts.clear()
+        hidden = len(enc.hidden)
 
         def counted(dec):
             if dec not in counts:
@@ -779,8 +778,8 @@ class PwAc:
         # pair side v owns, in pairs_of_dual order, the peer being the
         # (owner, members, counters) of the other side of its pair
         self.sides_of_dual = [[] for _ in enc.duals]
-        for pair in enc.dual_pairs:
-            for side, other in ((pair.side1, pair.side2), (pair.side2, pair.side1)):
+        for arc in enc.arcs[hidden:]:
+            for side, other in ((arc.side1, arc.side2), (arc.side2, arc.side1)):
                 own = counted(side)
                 peer = (other.owner, other.members, counted(other))
                 self.sides_of_dual[side.owner].append(
@@ -793,10 +792,10 @@ class PwAc:
         self.values_of_dual = [[] for _ in enc.duals]
         if self.value_queue is not None:
             masks = state.masks
-            for v, x, pos in enc.hidden:
-                dec = enc.decompositions[v, (x,)]
+            for arc in enc.arcs[:hidden]:
+                dec, x = arc.side1, arc.side2.owner
                 own = counted(dec)
-                self.values_of_dual[v].append((x, own, dec.tuple_group))
+                self.values_of_dual[dec.owner].append((x, own, dec.tuple_group))
                 for a, live in enumerate(own):
                     if not live and masks[x][a]:
                         self.value_queue.push((x, a))
@@ -842,6 +841,24 @@ class PwAc:
                     self.value_queue.push((x, a))
         return state.dual_counts[v] > 0
 
+    def revise_pairs(self, state: DomainState, v: int, peers) -> bool:
+        """Forward checking's revision of dual v against the peers it is
+        given, pair side by pair side: delete v's live tuples in the groups
+        whose peer group is empty. A side with no such group live on v's
+        side has nothing to delete and is skipped. False on wipeout."""
+        mask = state.dual_masks[v]
+        for own_counts, _, (peer, _, peer_counts), members in self.sides_of_dual[v]:
+            if peer not in peers or not any(
+                    compress(own_counts, map(not_, peer_counts))):
+                continue
+            doomed = [idx for gid, (peer_live, own_live)
+                      in enumerate(zip(peer_counts, own_counts))
+                      if not peer_live and own_live
+                      for idx in members[gid] if mask[idx]]
+            if not self.delete_tuples(state, v, doomed):
+                return False
+        return True
+
     def restore_tuples(self, v: int, idxs) -> None:
         """Undo hook: count a restored batch in its groups again."""
         for counts, tuple_group in self.parts_of_dual[v]:
@@ -865,14 +882,6 @@ class PwAc:
                                       [idx for idx in members[gid] if mask[idx]]):
                 return False
         return True
-
-    def check_counters(self, state: DomainState) -> None:
-        """Debug scan: every counter must equal its group's live member count."""
-        for dec, counts in self.counts.items():
-            mask = state.dual_masks[dec.owner]
-            live = [sum(1 for i in members if mask[i]) for members in dec.members]
-            if counts != live:
-                raise AssertionError(f"counter drift in {dec!r}: {counts} != {live}")
 
     def run(self, state: DomainState) -> bool:
         if any(state.dual_counts[v.id] == 0 for v in self.enc.duals):

@@ -34,7 +34,8 @@ units of arity 1 (unary constraints) once. The dual encoding is a double
 encoding without originals or hidden arcs, so its MAC lanes run on the
 double-encoding engines: MAC-PW-AC on `DoubleEngine`, MAC-2001 (like
 MAC-2001d) on `Ac2001Engine`, which runs AC-2001 on the
-`propagate.BinaryView` of its encoding.
+`propagate.BinaryView` of its encoding. Every propagator reads the
+encoding's one list of binary arcs, `EncodedProblem.arcs`.
 
 Search below the root attaches the engine's trail to its `DomainState`,
 so deletions and pointer moves made by the propagators are trailed where
@@ -50,8 +51,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter, not_
+from operator import itemgetter
 from typing import Optional
 
 from .core import (Counters, DEFAULT_EXPANSION_BUDGET, DomainState, Problem,
@@ -122,10 +122,6 @@ class SearchResult:
     counters: Counters
     elapsed_ms: float
     node_paths: Optional[list] = None   # per node: tuple of (var, value) pairs
-
-    @property
-    def node_set(self) -> set:
-        return set(self.node_paths) if self.node_paths is not None else set()
 
 
 class _LimitHit(Exception):
@@ -585,24 +581,18 @@ class DoubleEngine(HveEngine):
     HVE machinery plus piecewise group counters; lookahead additionally
     propagates through the dual-dual constraints. MAC mode adds the
     value-support rule (an original value dies with its last supporting
-    tuple in some adjacent dual), whose counters are those of the hidden
-    arcs' decompositions, and, for hybrids, residual GAC-2001. Every value
-    deletion reaches the tuples carrying it through the same
-    decompositions. On a dual encoding (MAC-PW-AC), which has no hidden
-    arcs, the value rule is empty and the engine is MAC with PW-AC."""
+    tuple in some adjacent dual), counted on the dual sides of the hidden
+    arcs in the encoding's `arcs`, and, for hybrids, residual GAC-2001.
+    Every value deletion reaches the tuples carrying it through the same
+    sides (HAC's `var_sides`). On a dual encoding (MAC-PW-AC), which has
+    no hidden arcs, the value rule is empty and the engine is MAC with PW-AC."""
 
     def __init__(self, enc: EncodedProblem, spec: AlgorithmSpec, **kw):
         super().__init__(enc, spec, **kw)
-        # FC lookahead revises pair sides itself and never drains a queue
+        # FC lookahead revises pair sides by `revise_pairs`, never draining a queue
         mac = spec.scheme == "MAC"
         self.pw = PwAc(enc, self.counters, propagating=mac, value_rule=mac)
         self.pw.init_counts(self.state)
-        # per original x: (dual, groups of its decomposition on (x,)) for
-        # each hidden arc on x, by ascending dual; group a holds the tuples
-        # carrying value a. A dual encoding has no hidden arcs.
-        self.value_groups = [[] for _ in range(self.problem.n)]
-        for v, x, _ in enc.hidden:
-            self.value_groups[x].append((v, enc.decompositions[v, (x,)].members))
         self.residual_gac = (Gac2001(self.problem, self.counters,
                                      remove_value=self._residual_remove)
                              if enc.residual_constraints else None)
@@ -619,10 +609,10 @@ class DoubleEngine(HveEngine):
         state.remove_value(x, a)
         self.counters.value_removals += 1
         ok = True
-        for v_l, groups in self.value_groups[x]:
-            mask = state.dual_masks[v_l]
-            live = [idx for idx in groups[a] if mask[idx]]
-            if live and not self.pw.delete_tuples(state, v_l, live):
+        for side in self.fixpoint.var_sides[x]:
+            mask = state.dual_masks[side.owner]
+            live = [idx for idx in side.members[a] if mask[idx]]
+            if live and not self.pw.delete_tuples(state, side.owner, live):
                 ok = False
         return ok
 
@@ -663,25 +653,14 @@ class DoubleEngine(HveEngine):
 
     def _revise_selected(self, selected) -> bool:
         """One pass over the selected duals: piecewise revision against the
-        selected peers, then revision of the unassigned adjacent originals.
-        A pair side deletes v's live tuples in the groups whose peer group
-        is empty; a side with no such group live on v's side has nothing
-        to delete and is skipped."""
+        selected peers (`PwAc.revise_pairs`), then revision of the
+        unassigned adjacent originals."""
         sel = set(selected)
-        state, assigned, pw = self.state, self.assigned, self.pw
-        revise_units = self.fixpoint.revise_units
+        state, assigned = self.state, self.assigned
+        revise_pairs, revise_units = self.pw.revise_pairs, self.fixpoint.revise_units
         for v in selected:
-            mask = state.dual_masks[v]
-            for own_counts, _, (peer, _, peer_counts), members in pw.sides_of_dual[v]:
-                if peer not in sel or not any(
-                        compress(own_counts, map(not_, peer_counts))):
-                    continue
-                doomed = [idx for gid, (peer_live, own_live)
-                          in enumerate(zip(peer_counts, own_counts))
-                          if not peer_live and own_live
-                          for idx in members[gid] if mask[idx]]
-                if not pw.delete_tuples(state, v, doomed):
-                    return False
+            if not revise_pairs(state, v, sel):
+                return False
             if not revise_units((v,), state, assigned):
                 return False
         return True

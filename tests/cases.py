@@ -6,7 +6,7 @@ two-constraint parity problem that only dual-dual propagation refutes, the
 support-pattern instance where hidden-encoding AC detects a wipeout early,
 and the pair of 4-ary constraints separating the dFC family from hFC. The
 encoding and propagation tests also share a sample of the acceptance
-suite's criterion-1 instances.
+suite's criterion-1 instances, and a scan of PW-AC's group counters.
 """
 
 from bincsp.core import Constraint, Predicate, Problem
@@ -126,3 +126,11 @@ def criterion_1_suite(step=50):
     """Every `step`-th instance of the acceptance suite's criterion-1 set."""
     for seed in range(0, 1000, step):
         yield gen_model_b(ModelBParams(10, 4, 3, 10, 5 + (seed * 90) // 1000, seed))
+
+
+def assert_counters_match_live_members(pw, state):
+    """Every PW-AC counter must equal its group's live member count."""
+    for dec, counts in pw.counts.items():
+        mask = state.dual_masks[dec.owner]
+        live = [sum(1 for i in members if mask[i]) for members in dec.members]
+        assert counts == live, f"counter drift in {dec!r}: {counts} != {live}"

@@ -5,13 +5,18 @@ import pytest
 from bincsp.core import CapacityError, Constraint, Predicate, Problem, \
     enumerate_solutions, expand_predicate, project
 from bincsp.encode import (DE, DOUBLE, HVE, HYBRID, build_de, build_double,
-                           build_hve, induced_assignment,
-                           piecewise_decomposition)
+                           build_hve, induced_assignment)
 from bincsp.gen import CrosswordSpec, ModelBParams, gen_crossword, gen_model_b
 from bincsp.propagate import pwac
 from bincsp.words import WORDS
 
 from cases import criterion_1_suite, example_41, example_42, six_var_linear
+
+
+def _side(enc, vi, vj):
+    """The decomposition of D(v_i) in the dual-dual constraint with v_j."""
+    pair, = [pair for pair in enc.dual_pairs if {pair.v1, pair.v2} == {vi, vj}]
+    return pair.side_for(vi)
 
 
 def _projections(enc, pair):
@@ -109,12 +114,12 @@ def test_hybrid_subset():
 def test_decomposition_example_41_groups():
     enc = build_de(example_41())
     tuples = enc.duals[0].tuples
-    dec12 = piecewise_decomposition(enc, 0, 1)
+    dec12 = _side(enc, 0, 1)
     # shared variable x1 in first position: three groups keyed (0), (1), (2)
     assert dec12.group_count == 3
     assert [{tuples[i][0] for i in m} for m in dec12.members] == [{0}, {1}, {2}]
     assert all(len(m) == 9 for m in dec12.members)
-    dec13 = piecewise_decomposition(enc, 0, 2)
+    dec13 = _side(enc, 0, 2)
     # v3 holds x3 in its last position; groups keyed on v1's last component
     assert [{tuples[i][2] for i in m} for m in dec13.members] == [{0}, {1}, {2}]
     t = tuples.index((2, 0, 1))
@@ -127,13 +132,13 @@ def test_decomposition_full_scope_overlap_gives_singleton_groups():
                 [Constraint((0, 1), relation=[(0, 0), (1, 1)]),
                  Constraint((0, 1), relation=[(0, 0), (1, 0)])])
     enc = build_de(p)
-    dec = piecewise_decomposition(enc, 0, 1)
+    dec = _side(enc, 0, 1)
     assert all(len(m) <= 1 for m in dec.members)
     # keys realized on one side only still appear, with an empty member
     # list: groups (0, 0), (1, 0), (1, 1), where (1, 0) exists only in c2
     # and (1, 1) only in c1
     assert dec.members == [[0], [], [1]]
-    assert piecewise_decomposition(enc, 1, 0).members == [[0], [1], []]
+    assert _side(enc, 1, 0).members == [[0], [1], []]
 
 
 def test_sup_links_are_symmetric_and_none_when_peer_missing():
@@ -157,8 +162,8 @@ def test_sup_links_are_symmetric_and_none_when_peer_missing():
                 assert len(keys) == 1, (pair, gid)
     # (1, 1) exists only in c1; its support on c2's side is missing
     enc = build_de(p)
-    dec = piecewise_decomposition(enc, 0, 1)
-    peer = piecewise_decomposition(enc, 1, 0)
+    dec = _side(enc, 0, 1)
+    peer = _side(enc, 1, 0)
     gid = dec.tuple_group[enc.duals[0].tuples.index((1, 1))]
     assert dec.members[gid] and not peer.members[gid]
 
@@ -285,7 +290,7 @@ def test_identical_scopes_still_get_one_pair():
                  Constraint((0, 1), relation=[(0, 0), (1, 1)])])
     enc = build_de(p)
     assert len(enc.dual_pairs) == 1
-    dec = piecewise_decomposition(enc, 0, 1)
+    dec = _side(enc, 0, 1)
     assert all(len(m) <= 1 for m in dec.members)
 
 
@@ -373,13 +378,19 @@ def test_equal_relations_share_one_tuple_list_and_index(build):
     p = _sharing_problem()
     enc = build(p)
     dual = {p.constraints[v.constraint_index].name: v for v in enc.duals}
+    # the dual sides of each dual's hidden arcs, by position: group a holds
+    # the tuples carrying value a there, read from the value index
+    value_sides = {name: [enc.decompositions[v.id, (x,)] for x in v.scope]
+                   for name, v in dual.items()}
     for one, other in (("a", "b"), ("d", "e")):
         assert dual[one].tuples is dual[other].tuples
-        assert dual[one].tuples_by_pos_val is dual[other].tuples_by_pos_val
+        assert all(side1.members is side2.members
+                   for side1, side2 in zip(value_sides[one], value_sides[other]))
     # a change of s, of the subset or of one position's labels
     for one, other in (("a", "c"), ("d", "f"), ("a", "g")):
         assert dual[one].tuples is not dual[other].tuples
-        assert dual[one].tuples_by_pos_val is not dual[other].tuples_by_pos_val
+        assert not any(side1.members is side2.members
+                       for side1, side2 in zip(value_sides[one], value_sides[other]))
     # every dual still holds its own relation, and counts in the tables
     for v in enc.duals:
         c = p.constraints[v.constraint_index]

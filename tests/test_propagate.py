@@ -12,8 +12,8 @@ from bincsp.propagate import (Ac2001, BinaryView, Gac2001, Hac, PwAc,
 from bincsp import search
 from bincsp.search import DUAL_DUAL, HIDDEN_ONLY, double_ac
 
-from cases import (appendix_a, criterion_1_suite, example_42, example_51,
-                   six_var_linear)
+from cases import (appendix_a, assert_counters_match_live_members,
+                   criterion_1_suite, example_42, example_51, six_var_linear)
 
 
 def _live_tuples_by_constraint(enc, state):
@@ -71,7 +71,7 @@ def test_pwac_counter_integrity_after_run():
         engine = PwAc(enc)
         state = enc.fresh_state()
         engine.run(state)
-        engine.check_counters(state)
+        assert_counters_match_live_members(engine, state)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +429,7 @@ def test_binary_view_numbers_the_originals_only_when_the_encoding_has_them():
     m = len(de.duals)
     assert view.bvars == [("dual", v) for v in range(m)]
     assert all(0 <= b < m for ends in view.ends for b in ends)
-    assert [kind for kind, _ in view.arcs] == ["pair"] * len(de.dual_pairs)
+    assert len(view.sides) == len(de.arcs) == len(de.dual_pairs)
     state = de.fresh_state()
     assert view.masks(state) is state.dual_masks
 
@@ -437,8 +437,11 @@ def test_binary_view_numbers_the_originals_only_when_the_encoding_has_them():
     n = p.n
     assert view.bvars == [("orig", x) for x in range(n)] + \
         [("dual", v) for v in range(len(double.duals))]
-    assert [kind for kind, _ in view.arcs] == \
-        ["hidden"] * len(double.hidden) + ["pair"] * len(double.dual_pairs)
+    assert len(view.sides) == len(double.arcs) == \
+        len(double.hidden) + len(double.dual_pairs)
+    # the dual-dual arcs follow the hidden ones, in pair order
+    assert all(sides[0][1] is pair.side1.members and sides[1][1] is pair.side2.members
+               for sides, pair in zip(view.sides[len(double.hidden):], double.dual_pairs))
     assert view.ends[:len(double.hidden)] == \
         [(n + v, x) for v, x, _ in double.hidden]
     state = double.fresh_state()
@@ -467,15 +470,67 @@ def test_group_and_value_support_counts_match_live_members():
         engine = PwAc(enc, value_rule=True)
         engine.init_counts(state)
         assert set(engine.counts) == set(enc.decompositions.values())
-        engine.check_counters(state)  # raises on any counter off its live count
+        assert_counters_match_live_members(engine, state)
         # a hidden arc's groups are the values: group a counts the live
         # tuples carrying a at that position
         for v in enc.duals:
             mask = state.dual_masks[v.id]
             for pos, x in enumerate(v.scope):
                 counts = engine.counts[enc.decompositions[v.id, (x,)]]
-                assert counts == [sum(1 for i in idxs if mask[i])
-                                  for idxs in v.tuples_by_pos_val[pos]]
+                assert counts == [sum(1 for i, t in enumerate(v.tuples)
+                                      if t[pos] == a and mask[i])
+                                  for a in range(enc.problem.domain_size(x))]
+
+
+def test_every_propagator_reads_the_arcs_of_the_encoding():
+    """One arc-side table: on a double encoding, BinaryView's triples of the
+    hidden arcs, every PW-AC counter key and every list HAC's eager
+    deletion walks are objects of `enc.arcs` itself, not copies."""
+    p = next(criterion_1_suite())
+    enc = build_double(p)
+    hidden = enc.arcs[:len(enc.hidden)]
+    sides = [side for arc in enc.arcs for side in (arc.side1, arc.side2)]
+    view = BinaryView(enc)
+    for arc_id, arc in enumerate(hidden):
+        for triple, own, peer in zip(view.sides[arc_id], (arc.side1, arc.side2),
+                                     (arc.side2, arc.side1)):
+            group_of, members, peer_members = triple
+            assert group_of is own.tuple_group and members is own.members
+            assert peer_members is peer.members
+    engine = search.make_engine(enc, search.ALGORITHMS["MAC-PW-ACd"])
+    assert engine.pw.counts
+    assert all(any(dec is side for side in sides) for dec in engine.pw.counts)
+    # the eager deletion of value a of x walks group a of each dual side on x
+    for hac_engine in (Hac(enc), engine.fixpoint):
+        for x in range(p.n):
+            on_x = [arc.side1 for arc in hidden if arc.side2.owner == x]
+            assert len(hac_engine.var_sides[x]) == len(on_x)
+            assert all(mine is side for mine, side in zip(hac_engine.var_sides[x], on_x))
+        # and its support search reads the side of arc (v, x, pos) by position
+        flat = [side for by_pos in hac_engine.dual_sides for side in by_pos]
+        assert len(flat) == len(hidden)
+        assert all(mine is arc.side1 for mine, arc in zip(flat, hidden))
+
+
+def test_dual_encoding_lanes_build_no_value_index(monkeypatch):
+    """A dual encoding has no hidden arcs, so neither its build nor a
+    MAC-2001 or MAC-PW-AC run on it builds a value index."""
+    from bincsp import core, encode, propagate
+    builds = []
+
+    def counted(tuples, sizes, index=core.value_index):
+        builds.append(len(tuples))
+        return index(tuples, sizes)
+
+    for module in (core, encode, propagate):
+        monkeypatch.setattr(module, "value_index", counted)
+    p = next(criterion_1_suite())
+    enc = build_de(p)
+    for algorithm in ("MAC-2001", "MAC-PW-AC"):
+        search.solve(enc, algorithm)
+    assert builds == []
+    double = build_double(p)  # one index per tuple list where there are hidden arcs
+    assert len(builds) == len({id(v.tuples) for v in double.duals}) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +538,12 @@ def test_group_and_value_support_counts_match_live_members():
 
 
 def _compatible(view, arc_id, side, a, b):
-    kind, data = view.arcs[arc_id]
-    if kind == "hidden":
-        v, _, pos = data
+    hidden = view.enc.hidden
+    if arc_id < len(hidden):
+        v, _, pos = hidden[arc_id]
         tuples = view.enc.duals[v].tuples
         return tuples[a][pos] == b if side == 0 else tuples[b][pos] == a
+    data = view.enc.dual_pairs[arc_id - len(hidden)]
     ends = ((data.v1, data.pos1), (data.v2, data.pos2))
     (va, pos_a), (vb, pos_b) = ends[side], ends[1 - side]
     ta, tb = view.enc.duals[va].tuples[a], view.enc.duals[vb].tuples[b]
