@@ -112,9 +112,21 @@ def _default_hybrid_subset(problem: Problem, max_arity: int = 5,
     return subset, expanded
 
 
-def _describe(e: Exception) -> str:
-    """The `error` column of a failed run: "Type: message"."""
-    return f"{type(e).__name__}: {e}"
+# a cell's "ordering" and the search ordering it names
+ORDERINGS = {"heuristic": DOM_DEG, "fixed": FIXED}
+
+
+def _failed_record(instance: str, algorithm: str, ordering: str, seed: int,
+                   e: Exception) -> RunRecord:
+    """The row of a failed run: verdict `ERROR:<Type>`, "Type: message" in
+    the `error` column, and encoding "?" for an unknown algorithm."""
+    spec = ALGORITHMS.get(algorithm)
+    return RunRecord(
+        instance=instance, algorithm=algorithm,
+        encoding=spec.representation if spec else "?", ordering=ordering,
+        seed=seed, verdict=f"ERROR:{type(e).__name__}", nodes=0, checks=0,
+        microops=0, removals=0, time_ms=0, mem_bytes=0,
+        error=f"{type(e).__name__}: {e}")
 
 
 def run_one(problem: Problem, algorithm: str, ordering: str, seed: int,
@@ -124,10 +136,14 @@ def run_one(problem: Problem, algorithm: str, ordering: str, seed: int,
             record_nodes: bool = False,
             instance_id: str = "", time_mode: str = "wall"):
     """One matrix cell run; returns (RunRecord, SearchResult or None), the
-    result being None when the run failed."""
-    spec = ALGORITHMS[algorithm]
-    order = FIXED if ordering == "fixed" else DOM_DEG
+    result being None when the run failed, as it does for an unknown
+    algorithm or an ordering not in `ORDERINGS`."""
     try:
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algorithm!r}")
+        if ordering not in ORDERINGS:
+            raise ValueError(f"unknown ordering {ordering!r}")
+        spec, order = ALGORITHMS[algorithm], ORDERINGS[ordering]
         if spec.representation == "HYBRID":
             if encode_subset is not None:
                 model = build_double(problem, encode_subset)
@@ -158,13 +174,8 @@ def run_one(problem: Problem, algorithm: str, ordering: str, seed: int,
         )
         return record, result
     except Exception as e:  # a failing cell must not abort the matrix
-        record = RunRecord(
-            instance=instance_id or (problem.name or "instance"),
-            algorithm=algorithm, encoding=spec.representation,
-            ordering=ordering, seed=seed,
-            verdict=f"ERROR:{type(e).__name__}", nodes=0, checks=0,
-            microops=0, removals=0, time_ms=0, mem_bytes=0, error=_describe(e))
-        return record, None
+        return _failed_record(instance_id or (problem.name or "instance"),
+                              algorithm, ordering, seed, e), None
 
 
 def _expand_cells(config):
@@ -194,13 +205,8 @@ def _run_job(args):
             problem = instance_from_generator(cell["generator"], seed)
             instance_id = problem.name or f"cell{cell_idx}"
     except Exception as e:  # bad cell: record the failure, keep the matrix
-        spec = ALGORITHMS.get(algorithm)
-        record = RunRecord(
-            instance=f"cell{cell_idx}", algorithm=algorithm,
-            encoding=spec.representation if spec else "?",
-            ordering=cell.get("ordering", "heuristic"), seed=seed,
-            verdict=f"ERROR:{type(e).__name__}", nodes=0, checks=0,
-            microops=0, removals=0, time_ms=0, mem_bytes=0, error=_describe(e))
+        record = _failed_record(f"cell{cell_idx}", algorithm,
+                                cell.get("ordering", "heuristic"), seed, e)
         return cell_idx, seed, algorithm, record, None
     record, result = run_one(
         problem, algorithm,

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .bench import instance_from_generator, run_bench, run_one
+from .bench import ORDERINGS, instance_from_generator, run_bench, run_one
 from .core import CapacityError, enumerate_solutions
 from .gen import is_connected
 from .interchange import (InstanceFormatError, emit_report, load_instance,
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("solve", help="run one algorithm on one instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--algorithm", required=True, choices=sorted(ALGORITHMS))
-    p.add_argument("--ordering", choices=["heuristic", "fixed"], default="heuristic")
+    p.add_argument("--ordering", choices=list(ORDERINGS), default="heuristic")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--time-limit", type=float, default=None, metavar="MS",
                    dest="time_limit")

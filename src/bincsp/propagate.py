@@ -5,7 +5,9 @@ constraint-queue fixpoint, `UnitFixpoint`: its units are the constraints
 (GAC-2001) or the duals (HAC), `run` sweeps then drains the queue,
 `revise_units` is one revision pass over the units it is given, and each
 engine supplies only its per-arc step, `revise_arc(unit, pos, state) ->
-(deleted, wiped)`.
+(deleted, wiped)`. Both delete values through one hook, `delete_value(state,
+x, a) -> bool`, held as `delete` and replaceable at construction: False is
+a dual wipeout, which the arc reports at once, so the fixpoint stops there.
 
 Counting discipline shared by GAC-2001 and HAC: a support search counts as
 the scan of the sorted tuple list from the stored pointer onward, every
@@ -42,7 +44,8 @@ an original value dies with its last supporting tuple) is
 `search.DoubleEngine`; `search.double_ac` is its root-only call. This module
 supplies its parts: `Hac`, `PwAc` (which counts the value supports on the
 hidden arcs' dual sides and revises dFC's pair sides) and, for hybrids,
-`Gac2001`. `BinaryView`, `PwAc`, `Hac` and the value rule all read one
+`Gac2001`, each given its one value deletion. `BinaryView`, `PwAc`, `Hac`
+and the value rule all read one
 list of arcs, `EncodedProblem.arcs`, with two decompositions as each arc's
 sides (see `encode`).
 """
@@ -119,7 +122,8 @@ class UnitFixpoint:
     order), and supplies its one per-arc step, `revise_arc(unit, pos,
     state) -> (deleted, wiped)`: revise the variable at `pos` of the unit
     against the unit, reporting whether a value was deleted and whether a
-    deletion wiped out a unit.
+    deletion wiped out a dual: every deletion goes through `delete(state,
+    x, a) -> bool`, and the arc returns (True, True) at its first False.
     """
 
     def revise_units(self, units: Iterable[int], state: DomainState,
@@ -333,15 +337,15 @@ class Gac2001(UnitFixpoint):
     pos of constraint ci: a relation's tuple index (-1 before the first
     search), or a predicate's last support tuple (None before).
 
-    `remove_value(state, x, a)`, if given, replaces the default removal of a
-    value that lost its support (the double encoding passes one that also
-    deletes the tuples carrying the value); `remove` holds the one in use.
-    Pointer moves and removals go through the state, which trails them when
-    a search has attached a trail.
+    `delete_value(state, x, a) -> bool`, if given, replaces the default
+    deletion of a value that lost its support, as in `Hac` (a hybrid's also
+    deletes the tuples carrying it, reporting a dual wipeout); `delete`
+    holds the one in use. Pointer moves and deletions go through the state,
+    which trails them when a search has attached a trail.
     """
 
     def __init__(self, problem: Problem, counters: Optional[Counters] = None,
-                 remove_value=None):
+                 delete_value=None):
         self.problem = problem
         self.counters = counters if counters is not None else Counters()
         self.scopes = [c.scope for c in problem.constraints]
@@ -354,12 +358,12 @@ class Gac2001(UnitFixpoint):
         self.gap_tables = [rows.tables(problem, c) for c in problem.constraints]
         # per relation, its `value_index`, built when it is first revised
         self.index = [None] * len(problem.constraints)
-        self.remove = remove_value if remove_value is not None else self.remove_value
+        self.delete = delete_value if delete_value is not None else self.delete_value
 
     def revise_arc(self, ci: int, pos: int, state: DomainState) -> tuple:
-        """Revise one (variable, constraint) arc. Returns (deleted, False):
-        GAC-2001 deletes no tuples, so no unit wipes out here (a hybrid's
-        `remove_value` records the dual wipeouts its removals cause).
+        """Revise one (variable, constraint) arc. Returns (deleted, wiped),
+        wiped as soon as `delete` reports a wipeout (only a hybrid's
+        deletion, which also deletes tuples, can).
 
         On a relation, the support search reads the tuples holding a at pos
         after the pointer from the value index and tests each for validity.
@@ -403,13 +407,16 @@ class Gac2001(UnitFixpoint):
                 if t is not None:
                     state.set_slot(pointers, a, t)
                     continue
-            self.remove(state, x, a)
             deleted = True
+            if not self.delete(state, x, a):
+                return True, True
         return deleted, False
 
-    def remove_value(self, state, x, a):
+    def delete_value(self, state: DomainState, x: int, a: int) -> bool:
+        """Remove a from D(x); no unit wipes out."""
         state.remove_value(x, a)
         self.counters.value_removals += 1
+        return True
 
 
 def gac2001(problem: Problem, state: Optional[DomainState] = None,
@@ -699,19 +706,13 @@ class Ac2001:
         return True
 
 
-def ac2001(view_or_enc, state: Optional[DomainState] = None,
+def ac2001(enc: EncodedProblem, state: Optional[DomainState] = None,
            queue_seed: Optional[Iterable[int]] = None,
            counters: Optional[Counters] = None) -> PropagationResult:
-    """AC-2001 on a binary view, or on the `BinaryView` of an encoding."""
-    if isinstance(view_or_enc, EncodedProblem):
-        view = BinaryView(view_or_enc)
-        if state is None:
-            state = view_or_enc.fresh_state()
-    else:
-        view = view_or_enc
-        if state is None:
-            state = view.enc.fresh_state()
-    engine = Ac2001(view, counters)
+    """AC-2001 on the `BinaryView` of an encoding."""
+    if state is None:
+        state = enc.fresh_state()
+    engine = Ac2001(BinaryView(enc), counters)
     ok = engine.run(state, queue_seed)
     return PropagationResult(ok, state, engine.counters)
 
@@ -737,12 +738,12 @@ class PwAc:
     reaches zero at most once between two undos (what root propagation
     deletes never comes back), so no item is queued twice.
 
-    With `value_rule` (the double encoding under MAC) the dual sides of
-    the hidden arcs are counted too: a zero there means value a of x lost
-    its last supporting tuple in that dual, and (x, a) goes on
-    `value_queue`, which the caller drains. Without `propagating` (forward
-    checking, which revises pair sides through `revise_pairs`) nothing is
-    queued.
+    When `propagating`, the dual sides of the hidden arcs are counted too
+    (the value rule): a zero there means value a of x lost its last
+    supporting tuple in that dual, and (x, a) goes on `value_queue`, which
+    the caller drains. A dual encoding has no hidden arcs, so there the
+    rule is empty. Without `propagating` (forward checking, which revises
+    pair sides through `revise_pairs`) nothing is queued.
 
     Every deletion is a batch of live tuples of one dual, `delete_tuples`,
     which the state trails as one entry; counter decrements and pushes
@@ -753,18 +754,18 @@ class PwAc:
     """
 
     def __init__(self, enc: EncodedProblem, counters: Optional[Counters] = None,
-                 propagating: bool = True, value_rule: bool = False):
+                 propagating: bool = True):
         self.enc = enc
         self.counters = counters if counters is not None else Counters()
         self.propagating = propagating
         self.queue = []
-        self.value_queue = _Queue() if value_rule else None
+        self.value_queue = _Queue() if propagating else None
         self.counts: dict = {}
 
     def init_counts(self, state: DomainState) -> None:
         """Count on `state` every side in use of the encoding's `arcs` (the
-        pairs, and the hidden arcs' dual sides under the value rule) and,
-        when propagating, queue the groups and values that start out empty."""
+        pairs, and when propagating the hidden arcs' dual sides) and, when
+        propagating, queue the groups and values that start out empty."""
         enc, counts = self.enc, self.counts
         counts.clear()
         hidden = len(enc.hidden)
@@ -819,7 +820,7 @@ class PwAc:
                     counts[tuple_group[idx]] -= 1
             return state.dual_counts[v] > 0
         push = self.queue.append
-        values_of = self.values_of_dual[v]  # empty without the value rule
+        values_of = self.values_of_dual[v]  # empty without hidden arcs
         masks = state.masks
         for idx in idxs:
             emptied = False

@@ -583,20 +583,20 @@ class DoubleEngine(HveEngine):
     value-support rule (an original value dies with its last supporting
     tuple in some adjacent dual), counted on the dual sides of the hidden
     arcs in the encoding's `arcs`, and, for hybrids, residual GAC-2001.
-    Every value deletion reaches the tuples carrying it through the same
-    sides (HAC's `var_sides`). On a dual encoding (MAC-PW-AC), which has
-    no hidden arcs, the value rule is empty and the engine is MAC with PW-AC."""
+    Every value deletion goes through `_delete_value_via_pw`, which reaches
+    the tuples carrying it through the same sides (HAC's `var_sides`) and
+    returns False on a dual wipeout: `Hac` and residual `Gac2001` both get
+    it as `delete_value`, and stop at the first wipeout. On a dual encoding
+    (MAC-PW-AC), which has no hidden arcs, the value rule is empty."""
 
     def __init__(self, enc: EncodedProblem, spec: AlgorithmSpec, **kw):
         super().__init__(enc, spec, **kw)
         # FC lookahead revises pair sides by `revise_pairs`, never draining a queue
-        mac = spec.scheme == "MAC"
-        self.pw = PwAc(enc, self.counters, propagating=mac, value_rule=mac)
+        self.pw = PwAc(enc, self.counters, propagating=spec.scheme == "MAC")
         self.pw.init_counts(self.state)
         self.residual_gac = (Gac2001(self.problem, self.counters,
-                                     remove_value=self._residual_remove)
+                                     delete_value=self._delete_value_via_pw)
                              if enc.residual_constraints else None)
-        self._residual_wiped = False
 
     def _make_fixpoint(self) -> Hac:
         # tuple deletions must maintain the group counters
@@ -617,39 +617,28 @@ class DoubleEngine(HveEngine):
         return ok
 
     def _maintain(self, current_vars=None) -> bool:
-        # the deletions of the assignment queued the work; at the root,
-        # init_counts queued the groups and values empty from the start
-        self._residual_wiped = False
-        return self._drain()
-
-    def _drain(self) -> bool:
+        """PW-AC and the value rule to a fixpoint, then one round of
+        residual GAC-2001; again while that round deleted a value. The
+        deletions of the assignment queued the work; at the root,
+        init_counts queued the groups and values empty from the start."""
+        state, pw, residual_gac = self.state, self.pw, self.residual_gac
         while True:
-            if not self.pw.propagate(self.state):
+            if not pw.propagate(state):
                 return False
-            if not self.pw.value_queue:
-                ok = True
-                if self.residual_gac is not None:
-                    ok, more = self._residual_round()
-                    if ok and more:
-                        continue
-                return ok
-            x, a = self.pw.value_queue.pop()
-            if self.state.masks[x][a]:
-                if not self._delete_value_via_pw(self.state, x, a):
+            if pw.value_queue:
+                x, a = pw.value_queue.pop()
+                if state.masks[x][a] and not (self._delete_value_via_pw(state, x, a)
+                                              and state.counts[x]):
                     return False
-                if self.state.counts[x] == 0:
-                    return False
-
-    def _residual_round(self):
-        """One round of residual GAC; returns (consistent, deleted_anything)."""
-        before = self.counters.value_removals
-        ok = self.residual_gac.run(self.state, assigned=self.assigned,
-                                   subset=self.enc.residual_constraints)
-        return ok and not self._residual_wiped, self.counters.value_removals > before
-
-    def _residual_remove(self, state, x, a):
-        if not self._delete_value_via_pw(state, x, a):
-            self._residual_wiped = True
+                continue
+            if residual_gac is None:
+                return True
+            before = self.counters.value_removals
+            if not residual_gac.run(state, assigned=self.assigned,
+                                    subset=self.enc.residual_constraints):
+                return False
+            if self.counters.value_removals == before:
+                return True
 
     def _revise_selected(self, selected) -> bool:
         """One pass over the selected duals: piecewise revision against the

@@ -84,6 +84,37 @@ def test_failing_cell_recorded_not_raised(tmp_path):
     assert records[0].verdict.startswith("ERROR")
 
 
+def test_unknown_algorithm_is_an_error_row_not_an_aborted_matrix(tmp_path, capsys):
+    """A misspelt algorithm fails its own cell only, with encoding "?"; the
+    other algorithm of the cell still runs, and `bincsp bench` exits 0."""
+    config = _matrix_parity()
+    config["cells"][0].update(algorithms=["MGAC-2001", "MGAC2001"], seeds=[0])
+    records = run_bench(config, str(tmp_path / "runs"), time_mode="zero")
+    assert [(r.algorithm, r.encoding, r.verdict) for r in records] == [
+        ("MGAC-2001", "NONBINARY", "UNSAT"), ("MGAC2001", "?", "ERROR:ValueError")]
+    assert records[1].error == "ValueError: unknown algorithm 'MGAC2001'"
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(config))
+    assert main(["bench", "--matrix", str(matrix), "--out-dir",
+                 str(tmp_path / "cli"), "--time-mode", "zero"]) == 0
+    assert "2 runs written" in capsys.readouterr().out
+    assert parse_report((tmp_path / "cli" / "report.csv").read_text()) == records
+
+
+def test_unknown_ordering_is_an_error_row(tmp_path):
+    """Only "fixed" and "heuristic" name an ordering: a misspelt one is not
+    run under dom/deg and reported under its own name."""
+    config = _matrix_parity()
+    config["cells"][0].update(ordering="fxed", seeds=[0])
+    records = run_bench(config, str(tmp_path), time_mode="zero")
+    assert {(r.ordering, r.verdict, r.nodes) for r in records} == {
+        ("fxed", "ERROR:ValueError", 0)}
+    assert all(r.error == "ValueError: unknown ordering 'fxed'"
+               for r in records)
+    record, result = run_one(six_var_linear(), "MGAC-2001", "heuristic", 0)
+    assert record.verdict == "SAT" and result is not None
+
+
 def test_failed_run_message_reaches_csv_and_json(tmp_path, monkeypatch):
     """A run that fails says why in the last column, `error`; runs that did
     not fail leave it empty, and the reports stay byte-deterministic."""

@@ -65,7 +65,7 @@ PINNED = {
     ("root", "dFC3"): ("UNSAT", 10, 6327, 1813, 100, 3631, 69052),
     ("root", "dFC4"): ("UNSAT", 10, 5523, 1422, 86, 3357, 64115),
     ("root", "dFC5"): ("UNSAT", 10, 5537, 1638, 86, 3357, 64115),
-    ("root", "MAC-hybrid"): ("UNSAT", 7, 4658, 4395, 93, 1978, 17878),
+    ("root", "MAC-hybrid"): ("UNSAT", 7, 4614, 4371, 90, 1950, 17638),
     ("search", "MGAC-2001"): ("SAT", 49, 32434, 36553, 623, 0, 0),
     ("search", "nFC0"): ("SAT", 143, 48158, 14921, 896, 0, 0),
     ("search", "nFC1"): ("SAT", 143, 48158, 14921, 896, 0, 0),
@@ -91,7 +91,7 @@ PINNED = {
     ("search", "dFC3"): ("SAT", 100, 34566, 11224, 535, 12029, 207819),
     ("search", "dFC4"): ("SAT", 34, 14156, 5389, 205, 4974, 87163),
     ("search", "dFC5"): ("SAT", 33, 14022, 7094, 201, 4893, 85851),
-    ("search", "MAC-hybrid"): ("SAT", 49, 17985, 21846, 569, 5208, 38606),
+    ("search", "MAC-hybrid"): ("SAT", 49, 14983, 19165, 503, 4947, 36762),
 }
 
 PINNED_PATHS = {

@@ -467,7 +467,7 @@ def test_group_and_value_support_counts_match_live_members():
             partial.dual_masks[v.id][idx] = 0
             partial.dual_counts[v.id] -= 1
     for state in (full, partial):
-        engine = PwAc(enc, value_rule=True)
+        engine = PwAc(enc)
         engine.init_counts(state)
         assert set(engine.counts) == set(enc.decompositions.values())
         assert_counters_match_live_members(engine, state)
@@ -1021,8 +1021,9 @@ class _ScanGac2001(Gac2001):
             if idx >= 0:
                 state.set_slot(self.supports[ci][pos], a, idx)
                 continue
-            self.remove(state, x, a)
             deleted = True
+            if not self.delete(state, x, a):
+                return True, True
         return deleted, False
 
 

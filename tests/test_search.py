@@ -374,6 +374,49 @@ def test_de_lane_solution_projection():
         assert tuple(result.solution) in set(enumerate_solutions(p))
 
 
+def test_residual_gac_stops_at_the_first_dual_wipeout(monkeypatch):
+    """MAC-hybrid with every other constraint residual: once the double
+    encoding's value deletion reports a wipeout within one propagation, no
+    residual GAC-2001 arc revision starts in it. The node paths of the 20
+    runs are those recorded before the residual layer stopped there."""
+    import hashlib
+    from bincsp import propagate, search
+    seen = {"revisions": 0, "wipeouts": 0, "late": 0, "failed": False}
+    revise_arc = propagate.Gac2001.revise_arc
+    delete_value = search.DoubleEngine._delete_value_via_pw
+    maintain = search.DoubleEngine._maintain
+
+    def counted_revise_arc(self, *args):
+        seen["revisions"] += 1
+        seen["late"] += seen["failed"]
+        return revise_arc(self, *args)
+
+    def watched_delete_value(self, *args):
+        ok = delete_value(self, *args)
+        if not ok:
+            seen["wipeouts"] += 1
+            seen["failed"] = True
+        return ok
+
+    def one_propagation(self, *args):
+        seen["failed"] = False
+        return maintain(self, *args)
+
+    monkeypatch.setattr(propagate.Gac2001, "revise_arc", counted_revise_arc)
+    monkeypatch.setattr(search.DoubleEngine, "_delete_value_via_pw", watched_delete_value)
+    monkeypatch.setattr(search.DoubleEngine, "_maintain", one_propagation)
+    paths = []
+    for seed in range(20):
+        p = gen_model_b(ModelBParams(12, 4, 3, 12, 40 + seed, seed))
+        enc = build_double(p, encoded_subset=range(0, len(p.constraints), 2))
+        assert enc.residual_constraints
+        paths.append(solve(enc, "MAC-hybrid", ordering=DOM_DEG, node_limit=500,
+                           record_nodes=True).node_paths)
+    assert seen["revisions"] > 10_000 and seen["wipeouts"] > 50
+    assert seen["late"] == 0
+    assert hashlib.sha256(repr(paths).encode()).hexdigest()[:16] == "b27be245d671f894"
+
+
 def test_crossword_toy_two_solutions():
     p = gen_crossword(CrosswordSpec(("...",), ("cat", "dog")))
     assert len(enumerate_solutions(p)) == 2
