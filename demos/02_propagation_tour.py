@@ -8,10 +8,11 @@ Three scenes:
   3. a wipeout that the hidden encoding detects checks earlier than GAC.
 """
 
-from bincsp import (DUAL_DUAL, Constraint, Counters, DomainState, Problem,
-                    ac2001, build_de, build_double, build_hve, double_ac,
-                    gac2001, hac, pwac, sgac_check)
-from bincsp.propagate import seed_assignment_hve, seed_assignment_nonbinary
+from bincsp import (ALGORITHMS, CONSISTENT, DUAL_DUAL, INCONSISTENT,
+                    Constraint, Counters, Problem, ac2001, build_de,
+                    build_double, build_hve, double_ac, gac2001, pwac,
+                    sgac_check)
+from bincsp.search import HveEngine, NonBinaryEngine
 
 
 def scene_piecewise():
@@ -65,21 +66,18 @@ def scene_early_wipeout():
                                          (1, 0, 1)], name="c2")
     p = Problem(["x1", "x2", "x3", "x4"],
                 [[0, 1], [0, 1], list(range(10)), [0, 1]], [c1, c2])
-    assigned = [True, False, False, False]
 
-    g_state = DomainState.full(p)
-    gc = Counters()
-    seed = seed_assignment_nonbinary(p, g_state, 0, 0)
-    g = gac2001(p, g_state, queue_seed=seed, counters=gc, assigned=assigned)
+    # the first node of MGAC-2001 and of MHAC-2001: x1 <- 0, then lookahead
+    outcomes = []
+    for engine in (NonBinaryEngine(p, ALGORITHMS["MGAC-2001"]),
+                   HveEngine(build_hve(p), ALGORITHMS["MHAC-2001"])):
+        ok = engine.assign(0, 0) and engine.lookahead(0)
+        outcomes.append((CONSISTENT if ok else INCONSISTENT,
+                         engine.counters.checks))
+    (g, g_checks), (h, h_checks) = outcomes
 
-    enc = build_hve(p)
-    h_state = enc.fresh_state()
-    hc = Counters()
-    _, h_seed = seed_assignment_hve(enc, h_state, 0, 0, hc)
-    h = hac(enc, h_state, queue_seed=h_seed, counters=hc, assigned=assigned)
-
-    print(f"after x1 <- 0: GAC-2001 {g.verdict} in {gc.checks} checks, "
-          f"HAC {h.verdict} in {hc.checks} checks "
+    print(f"after x1 <- 0: GAC-2001 {g} in {g_checks} checks, "
+          f"HAC {h} in {h_checks} checks "
           f"(the dual of c2 wipes before any re-support scans)")
 
 

@@ -15,10 +15,10 @@ from .core import (CapacityError, Constraint, Counters, DomainState, Predicate,
                    is_valid, project, solution_check)
 from .encode import (Decomposition, DualVariable, EncodedProblem, build_de,
                      build_double, build_hve, induced_assignment)
-from .propagate import (CONSISTENT, INCONSISTENT, PropagationResult, ac2001,
-                        gac2001, hac, pwac, sgac_check)
-from .search import (ALGORITHMS, DUAL_DUAL, HIDDEN_ONLY, AlgorithmSpec,
-                     SearchResult, double_ac, make_engine, prepare_model, solve)
+from .search import (ALGORITHMS, CONSISTENT, DUAL_DUAL, HIDDEN_ONLY,
+                     INCONSISTENT, AlgorithmSpec, PropagationResult,
+                     SearchResult, ac2001, double_ac, gac2001, hac,
+                     make_engine, prepare_model, pwac, sgac_check, solve)
 from .gen import (CrosswordSpec, ModelBParams, gen_clique_embedded,
                   gen_config_like, gen_crossword, gen_model_b,
                   gen_parity_chain, gen_rlfa, tshirt_problem)

@@ -22,8 +22,7 @@ from .core import CapacityError, enumerate_solutions
 from .gen import is_connected
 from .interchange import (InstanceFormatError, emit_report, load_instance,
                           save_instance)
-from .propagate import gac2001
-from .search import ALGORITHMS
+from .search import ALGORITHMS, gac2001
 
 
 def _cmd_solve(args) -> int:

@@ -707,17 +707,22 @@ def ac1_fixpoint(target, state: Optional[DomainState] = None,
 
     Accepts a Problem (GAC over the original constraints) or an
     EncodedProblem (AC over its binary constraint views). Returns
-    (consistent, state). Order-independent at the fixpoint; constraint_order
-    only shuffles sweep order for confluence tests.
+    (consistent, state). An original or dual domain that is empty from the
+    start is a wipe-out, even that of a variable in no constraint.
+    Order-independent at the fixpoint; constraint_order only shuffles sweep
+    order for confluence tests.
     """
     from . import encode as _encode  # local import to avoid a cycle
 
-    if isinstance(target, _encode.EncodedProblem):
+    encoded = isinstance(target, _encode.EncodedProblem)
+    if state is None:
+        state = target.fresh_state() if encoded else DomainState.full(target)
+    if not (all(state.counts) and all(state.dual_counts or ())):
+        return False, state
+    if encoded:
         return _ac1_encoded(target, state)
 
     problem: Problem = target
-    if state is None:
-        state = DomainState.full(problem)
     rels = [materialize(problem, c, budget) for c in problem.constraints]
     order = list(constraint_order) if constraint_order is not None else list(
         range(len(problem.constraints)))
@@ -739,8 +744,6 @@ def ac1_fixpoint(target, state: Optional[DomainState] = None,
 
 
 def _ac1_encoded(enc, state):
-    if state is None:
-        state = enc.fresh_state()
     # projections on the shared variables, computed here, not read from the pairs
     keys = [([tuple(t[p] for p in pair.pos1) for t in enc.duals[pair.v1].tuples],
              [tuple(t[p] for p in pair.pos2) for t in enc.duals[pair.v2].tuples])

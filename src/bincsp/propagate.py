@@ -48,12 +48,21 @@ hidden arcs' dual sides and revises dFC's pair sides) and, for hybrids,
 and the value rule all read one
 list of arcs, `EncodedProblem.arcs`, with two decompositions as each arc's
 sides (see `encode`).
+
+This module holds the propagators only. None of them tests for a domain
+that is empty before it starts: `UnitFixpoint.run`, `Ac2001.run` and
+`PwAc.propagate` expect no original or dual domain to be empty on entry,
+and detect only the wipe-outs they cause. `search.Engine.root_propagate`
+guarantees this at the root, and it is the one empty-domain test; below
+the root, an assignment that wipes a domain out fails before lookahead
+runs. The root entry points (`gac2001`, `hac`, `ac2001`, `pwac`,
+`double_ac`, `sgac_check`) live in `search`: each is the root propagation
+of its MAC lane's engine.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import compress, islice
 from operator import itemgetter, not_
 from typing import Iterable, Optional, Sequence
@@ -61,20 +70,6 @@ from typing import Iterable, Optional, Sequence
 from .core import (Counters, DomainState, GapRows, Problem, is_valid,
                    value_index)
 from .encode import EncodedProblem
-
-CONSISTENT = "CONSISTENT"
-INCONSISTENT = "INCONSISTENT"
-
-
-@dataclass
-class PropagationResult:
-    consistent: bool
-    state: DomainState
-    counters: Counters
-
-    @property
-    def verdict(self) -> str:
-        return CONSISTENT if self.consistent else INCONSISTENT
 
 
 class _Queue:
@@ -155,7 +150,8 @@ class UnitFixpoint:
         fixpoint; with `queue_seed`, start from the queue of those units
         instead. With `subset`, only those units are revised and queued.
         A deletion queues the units over the variable it came from. False
-        on a wipeout."""
+        on a wipeout it causes: no domain may be empty on entry, which the
+        engine's root test and its failing assignments guarantee."""
         ids = list(subset) if subset is not None else range(len(self.scopes))
         idset = set(ids)
         if assigned is None:
@@ -419,18 +415,6 @@ class Gac2001(UnitFixpoint):
         return True
 
 
-def gac2001(problem: Problem, state: Optional[DomainState] = None,
-            queue_seed: Optional[Iterable[int]] = None,
-            counters: Optional[Counters] = None,
-            assigned: Optional[Sequence[bool]] = None) -> PropagationResult:
-    """GAC fixpoint on the non-binary representation (GAC-2001)."""
-    if state is None:
-        state = DomainState.full(problem)
-    engine = Gac2001(problem, counters)
-    ok = engine.run(state, queue_seed, assigned)
-    return PropagationResult(ok, state, engine.counters)
-
-
 # ---------------------------------------------------------------------------
 # HAC on the hidden variable encoding
 
@@ -524,29 +508,6 @@ class Hac(UnitFixpoint):
             if not self.delete(state, x, a):
                 return True, True
         return deleted, False
-
-    def run(self, state: DomainState, queue_seed: Optional[Iterable[int]] = None,
-            assigned: Optional[Sequence[bool]] = None,
-            subset: Optional[Sequence[int]] = None) -> bool:
-        """`UnitFixpoint.run`, failing at once when a dual it would revise
-        is already empty."""
-        ids = subset if subset is not None else range(len(self.scopes))
-        if not all(state.dual_counts[v] for v in ids):
-            return False
-        return super().run(state, queue_seed, assigned, subset)
-
-
-def hac(enc: EncodedProblem, state: Optional[DomainState] = None,
-        queue_seed: Optional[Iterable[int]] = None,
-        counters: Optional[Counters] = None,
-        assigned: Optional[Sequence[bool]] = None) -> PropagationResult:
-    """AC on the hidden variable encoding (HVE or the hidden part of a double)."""
-    if state is None:
-        state = enc.fresh_state()
-    engine = Hac(enc, counters)
-    ok = engine.run(state, queue_seed, assigned)
-    return PropagationResult(ok, state, engine.counters)
-
 
 # ---------------------------------------------------------------------------
 # Generic AC-2001 over the binary view of an encoding
@@ -676,12 +637,14 @@ class Ac2001:
         return deleted, remaining
 
     def run(self, state, queue_seed=None) -> bool:
+        """Revise every arc, both sides, in arc order, then the arcs of the
+        queued binary variables to a fixpoint; with `queue_seed`, start from
+        those variables instead. False on a wipeout it causes: no domain may
+        be empty on entry, which the engine's root test and its failing
+        assignments guarantee."""
         view = self.view
         masks = view.masks(state)
         queue = _Queue()
-        if not all(map(any, masks)):
-            return False
-
         if queue_seed is None:
             for arc_id in range(len(view.ends)):
                 for side in (0, 1):
@@ -704,17 +667,6 @@ class Ac2001:
                         return False
                     queue.push(view.ends[arc_id][side])
         return True
-
-
-def ac2001(enc: EncodedProblem, state: Optional[DomainState] = None,
-           queue_seed: Optional[Iterable[int]] = None,
-           counters: Optional[Counters] = None) -> PropagationResult:
-    """AC-2001 on the `BinaryView` of an encoding."""
-    if state is None:
-        state = enc.fresh_state()
-    engine = Ac2001(BinaryView(enc), counters)
-    ok = engine.run(state, queue_seed)
-    return PropagationResult(ok, state, engine.counters)
 
 
 # ---------------------------------------------------------------------------
@@ -883,67 +835,3 @@ class PwAc:
                                       [idx for idx in members[gid] if mask[idx]]):
                 return False
         return True
-
-    def run(self, state: DomainState) -> bool:
-        if any(state.dual_counts[v.id] == 0 for v in self.enc.duals):
-            return False
-        self.init_counts(state)
-        return self.propagate(state)
-
-
-def pwac(enc: EncodedProblem, state: Optional[DomainState] = None,
-         counters: Optional[Counters] = None) -> PropagationResult:
-    """AC on the dual encoding via the piecewise-functional structure."""
-    if state is None:
-        state = enc.fresh_state()
-    engine = PwAc(enc, counters)
-    ok = engine.run(state)
-    return PropagationResult(ok, state, engine.counters)
-
-
-# ---------------------------------------------------------------------------
-# Singleton GAC
-
-
-def sgac_check(problem: Problem, counters: Optional[Counters] = None) -> bool:
-    """Is the problem singleton generalized arc consistent? GAC must already
-    hold: a GAC wipeout reports False."""
-    base = gac2001(problem, counters=counters)
-    if not base.consistent:
-        return False
-    state = base.state
-    for x in range(problem.n):
-        for a in state.live_values(x):
-            probe = state.clone()
-            probe.assign_value(x, a)
-            seeded = gac2001(problem, probe,
-                             queue_seed=list(problem.constraints_of_var[x]),
-                             counters=counters)
-            if not seeded.consistent:
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Assignment seeding helpers (used by tests and demos; the search engines
-# assign through their own hooks)
-
-
-def seed_assignment_nonbinary(problem: Problem, state: DomainState,
-                              x: int, a: int) -> list:
-    """Restrict D(x) to {a}; returns the constraint-queue seed."""
-    state.assign_value(x, a)
-    return list(problem.constraints_of_var[x])
-
-
-def seed_assignment_hve(enc: EncodedProblem, state: DomainState, x: int, a: int,
-                        counters: Optional[Counters] = None) -> tuple:
-    """Restrict D(x) to {a} and push the deletions through the dual domains.
-    Returns (ok, dual queue seed)."""
-    engine = Hac(enc, counters if counters is not None else Counters())
-    ok = True
-    for b in list(state.live_values(x)):
-        if b != a:
-            if not engine.delete_value(state, x, b):
-                ok = False
-    return ok, list(enc.duals_of_var[x])

@@ -27,15 +27,22 @@ the deletion hooks.
 seeding of every lane whose propagator is a `propagate.UnitFixpoint`:
 `NonBinaryEngine` (GAC-2001 over constraints) and `HveEngine` (HAC over
 duals), and through `HveEngine` the double encoding's `DoubleEngine`,
-which replaces the propagation steps; `double_ac` is that engine's root
-propagation, run on its own. Each lane keeps only its level-0/1 step and
-its wipe-out test. At the root every forward-checking lane revises its
-units of arity 1 (unary constraints) once. The dual encoding is a double
-encoding without originals or hidden arcs, so its MAC lanes run on the
-double-encoding engines: MAC-PW-AC on `DoubleEngine`, MAC-2001 (like
+which replaces the propagation steps. Each lane keeps only its level-0/1
+step and its wipe-out test. At the root every forward-checking lane
+revises its units of arity 1 (unary constraints) once. The dual encoding
+is a double encoding without originals or hidden arcs, so its MAC lanes
+run on the double-encoding engines: MAC-PW-AC on `DoubleEngine`, MAC-2001 (like
 MAC-2001d) on `Ac2001Engine`, which runs AC-2001 on the
 `propagate.BinaryView` of its encoding. Every propagator reads the
 encoding's one list of binary arcs, `EncodedProblem.arcs`.
+
+Each propagator run alone is its MAC lane's root propagation:
+`gac2001` (MGAC-2001), `hac` (MHAC-2001), `ac2001` (MAC-2001), `pwac`
+(MAC-PW-AC) and `double_ac` (MAC-PW-ACd) build that engine and call
+`root_propagate`, and `sgac_check` probes each value as MGAC-2001's first
+node. So they all share the one empty-domain test, and the propagators
+never make one: below the root, an assignment that wipes a domain out
+fails before lookahead runs.
 
 Search below the root attaches the engine's trail to its `DomainState`,
 so deletions and pointer moves made by the propagators are trailed where
@@ -58,9 +65,11 @@ from .core import (Counters, DEFAULT_EXPANSION_BUDGET, DomainState, Problem,
                    solution_check)
 from .encode import (DE, DOUBLE, HVE, HYBRID, EncodedProblem, build_de,
                      build_double, build_hve, induced_assignment)
-from .propagate import (Ac2001, BinaryView, Gac2001, Hac, PropagationResult,
-                        PwAc, constraint_has_valid_tuple)
+from .propagate import (Ac2001, BinaryView, Gac2001, Hac, PwAc,
+                        constraint_has_valid_tuple)
 
+CONSISTENT = "CONSISTENT"
+INCONSISTENT = "INCONSISTENT"
 SAT = "SAT"
 UNSAT = "UNSAT"
 NODE_LIMIT = "NODE_LIMIT"
@@ -144,13 +153,14 @@ class Engine:
     def __init__(self, model, spec: AlgorithmSpec, ordering: str = DOM_DEG,
                  node_limit: Optional[int] = None,
                  time_limit_ms: Optional[float] = None,
-                 record_nodes: bool = False):
+                 record_nodes: bool = False,
+                 counters: Optional[Counters] = None):
         self.spec = spec
         self.ordering = ordering
         self.node_limit = node_limit
         self.time_limit_ms = time_limit_ms
         self.record_nodes = record_nodes
-        self.counters = Counters()
+        self.counters = counters if counters is not None else Counters()
         self.trail: list = []
         self.nodes = 0
         self.path: list = []
@@ -665,32 +675,6 @@ class DoubleEngine(HveEngine):
                 return True
 
 
-HIDDEN_ONLY = "HIDDEN_ONLY"
-DUAL_DUAL = "DUAL_DUAL"
-
-
-def double_ac(enc: EncodedProblem, mode: str = DUAL_DUAL) -> PropagationResult:
-    """AC on the double (or hybrid) encoding: the root propagation of a MAC
-    `DoubleEngine`, in one of two modes.
-
-    DUAL_DUAL runs PW-AC between the duals plus the rule that an original
-    value dies with its last supporting tuple in some adjacent dual. That
-    rule enforces exactly the hidden constraints' filtering, so this is AC
-    on the whole double encoding. HIDDEN_ONLY (HVE-level consistency) runs
-    the engine on the encoding without its dual-dual constraints, where the
-    value rule alone is HAC's filtering. Residual non-binary constraints of
-    a hybrid are propagated by GAC-2001 to a joint fixpoint.
-    """
-    if mode not in (HIDDEN_ONLY, DUAL_DUAL):
-        raise ValueError(f"unknown double AC mode: {mode!r}")
-    if mode == HIDDEN_ONLY:
-        enc = EncodedProblem(enc.kind, enc.problem, enc.duals, enc.hidden, [],
-                             enc.residual_constraints, enc.decompositions)
-    engine = DoubleEngine(enc, ALGORITHMS["MAC-PW-ACd"])
-    ok = engine.root_propagate()
-    return PropagationResult(ok, engine.state, engine.counters)
-
-
 # ---------------------------------------------------------------------------
 # generic MAC on the dual and double encodings (MAC-2001, MAC-2001d)
 
@@ -713,6 +697,90 @@ class Ac2001Engine(Engine):
         if isinstance(var, tuple):
             var = self.first_dual + var[1]
         return self.ac.run(self.state, queue_seed=[var])
+
+
+# ---------------------------------------------------------------------------
+# root propagation: each propagator run alone is its MAC lane's root
+
+
+@dataclass
+class PropagationResult:
+    consistent: bool
+    state: DomainState
+    counters: Counters
+
+    @property
+    def verdict(self) -> str:
+        return CONSISTENT if self.consistent else INCONSISTENT
+
+
+def _root(engine: Engine) -> PropagationResult:
+    ok = engine.root_propagate()
+    return PropagationResult(ok, engine.state, engine.counters)
+
+
+def gac2001(problem: Problem, counters: Optional[Counters] = None) -> PropagationResult:
+    """GAC fixpoint on the non-binary representation: MGAC-2001's root."""
+    return _root(NonBinaryEngine(problem, ALGORITHMS["MGAC-2001"], counters=counters))
+
+
+def hac(enc: EncodedProblem, counters: Optional[Counters] = None) -> PropagationResult:
+    """AC on the hidden variable encoding (HVE or the hidden part of a
+    double): MHAC-2001's root."""
+    return _root(HveEngine(enc, ALGORITHMS["MHAC-2001"], counters=counters))
+
+
+def ac2001(enc: EncodedProblem, counters: Optional[Counters] = None) -> PropagationResult:
+    """AC-2001 on the `BinaryView` of an encoding: MAC-2001's root."""
+    return _root(Ac2001Engine(enc, ALGORITHMS["MAC-2001"], counters=counters))
+
+
+def pwac(enc: EncodedProblem, counters: Optional[Counters] = None) -> PropagationResult:
+    """AC on the dual encoding via the piecewise-functional structure:
+    MAC-PW-AC's root."""
+    return _root(DoubleEngine(enc, ALGORITHMS["MAC-PW-AC"], counters=counters))
+
+
+HIDDEN_ONLY = "HIDDEN_ONLY"
+DUAL_DUAL = "DUAL_DUAL"
+
+
+def double_ac(enc: EncodedProblem, mode: str = DUAL_DUAL) -> PropagationResult:
+    """AC on the double (or hybrid) encoding: the root propagation of a MAC
+    `DoubleEngine`, in one of two modes.
+
+    DUAL_DUAL runs PW-AC between the duals plus the rule that an original
+    value dies with its last supporting tuple in some adjacent dual. That
+    rule enforces exactly the hidden constraints' filtering, so this is AC
+    on the whole double encoding. HIDDEN_ONLY (HVE-level consistency) runs
+    the engine on the encoding without its dual-dual constraints, where the
+    value rule alone is HAC's filtering. Residual non-binary constraints of
+    a hybrid are propagated by GAC-2001 to a joint fixpoint.
+    """
+    if mode not in (HIDDEN_ONLY, DUAL_DUAL):
+        raise ValueError(f"unknown double AC mode: {mode!r}")
+    if mode == HIDDEN_ONLY:
+        enc = EncodedProblem(enc.kind, enc.problem, enc.duals, enc.hidden, [],
+                             enc.residual_constraints, enc.decompositions)
+    return _root(DoubleEngine(enc, ALGORITHMS["MAC-PW-ACd"]))
+
+
+def sgac_check(problem: Problem) -> bool:
+    """Is the problem singleton generalized arc consistent? Each live value
+    is probed as MGAC-2001's first node would: assigned, then propagated,
+    then undone. GAC must already hold: a GAC wipeout reports False."""
+    engine = NonBinaryEngine(problem, ALGORITHMS["MGAC-2001"])
+    if not engine.root_propagate():
+        return False
+    state = engine.state
+    state.trail = engine.trail
+    for x in range(problem.n):
+        for a in state.live_values(x):
+            ok = engine.assign(x, a) and engine.lookahead(x)
+            engine.undo_to(0)
+            if not ok:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

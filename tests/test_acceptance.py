@@ -8,15 +8,14 @@ import time
 
 import pytest
 
-from bincsp.core import Counters, DomainState, ac1_fixpoint, \
-    enumerate_solutions, solution_check
+from bincsp.core import Counters, ac1_fixpoint, enumerate_solutions, \
+    solution_check
 from bincsp.encode import build_de, build_double, build_hve
 from bincsp.gen import (CrosswordSpec, ModelBParams, gen_crossword,
                         gen_model_b, gen_parity_chain)
-from bincsp.propagate import (ac2001, gac2001, hac, pwac,
-                              seed_assignment_hve, seed_assignment_nonbinary,
-                              sgac_check)
-from bincsp.search import DUAL_DUAL, FIXED, double_ac, solve
+from bincsp.search import (ALGORITHMS, DUAL_DUAL, FIXED, HveEngine,
+                           NonBinaryEngine, ac2001, double_ac, gac2001, hac,
+                           pwac, sgac_check, solve)
 from bincsp.words import WORDS
 
 from cases import appendix_a, example_42, example_51, prop_51, six_var_linear
@@ -141,18 +140,12 @@ def test_criterion_2_check_counts(suite1):
 
     # the wipeout fixture: strictly fewer checks in the hidden encoding
     p = appendix_a()
-    g_state = DomainState.full(p)
     gc = Counters()
-    g_seed = seed_assignment_nonbinary(p, g_state, 0, 0)
-    g = gac2001(p, g_state, queue_seed=g_seed, counters=gc,
-                assigned=[True, False, False, False])
-    enc = build_hve(p)
-    h_state = enc.fresh_state()
+    g = NonBinaryEngine(p, ALGORITHMS["MGAC-2001"], counters=gc)
     hc = Counters()
-    ok, h_seed = seed_assignment_hve(enc, h_state, 0, 0, hc)
-    h = hac(enc, h_state, queue_seed=h_seed, counters=hc,
-            assigned=[True, False, False, False])
-    assert not g.consistent and not h.consistent
+    h = HveEngine(build_hve(p), ALGORITHMS["MHAC-2001"], counters=hc)
+    assert not (g.assign(0, 0) and g.lookahead(0))
+    assert not (h.assign(0, 0) and h.lookahead(0))
     assert hc.checks < gc.checks
     _report(2, f"checks equal on {equal_on} arc-consistent instances, "
                f"dominated on {dominated_on} wipeouts; fixture "

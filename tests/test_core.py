@@ -6,7 +6,7 @@ import pytest
 from bincsp.core import (CapacityError, Constraint, Counters, DomainState,
                          Predicate, Problem, ac1_fixpoint, enumerate_solutions,
                          expand_predicate, is_valid, project, solution_check)
-from bincsp.propagate import gac2001
+from bincsp.search import gac2001
 
 from cases import SIX_VAR_SOLUTIONS, appendix_a, example_51, six_var_linear
 

@@ -7,7 +7,7 @@ from bincsp.core import CapacityError, Constraint, Predicate, Problem, \
 from bincsp.encode import (DE, DOUBLE, HVE, HYBRID, build_de, build_double,
                            build_hve, induced_assignment)
 from bincsp.gen import CrosswordSpec, ModelBParams, gen_crossword, gen_model_b
-from bincsp.propagate import pwac
+from bincsp.search import pwac
 from bincsp.words import WORDS
 
 from cases import criterion_1_suite, example_41, example_42, six_var_linear
@@ -332,7 +332,7 @@ def test_double_is_union_of_hve_and_de_structures():
 
 def test_ac1_on_encodings_matches_specialized_engines():
     from bincsp.core import ac1_fixpoint
-    from bincsp.propagate import gac2001, pwac
+    from bincsp.search import gac2001, pwac
     from bincsp.gen import ModelBParams, gen_model_b
     for seed in range(10):
         p = gen_model_b(ModelBParams(8, 3, 3, 14, 30 + seed * 6, seed))

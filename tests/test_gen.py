@@ -7,7 +7,7 @@ from bincsp.gen import (CrosswordSpec, ModelBParams, gen_clique_embedded,
                         gen_parity_chain, gen_rlfa, is_connected,
                         tshirt_problem)
 from bincsp.interchange import emit_instance
-from bincsp.propagate import gac2001
+from bincsp.search import gac2001
 from bincsp.search import solve
 from bincsp.words import WORDS, words_by_length
 from bincsp.core import enumerate_solutions

@@ -6,11 +6,11 @@ from bincsp.core import Constraint, Counters, DomainState, GapRows, Predicate, \
 from bincsp.encode import build_de, build_double, build_hve
 from bincsp.gen import ModelBParams, gen_model_b, gen_rlfa
 from bincsp.propagate import (Ac2001, BinaryView, Gac2001, Hac, PwAc,
-                              _pred_enum, ac2001, constraint_has_valid_tuple,
-                              gac2001, hac, pwac, seed_assignment_hve,
-                              seed_assignment_nonbinary, sgac_check)
+                              _pred_enum, constraint_has_valid_tuple)
 from bincsp import search
-from bincsp.search import DUAL_DUAL, HIDDEN_ONLY, double_ac
+from bincsp.search import (ALGORITHMS, DUAL_DUAL, HIDDEN_ONLY, HveEngine,
+                           NonBinaryEngine, ac2001, double_ac, gac2001, hac,
+                           pwac, sgac_check)
 
 from cases import (appendix_a, assert_counters_match_live_members,
                    criterion_1_suite, example_42, example_51, six_var_linear)
@@ -70,7 +70,8 @@ def test_pwac_counter_integrity_after_run():
         enc = build_de(p)
         engine = PwAc(enc)
         state = enc.fresh_state()
-        engine.run(state)
+        engine.init_counts(state)
+        engine.propagate(state)
         assert_counters_match_live_members(engine, state)
 
 
@@ -134,23 +135,18 @@ def test_double_ac_dual_dual_equals_hidden_only_without_intersections():
 def test_appendix_a_hac_detects_wipeout_with_fewer_checks():
     p = appendix_a()
 
-    g_state = DomainState.full(p)
     g_counters = Counters()
-    g_seed = seed_assignment_nonbinary(p, g_state, 0, 0)
-    g = gac2001(p, g_state, queue_seed=g_seed, counters=g_counters,
-                assigned=[True, False, False, False])
+    g = NonBinaryEngine(p, ALGORITHMS["MGAC-2001"], counters=g_counters)
+    g_ok = g.assign(0, 0) and g.lookahead(0)
 
-    enc = build_hve(p)
-    h_state = enc.fresh_state()
     h_counters = Counters()
-    ok, h_seed = seed_assignment_hve(enc, h_state, 0, 0, h_counters)
-    assert ok
-    h = hac(enc, h_state, queue_seed=h_seed, counters=h_counters,
-            assigned=[True, False, False, False])
+    h = HveEngine(build_hve(p), ALGORITHMS["MHAC-2001"], counters=h_counters)
+    assert h.assign(0, 0)
+    h_ok = h.lookahead(0)
 
-    assert g.verdict == "INCONSISTENT"
-    assert h.verdict == "INCONSISTENT"
-    assert g_state.counts[1] == 0          # x2 wiped in the flat problem
+    assert not g_ok
+    assert not h_ok
+    assert g.state.counts[1] == 0          # x2 wiped in the flat problem
     assert h_counters.checks < g_counters.checks
     # pinned to the canonical LIFO queue ordering
     assert (h_counters.checks, g_counters.checks) == (5, 28)
@@ -162,6 +158,31 @@ def test_appendix_a_consistent_before_assignment():
     # x2=1 has no support in c2 even before assigning x1
     assert ok
     assert state.live_values(1) == [0]
+
+
+# ---------------------------------------------------------------------------
+# one empty-domain rule for every root propagator and the oracle
+
+
+def test_a_domain_empty_from_the_start_is_a_wipeout_everywhere():
+    """Variable a has no value: in no constraint, then under an empty unary
+    relation. Every root propagator, double_ac in both modes and the AC-1
+    oracle on each representation report a wipe-out."""
+    for c in (Constraint((1,), relation=[(0,)]), Constraint((0,), relation=[])):
+        p = Problem(["a", "b"], [[], [0, 1]], [c])
+        hve, de, double = build_hve(p), build_de(p), build_double(p)
+        verdicts = {
+            "gac2001": gac2001(p).consistent,
+            "hac": hac(hve).consistent,
+            "ac2001": ac2001(de).consistent,
+            "pwac": pwac(de).consistent,
+            "double_ac": double_ac(double, DUAL_DUAL).consistent,
+            "double_ac hidden": double_ac(double, HIDDEN_ONLY).consistent,
+        }
+        for name, target in (("problem", p), ("hve", hve), ("de", de),
+                             ("double", double)):
+            verdicts["ac1_fixpoint " + name] = ac1_fixpoint(target)[0]
+        assert not any(verdicts.values()), (c, verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +285,12 @@ def test_propagation_preserves_solutions():
 
 def test_gac_handles_intensional_constraints():
     from bincsp.core import Predicate
+    # value 0 of f0 is removed by a unary constraint, which both see
     p = Problem([f"f{i}" for i in range(4)], [list(range(8))] * 4,
-                [Constraint((0, 1, 2, 3), predicate=Predicate("separation", s=1))])
-    state = DomainState.full(p)
-    state.remove_value(0, 0)
-    result = gac2001(p, state)
-    # compare against the oracle run from the same seeded state
-    seeded = DomainState.full(p)
-    seeded.remove_value(0, 0)
-    ok, oracle = ac1_fixpoint(p, seeded)
+                [Constraint((0, 1, 2, 3), predicate=Predicate("separation", s=1)),
+                 Constraint((0,), relation=[(a,) for a in range(1, 8)])])
+    result = gac2001(p)
+    ok, oracle = ac1_fixpoint(p)
     assert result.consistent == ok
     if ok:
         assert result.state.domains_as_lists() == oracle.domains_as_lists()
@@ -354,8 +372,8 @@ def test_hac_empty_seed_spends_no_checks():
     from cases import six_var_linear
     enc = build_hve(six_var_linear())
     counters = Counters()
-    r = hac(enc, enc.fresh_state(), queue_seed=[], counters=counters)
-    assert r.consistent and counters.checks == 0
+    assert Hac(enc, counters).run(enc.fresh_state(), queue_seed=[])
+    assert counters.checks == 0
 
 
 def _two_arms():

@@ -7,11 +7,13 @@ from bincsp.core import Constraint, Counters, Problem, enumerate_solutions
 from bincsp.encode import build_de, build_double, build_hve, induced_assignment
 from bincsp.gen import (CrosswordSpec, ModelBParams, gen_crossword,
                         gen_model_b, gen_parity_chain)
+from bincsp import propagate
 from bincsp.propagate import constraint_has_valid_tuple
 from bincsp.search import (ALGORITHMS, DOM_DEG, FIXED, double_ac, make_engine,
                            prepare_model, solve)
 
-from cases import assert_counters_match_live_members, prop_51, six_var_linear
+from cases import (assert_counters_match_live_members, criterion_1_suite,
+                   prop_51, six_var_linear)
 
 SEARCH_ALGOS = ["nFC0", "nFC1", "nFC2", "nFC3", "nFC4", "nFC5", "MGAC-2001",
                 "hFC0", "hFC1", "hFC2", "hFC3", "hFC4", "hFC5", "MHAC-2001",
@@ -174,7 +176,7 @@ def test_parity_chain_mhac_visits_many_more_nodes():
 
 def test_parity_chain_n1_refuted_at_root():
     p = gen_parity_chain(1)
-    from bincsp.propagate import gac2001
+    from bincsp.search import gac2001
     assert not gac2001(p).consistent
     r = solve(p, "MGAC-2001")
     assert r.verdict == "UNSAT" and r.nodes == 0
@@ -726,3 +728,38 @@ def test_byte_lane_wipeout_test_counts_like_the_relation_scan():
     # found and not found, on empty and non-empty relations, both paths
     assert {(True, True, False), (False, True, False), (False, False, False),
             (True, True, True), (False, True, True)} <= outcomes
+
+
+def test_no_propagator_is_entered_with_an_empty_domain(monkeypatch):
+    """The fixpoints do not test for a domain that is empty before they
+    start: the root's one test, and assignments that fail on a wipe-out,
+    keep every lane from entering one so. Checked on every entry, at the
+    root and below it, of seeded runs of every lane."""
+    below_root = {}
+
+    def guard(cls, name):
+        run = getattr(cls, name)
+
+        def entry(self, state, *args, **kw):
+            assert all(state.counts) and all(state.dual_counts or ()), \
+                (cls.__name__, name)
+            if state.trail is not None:
+                below_root[cls.__name__] = below_root.get(cls.__name__, 0) + 1
+            return run(self, state, *args, **kw)
+
+        monkeypatch.setattr(cls, name, entry)
+
+    guard(propagate.UnitFixpoint, "run")
+    guard(propagate.Ac2001, "run")
+    guard(propagate.PwAc, "propagate")
+    problems = list(_suite(4)) + list(criterion_1_suite(250))
+    verdicts = set()
+    for p in problems:
+        hybrid = build_double(p, encoded_subset=range(0, len(p.constraints), 2))
+        for algorithm in ALGORITHMS:
+            model = hybrid if algorithm == "MAC-hybrid" else p
+            for ordering in (FIXED, DOM_DEG):
+                verdicts.add(solve(model, algorithm, ordering=ordering,
+                                   node_limit=300).verdict)
+    assert {"SAT", "UNSAT"} <= verdicts
+    assert min(below_root.values()) >= 100 and len(below_root) == 3, below_root
