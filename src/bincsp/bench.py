@@ -77,15 +77,15 @@ def instance_from_generator(spec: dict, seed: int) -> Problem:
     raise ValueError(f"unknown generator family {family!r}")
 
 
-def tuple_table_bytes(model, value_width: int = 4) -> int:
-    """Analytic tuple-table memory: sum of arity * tuples * value width over
-    every materialized relation."""
+def tuple_table_bytes(model) -> int:
+    """Analytic tuple-table memory: sum of arity * tuples * 4 bytes per
+    value over every materialized relation."""
     if isinstance(model, EncodedProblem):
-        return model.tuple_table_bytes(value_width)
+        return model.tuple_table_bytes()
     total = 0
     for c in model.constraints:
         if c.relation is not None:
-            total += c.arity * len(c.relation) * value_width
+            total += c.arity * len(c.relation) * 4
     return total
 
 

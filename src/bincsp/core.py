@@ -288,12 +288,6 @@ class DomainState:
         self.dual_masks = [bytearray([1]) * m for m in tuple_count_per_dual]
         self.dual_counts = list(tuple_count_per_dual)
 
-    def clone(self) -> "DomainState":
-        """An untrailed copy of the domains."""
-        dm = [bytearray(m) for m in self.dual_masks] if self.dual_masks is not None else None
-        dc = list(self.dual_counts) if self.dual_counts is not None else None
-        return DomainState([bytearray(m) for m in self.masks], list(self.counts), dm, dc)
-
     def live_values(self, x: int) -> list:
         mask = self.masks[x]
         return list(itertools.compress(range(len(mask)), mask))
@@ -344,16 +338,6 @@ class DomainState:
                 counts[i] += 1
             else:  # head is a table, j the old value of its slot i
                 head[i] = j
-
-    def assign_value(self, x: int, a: int) -> list:
-        """Restrict D(x) to {a}; returns the removed values."""
-        mask = self.masks[x]
-        removed = list(itertools.compress(range(len(mask)), mask))
-        if mask[a]:
-            removed.remove(a)
-        for b in removed:
-            self.remove_value(x, b)
-        return removed
 
     def domains_as_lists(self) -> list:
         return [self.live_values(x) for x in range(len(self.masks))]

@@ -185,8 +185,9 @@ class EncodedProblem:
         state.add_duals([len(v.tuples) for v in self.duals])
         return state
 
-    def tuple_table_bytes(self, value_width: int = 4) -> int:
-        return sum(v.arity * len(v.tuples) * value_width for v in self.duals)
+    def tuple_table_bytes(self) -> int:
+        """Analytic memory of the dual tuple tables, 4 bytes per value."""
+        return sum(v.arity * len(v.tuples) * 4 for v in self.duals)
 
     def __repr__(self):
         return (f"EncodedProblem({self.kind}: {len(self.duals)} duals, "

@@ -5,9 +5,10 @@ constraint-queue fixpoint, `UnitFixpoint`: its units are the constraints
 (GAC-2001) or the duals (HAC), `run` sweeps then drains the queue,
 `revise_units` is one revision pass over the units it is given, and each
 engine supplies only its per-arc step, `revise_arc(unit, pos, state) ->
-(deleted, wiped)`. Both delete values through one hook, `delete_value(state,
-x, a) -> bool`, held as `delete` and replaceable at construction: False is
-a dual wipeout, which the arc reports at once, so the fixpoint stops there.
+(deleted, wiped)`. Both delete values through their engine's one value
+deletion, a required hook `delete_value(x, a) -> bool`: False is the
+wipe-out of x or of a dual that the deletion caused, which the arc reports
+at once, so the fixpoint stops there.
 
 Counting discipline shared by GAC-2001 and HAC: a support search counts as
 the scan of the sorted tuple list from the stored pointer onward, every
@@ -29,10 +30,12 @@ them. PW-AC performs no tuple checks at all: its work is counter updates.
 
 AC-2001 runs on one binary view of any encoding, `BinaryView`: the duals,
 the originals when the encoding has them, and `EncodedProblem.arcs`. It
-keeps one support pointer per piecewise group and revises
-the live values of a group together, but counts checks and micro-ops
-exactly as the lexicographic scan with one pointer per value would (see
-`Ac2001`), which relies on domain masks holding only 0 and 1 bytes.
+deletes through its engine's `delete_value` (the same hook) and
+`delete_tuples`. It keeps one support pointer per piecewise group and
+revises the live values of a group together, but counts checks and
+micro-ops exactly as the lexicographic scan with one pointer per value
+would (see `Ac2001`), which relies on domain masks holding only 0 and 1
+bytes.
 
 PW-AC keeps one counter array per piecewise decomposition, and a
 decomposition is shared by every pair in which its dual shares the same
@@ -43,17 +46,18 @@ Propagation on the double encoding (PW-AC between duals plus the rule that
 an original value dies with its last supporting tuple) is
 `search.DoubleEngine`; `search.double_ac` is its root-only call. This module
 supplies its parts: `Hac`, `PwAc` (which counts the value supports on the
-hidden arcs' dual sides and revises dFC's pair sides) and, for hybrids,
-`Gac2001`, each given its one value deletion. `BinaryView`, `PwAc`, `Hac`
-and the value rule all read one
-list of arcs, `EncodedProblem.arcs`, with two decompositions as each arc's
-sides (see `encode`).
+hidden arcs' dual sides, revises dFC's pair sides and is the engine's
+`delete_tuples`) and, for hybrids, `Gac2001`, both given the engine's value
+deletion. `BinaryView`, `PwAc`, `Hac` and the value rule all read one list
+of arcs, `EncodedProblem.arcs`, with two decompositions as each arc's sides
+(see `encode`).
 
 This module holds the propagators only. None of them tests for a domain
 that is empty before it starts: `UnitFixpoint.run`, `Ac2001.run` and
 `PwAc.propagate` expect no original or dual domain to be empty on entry,
-and detect only the wipe-outs they cause. `search.Engine.root_propagate`
-guarantees this at the root, and it is the one empty-domain test; below
+and detect only the wipe-outs they cause, as the deletions report them.
+`search.Engine.root_propagate` guarantees this at the root, and it is the
+one empty-domain test; below
 the root, an assignment that wipes a domain out fails before lookahead
 runs. The root entry points (`gac2001`, `hac`, `ac2001`, `pwac`,
 `double_ac`, `sgac_check`) live in `search`: each is the root propagation
@@ -117,8 +121,9 @@ class UnitFixpoint:
     order), and supplies its one per-arc step, `revise_arc(unit, pos,
     state) -> (deleted, wiped)`: revise the variable at `pos` of the unit
     against the unit, reporting whether a value was deleted and whether a
-    deletion wiped out a dual: every deletion goes through `delete(state,
-    x, a) -> bool`, and the arc returns (True, True) at its first False.
+    deletion wiped out a domain: every deletion goes through the engine's
+    `delete_value(x, a) -> bool`, and the arc returns (True, True) at its
+    first False.
     """
 
     def revise_units(self, units: Iterable[int], state: DomainState,
@@ -128,7 +133,7 @@ class UnitFixpoint:
         wipeout. `requeue(x)` is called after each arc that deleted a value
         of x; `run` feeds its queue in as `units`, so that one call revises
         every unit it pops."""
-        revise_arc, counts, scopes = self.revise_arc, state.counts, self.scopes
+        revise_arc, scopes = self.revise_arc, self.scopes
         for unit in units:
             for pos, x in enumerate(scopes[unit]):
                 if assigned[x]:
@@ -136,11 +141,8 @@ class UnitFixpoint:
                 deleted, wiped = revise_arc(unit, pos, state)
                 if wiped:
                     return False
-                if deleted:
-                    if counts[x] == 0:
-                        return False
-                    if requeue is not None:
-                        requeue(x)
+                if deleted and requeue is not None:
+                    requeue(x)
         return True
 
     def run(self, state: DomainState, queue_seed: Optional[Iterable[int]] = None,
@@ -308,23 +310,6 @@ def _gap_enum(doms, sizes, lives, after, tight0, counters, tables):
     return rec(0, tight0, lives)
 
 
-def constraint_has_valid_tuple(problem, c, tables, state, counters=None) -> bool:
-    """Any valid tuple left in the constraint? Micro-op cost only for an
-    extensional one; a predicate's search counts as `_pred_enum` does, with
-    `tables` its `GapRows.tables`."""
-    if c.relation is not None:
-        masks = state.masks
-        for t in c.relation:
-            if counters is not None:
-                counters.microops += 1
-            if all(masks[x][t[p]] for p, x in enumerate(c.scope)):
-                return True
-        return False
-    cnt = counters if counters is not None else Counters()
-    return _pred_enum(problem, c, -1, -1, state, (-1,) * c.arity, False, cnt,
-                      tables) is not None
-
-
 class Gac2001(UnitFixpoint):
     """Constraint-queue GAC-2001: the units are the constraints. Does not
     maintain tuple liveness; validity is per-position work.
@@ -333,17 +318,15 @@ class Gac2001(UnitFixpoint):
     pos of constraint ci: a relation's tuple index (-1 before the first
     search), or a predicate's last support tuple (None before).
 
-    `delete_value(state, x, a) -> bool`, if given, replaces the default
-    deletion of a value that lost its support, as in `Hac` (a hybrid's also
-    deletes the tuples carrying it, reporting a dual wipeout); `delete`
-    holds the one in use. Pointer moves and deletions go through the state,
-    which trails them when a search has attached a trail.
+    A value that lost its support is deleted through the engine's
+    `delete_value(x, a) -> bool` (a hybrid's also deletes the tuples
+    carrying it). Pointer moves and deletions go through the state, which
+    trails them when a search has attached a trail.
     """
 
-    def __init__(self, problem: Problem, counters: Optional[Counters] = None,
-                 delete_value=None):
+    def __init__(self, problem: Problem, counters: Counters, delete_value):
         self.problem = problem
-        self.counters = counters if counters is not None else Counters()
+        self.counters = counters
         self.scopes = [c.scope for c in problem.constraints]
         self.units_of_var = problem.constraints_of_var
         self.supports = [[[-1 if c.relation is not None else None]
@@ -354,12 +337,11 @@ class Gac2001(UnitFixpoint):
         self.gap_tables = [rows.tables(problem, c) for c in problem.constraints]
         # per relation, its `value_index`, built when it is first revised
         self.index = [None] * len(problem.constraints)
-        self.delete = delete_value if delete_value is not None else self.delete_value
+        self.delete_value = delete_value
 
     def revise_arc(self, ci: int, pos: int, state: DomainState) -> tuple:
         """Revise one (variable, constraint) arc. Returns (deleted, wiped),
-        wiped as soon as `delete` reports a wipeout (only a hybrid's
-        deletion, which also deletes tuples, can).
+        wiped as soon as `delete_value` reports a wipe-out.
 
         On a relation, the support search reads the tuples holding a at pos
         after the pointer from the value index and tests each for validity.
@@ -404,15 +386,9 @@ class Gac2001(UnitFixpoint):
                     state.set_slot(pointers, a, t)
                     continue
             deleted = True
-            if not self.delete(state, x, a):
+            if not self.delete_value(x, a):
                 return True, True
         return deleted, False
-
-    def delete_value(self, state: DomainState, x: int, a: int) -> bool:
-        """Remove a from D(x); no unit wipes out."""
-        state.remove_value(x, a)
-        self.counters.value_removals += 1
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -421,21 +397,18 @@ class Gac2001(UnitFixpoint):
 
 class Hac(UnitFixpoint):
     """HAC: GAC-2001 adapted to the HVE, the units being the duals. Tuple
-    validity is a dual-domain lookup and value deletions eagerly delete the
-    tuples carrying them from every adjacent dual variable, reporting a
-    dual wipeout at once. Both read the dual sides of the hidden arcs in
-    `arcs`, group a holding the tuples carrying a: `dual_sides[v][pos]` is
-    that of arc (v, x, pos), and `var_sides[x]` lists those on x by dual.
-
-    `delete_value(state, x, a) -> bool`, if given, replaces that deletion
-    (the double encoding passes one that maintains its group counters);
-    `delete` holds the deletion in use.
+    validity is a dual-domain lookup, and a value is deleted through the
+    engine's `delete_value(x, a) -> bool`, which also deletes the tuples
+    carrying it from every adjacent dual and reports a dual wipe-out at
+    once. Both read the dual sides of the hidden arcs in `arcs`, group a
+    holding the tuples carrying a: `dual_sides[v][pos]` is that of arc (v,
+    x, pos), and `var_sides[x]`, which the engine's deletion walks, lists
+    those on x by dual.
     """
 
-    def __init__(self, enc: EncodedProblem, counters: Optional[Counters] = None,
-                 delete_value=None):
+    def __init__(self, enc: EncodedProblem, counters: Counters, delete_value):
         self.enc = enc
-        self.counters = counters if counters is not None else Counters()
+        self.counters = counters
         self.scopes = [v.scope for v in enc.duals]
         self.units_of_var = enc.duals_of_var
         sizes = [enc.problem.domain_size(x) for x in range(enc.problem.n)]
@@ -445,26 +418,7 @@ class Hac(UnitFixpoint):
         for arc in enc.arcs[:len(enc.hidden)]:
             self.dual_sides[arc.side1.owner].append(arc.side1)
             self.var_sides[arc.side2.owner].append(arc.side1)
-        self.delete = delete_value if delete_value is not None else self.delete_value
-
-    def delete_value(self, state: DomainState, x: int, a: int) -> bool:
-        """Remove a from D(x) and every tuple carrying it; False on dual wipeout."""
-        counters = self.counters
-        state.remove_value(x, a)
-        counters.value_removals += 1
-        ok = True
-        for side in self.var_sides[x]:
-            v_l = side.owner
-            mask = state.dual_masks[v_l]
-            members = side.members[a]
-            counters.microops += len(members)
-            live = [idx for idx in members if mask[idx]]
-            if live:
-                state.remove_tuples(v_l, live)
-                counters.tuple_removals += len(live)
-            if state.dual_counts[v_l] == 0:
-                ok = False
-        return ok
+        self.delete_value = delete_value
 
     def revise_arc(self, v: int, pos: int, state: DomainState) -> tuple:
         """Revise the original at `pos` of dual v against v. Returns
@@ -505,7 +459,7 @@ class Hac(UnitFixpoint):
                 state.set_slot(pointers, a, support)
                 continue
             deleted = True
-            if not self.delete(state, x, a):
+            if not self.delete_value(x, a):
                 return True, True
         return deleted, False
 
@@ -548,16 +502,6 @@ class BinaryView:
             return state.masks + state.dual_masks
         return state.dual_masks
 
-    def remove(self, b, val, state, counters):
-        kind, ident = self.bvars[b]
-        if kind == "dual":
-            state.remove_tuples(ident, (val,))
-            counters.tuple_removals += 1
-            return state.dual_counts[ident]
-        state.remove_value(ident, val)
-        counters.value_removals += 1
-        return state.counts[ident]
-
 
 class Ac2001:
     """Generic AC-2001 with a variable-based queue over a binary view.
@@ -575,17 +519,31 @@ class Ac2001:
     and 1 bytes, so the live values are `ymask.count(1, start, end)`. The
     support is the first of the group's peer members after the pointer
     whose mask byte is live; without one, every live value of the group is
-    removed. `search_log` gets one entry per searched value, in value order.
+    deleted, through the engine's `delete_value(x, a) -> bool` on an
+    original and its `delete_tuples(v, idxs) -> bool` on a dual, each False
+    on the wipe-out it causes. `search_log` gets one entry per searched
+    value, in value order.
     """
 
-    def __init__(self, view, counters: Optional[Counters] = None):
+    def __init__(self, view, counters: Counters, delete_value, delete_tuples):
         self.view = view
-        self.counters = counters if counters is not None else Counters()
+        self.counters = counters
+        self.delete_value = delete_value
+        self.delete_tuples = delete_tuples
         self.pointers = [[[-1] * len(side0[1]), [-1] * len(side1[1])]
                          for side0, side1 in view.sides]
 
+    def delete(self, b, vals) -> bool:
+        """Delete the live values vals of binary variable b; False on the
+        wipe-out this causes."""
+        kind, ident = self.view.bvars[b]
+        if kind == "dual":
+            return self.delete_tuples(ident, vals)
+        return all(self.delete_value(ident, a) for a in vals)
+
     def revise(self, arc_id, side, state, masks) -> tuple:
-        """Revise the `side` endpoint against the other; (deleted, remaining)."""
+        """Revise the `side` endpoint against the other; (deleted, wiped),
+        wiped as soon as a deletion reports a wipe-out."""
         view, counters = self.view, self.counters
         ends = view.ends[arc_id]
         bx, by = ends[side], ends[1 - side]
@@ -598,8 +556,7 @@ class Ac2001:
         checks = 0
         # each live value probes its group's pointer, unless that is -1
         microops = len(gids)
-        deleted = False
-        remaining = None
+        deleted = wiped = False
         for gid in set(gids):
             ptr = pointers[gid]
             if ptr >= 0 and ymask[ptr]:
@@ -627,14 +584,15 @@ class Ac2001:
             if found >= 0:
                 state.set_slot(pointers, gid, found)
                 continue
-            for a in [a for a in members[gid] if xmask[a]]:
-                remaining = view.remove(bx, a, state, counters)
             deleted = True
+            if not self.delete(bx, [a for a in members[gid] if xmask[a]]):
+                wiped = True
+                break
         counters.checks += checks
         counters.microops += microops
         if log is not None:
             log += sorted(entries, key=itemgetter("value"))
-        return deleted, remaining
+        return deleted, wiped
 
     def run(self, state, queue_seed=None) -> bool:
         """Revise every arc, both sides, in arc order, then the arcs of the
@@ -648,10 +606,10 @@ class Ac2001:
         if queue_seed is None:
             for arc_id in range(len(view.ends)):
                 for side in (0, 1):
-                    deleted, remaining = self.revise(arc_id, side, state, masks)
+                    deleted, wiped = self.revise(arc_id, side, state, masks)
+                    if wiped:
+                        return False
                     if deleted:
-                        if remaining == 0:
-                            return False
                         queue.push(view.ends[arc_id][side])
         else:
             for b in queue_seed:
@@ -661,10 +619,10 @@ class Ac2001:
             by = queue.pop()
             for arc_id, yside in view.adjacency[by]:
                 side = 1 - yside
-                deleted, remaining = self.revise(arc_id, side, state, masks)
+                deleted, wiped = self.revise(arc_id, side, state, masks)
+                if wiped:
+                    return False
                 if deleted:
-                    if remaining == 0:
-                        return False
                     queue.push(view.ends[arc_id][side])
         return True
 

@@ -20,15 +20,24 @@ live values for a `Problem`). Branching follows `spec.branch`: on the
 original variables, on every dual (`DUALS`), or on both (`ALL_VARIABLES`),
 a dual being written `("dual", v)`. Assigning a tuple to a dual deletes its
 other tuples through `delete_tuples` and, when the encoding has originals,
-instantiates its scope. A subclass supplies root propagation, lookahead and
-the deletion hooks.
+instantiates its scope. A subclass supplies root propagation and lookahead.
+
+`Engine.delete_value(x, a)` and `Engine.delete_tuples(v, idxs)` are the only
+deletions in search, and each returns False on the wipe-out it causes, of
+an original or of a dual. The propagators take the engine's deletions as
+hooks and stop at the first False, so no lane tests for an empty domain
+after the fact. `HveEngine.delete_value` is the one hidden deletion: it
+also deletes, through `delete_tuples`, the tuples carrying the value, at
+one micro-op per carrying tuple it scans. `DoubleEngine` replaces only
+`delete_tuples`, by PW-AC's, which maintains the group counters.
 
 `FixpointEngine` holds the one forward-checking level dispatch and the MAC
 seeding of every lane whose propagator is a `propagate.UnitFixpoint`:
 `NonBinaryEngine` (GAC-2001 over constraints) and `HveEngine` (HAC over
 duals), and through `HveEngine` the double encoding's `DoubleEngine`,
 which replaces the propagation steps. Each lane keeps only its level-0/1
-step and its wipe-out test. At the root every forward-checking lane
+step; the non-binary lane also tests its constraints for a wipe-out. At
+the root every forward-checking lane
 revises its units of arity 1 (unary constraints) once. The dual encoding
 is a double encoding without originals or hidden arcs, so its MAC lanes
 run on the double-encoding engines: MAC-PW-AC on `DoubleEngine`, MAC-2001 (like
@@ -62,11 +71,10 @@ from operator import itemgetter
 from typing import Optional
 
 from .core import (Counters, DEFAULT_EXPANSION_BUDGET, DomainState, Problem,
-                   solution_check)
+                   _column, solution_check)
 from .encode import (DE, DOUBLE, HVE, HYBRID, EncodedProblem, build_de,
                      build_double, build_hve, induced_assignment)
-from .propagate import (Ac2001, BinaryView, Gac2001, Hac, PwAc,
-                        constraint_has_valid_tuple)
+from .propagate import Ac2001, BinaryView, Gac2001, Hac, PwAc, _pred_enum
 
 CONSISTENT = "CONSISTENT"
 INCONSISTENT = "INCONSISTENT"
@@ -146,8 +154,8 @@ class Engine:
     values through `delete_value`, which by default propagates nothing; a
     dual by deleting its other tuples through `delete_tuples` and, when the
     encoding has originals, instantiating its scope. Subclasses supply root
-    propagation and lookahead, and override the deletion hooks where their
-    deletions propagate.
+    propagation and lookahead, and override the deletions where they
+    propagate.
     """
 
     def __init__(self, model, spec: AlgorithmSpec, ordering: str = DOM_DEG,
@@ -275,18 +283,20 @@ class Engine:
         return ok
 
     def delete_value(self, x, a) -> bool:
-        """Delete value a of original x; False on a wipeout this causes
-        elsewhere. By default nothing else is deleted."""
-        self.state.remove_value(x, a)
+        """Delete value a of original x; False on the wipe-out this causes,
+        of x or of a dual. By default nothing else is deleted."""
+        state = self.state
+        state.remove_value(x, a)
         self.counters.value_removals += 1
-        return True
+        return state.counts[x] > 0
 
     def delete_tuples(self, v, idxs) -> bool:
-        """Delete the live tuples idxs of dual v; False on a wipeout this
+        """Delete the live tuples idxs of dual v; False on the wipe-out this
         causes. By default nothing else is deleted."""
-        self.state.remove_tuples(v, idxs)
+        state = self.state
+        state.remove_tuples(v, idxs)
         self.counters.tuple_removals += len(idxs)
-        return True
+        return state.dual_counts[v] > 0
 
     def lookahead(self, var) -> bool:
         raise NotImplementedError
@@ -426,9 +436,10 @@ class FixpointEngine(Engine):
     whose units are constraints (GAC-2001) or duals (HAC).
 
     It holds the one forward-checking level dispatch and the MAC seeding of
-    both lanes. A lane supplies `_make_fixpoint`, its level-0/1 step
-    (`_fc_low_level`) and its wipe-out test (`_no_empty_unit`); the double
-    encoding's `DoubleEngine` also replaces the propagation steps
+    both lanes. A lane supplies `_make_fixpoint` and its level-0/1 step
+    (`_fc_low_level`); the non-binary lane also a wipe-out test run after
+    levels 2-5 (`_no_empty_unit`), and the double encoding's `DoubleEngine`
+    the propagation steps
     `_maintain` (MAC), `_revise_selected` (levels 2 and 4, and the root of
     every level) and `_restricted_fixpoint` (levels 3 and 5)."""
 
@@ -470,7 +481,9 @@ class FixpointEngine(Engine):
         raise NotImplementedError
 
     def _no_empty_unit(self) -> bool:
-        raise NotImplementedError
+        """No unit is left without a valid tuple. A dual that loses its last
+        tuple already failed the deletion that emptied it."""
+        return True
 
     def _maintain(self, current_vars=None) -> bool:
         """MAC: the fixpoint from the units over the variables just
@@ -495,13 +508,13 @@ class FixpointEngine(Engine):
 
 
 class NonBinaryEngine(FixpointEngine):
-    # per constraint, for the wipe-out test: one byte column per position
-    # (byte i the value at that position of tuple i) of a relation whose
-    # variables have at most 256 values, else None; built on first use
+    # per constraint, for the wipe-out test: one `core._column` per position
+    # of a relation (value i the value at that position of tuple i), or
+    # None for a predicate; built on first use
     columns = None
 
     def _make_fixpoint(self) -> Gac2001:
-        return Gac2001(self.problem, self.counters)
+        return Gac2001(self.problem, self.counters, self.delete_value)
 
     def _fc_low_level(self, current_vars) -> bool:
         """nFC0/nFC1: revise the constraints left with one unassigned
@@ -514,38 +527,44 @@ class NonBinaryEngine(FixpointEngine):
         analogue of a dual-domain wipeout, which the hidden encoding detects
         eagerly in constraints its lookahead set never revisits.
 
-        A relation with byte columns is tested without a loop over its
-        tuples: each column, translated through its variable's mask padded
-        to 256 bytes, holds 1 where that position is live, and the AND of
-        the columns as ints holds 1 at the valid tuples. It counts the
-        micro-ops of `constraint_has_valid_tuple`'s scan: the index of the
-        first valid tuple plus one, or every tuple when none is valid."""
+        A relation is tested without a loop over its tuples: each column,
+        read through its variable's mask as `core._pick` reads it (by a
+        translation table, the mask padded to 256 bytes, up to 256 values),
+        holds 1 where that position is live, and the AND of the columns as
+        ints holds 1 at the valid tuples. It counts the micro-ops of a scan
+        of the relation: the index of the first valid tuple plus one, or
+        every tuple when none is valid. A predicate's search counts as
+        `_pred_enum` does."""
         problem, state, counters = self.problem, self.state, self.counters
         masks, gap_tables = state.masks, self.fixpoint.gap_tables
         if self.columns is None:
             self.columns = [
-                [bytes(map(itemgetter(pos), c.relation)) for pos in range(c.arity)]
-                if c.relation is not None and c.arity
-                and max(map(problem.domain_size, c.scope)) <= 256 else None
+                [_column(list(map(itemgetter(pos), c.relation)), problem.domain_size(x))
+                 for pos, x in enumerate(c.scope)]
+                if c.relation is not None else None
                 for c in problem.constraints]
         tables = {}
         for ci, c in enumerate(problem.constraints):
-            columns = self.columns[ci]
+            columns, rel = self.columns[ci], c.relation
             if columns is None:
-                if not constraint_has_valid_tuple(problem, c, gap_tables[ci],
-                                                  state, counters):
+                if _pred_enum(problem, c, -1, -1, state, (-1,) * c.arity, False,
+                              counters, gap_tables[ci]) is None:
                     return False
                 continue
-            valid = -1
+            valid = -1 if rel else 0
             for x, column in zip(c.scope, columns):
                 table = tables.get(x)
-                if table is None:
+                if table is None and len(masks[x]) <= 256:
                     mask = masks[x]
                     table = tables[x] = mask + bytes(256 - len(mask))
-                valid &= int.from_bytes(column.translate(table), "little")
+                live = (column.translate(table) if table is not None
+                        else bytes(map(masks[x].__getitem__, column)))
+                valid &= int.from_bytes(live, "little")
                 if not valid:
-                    counters.microops += len(column)
-                    return False
+                    break
+            if not valid:
+                counters.microops += len(rel)
+                return False
             counters.microops += ((valid & -valid).bit_length() + 7) >> 3
         return True
 
@@ -560,24 +579,31 @@ class HveEngine(FixpointEngine):
     out without being revised; MHAC-2001-full also branches on duals."""
 
     def _make_fixpoint(self) -> Hac:
-        return Hac(self.enc, self.counters)
+        return Hac(self.enc, self.counters, self.delete_value)
 
     def delete_value(self, x, a) -> bool:
-        # also deletes the tuples carrying the value
-        return self.fixpoint.delete(self.state, x, a)
+        """Delete value a of x and, through `delete_tuples`, the live tuples
+        carrying it in every dual on x, at one micro-op per carrying tuple
+        scanned; False on the wipe-out of x or of some dual."""
+        ok = super().delete_value(x, a)
+        dual_masks, counters = self.state.dual_masks, self.counters
+        for side in self.fixpoint.var_sides[x]:
+            mask, members = dual_masks[side.owner], side.members[a]
+            counters.microops += len(members)
+            live = [idx for idx in members if mask[idx]]
+            if live and not self.delete_tuples(side.owner, live):
+                ok = False
+        return ok
 
     def _fc_low_level(self, current_vars) -> bool:
-        """hFC0 only checks for an empty dual; hFC1 first revises once each
-        dual that lost tuples at this node, against its originals only."""
-        if self.spec.level == 1:
-            pruned = sorted({v for head, v, _ in self.trail[self.node_mark:]
-                             if head == "dt"})
-            if not self.fixpoint.revise_units(pruned, self.state, self.assigned):
-                return False
-        return self._no_empty_unit()
-
-    def _no_empty_unit(self) -> bool:
-        return all(self.state.dual_counts)
+        """hFC0 does nothing more: the assignment's deletions already failed
+        on a dual wipe-out. hFC1 revises once each dual that lost tuples at
+        this node, against its originals only."""
+        if self.spec.level == 0:
+            return True
+        pruned = sorted({v for head, v, _ in self.trail[self.node_mark:]
+                         if head == "dt"})
+        return self.fixpoint.revise_units(pruned, self.state, self.assigned)
 
 
 # ---------------------------------------------------------------------------
@@ -593,38 +619,22 @@ class DoubleEngine(HveEngine):
     value-support rule (an original value dies with its last supporting
     tuple in some adjacent dual), counted on the dual sides of the hidden
     arcs in the encoding's `arcs`, and, for hybrids, residual GAC-2001.
-    Every value deletion goes through `_delete_value_via_pw`, which reaches
-    the tuples carrying it through the same sides (HAC's `var_sides`) and
-    returns False on a dual wipeout: `Hac` and residual `Gac2001` both get
-    it as `delete_value`, and stop at the first wipeout. On a dual encoding
-    (MAC-PW-AC), which has no hidden arcs, the value rule is empty."""
+    Its one change to the HVE deletions is `delete_tuples`, PW-AC's, which
+    maintains the group counters; so `HveEngine.delete_value`, which `Hac`
+    and residual `Gac2001` both get, deletes the carrying tuples through it.
+    On a dual encoding (MAC-PW-AC), which has no hidden arcs, the value rule
+    is empty."""
 
     def __init__(self, enc: EncodedProblem, spec: AlgorithmSpec, **kw):
         super().__init__(enc, spec, **kw)
         # FC lookahead revises pair sides by `revise_pairs`, never draining a queue
         self.pw = PwAc(enc, self.counters, propagating=spec.scheme == "MAC")
         self.pw.init_counts(self.state)
-        self.residual_gac = (Gac2001(self.problem, self.counters,
-                                     delete_value=self._delete_value_via_pw)
+        self.residual_gac = (Gac2001(self.problem, self.counters, self.delete_value)
                              if enc.residual_constraints else None)
-
-    def _make_fixpoint(self) -> Hac:
-        # tuple deletions must maintain the group counters
-        return Hac(self.enc, self.counters, delete_value=self._delete_value_via_pw)
 
     def delete_tuples(self, v, idxs) -> bool:
         return self.pw.delete_tuples(self.state, v, idxs)
-
-    def _delete_value_via_pw(self, state, x, a) -> bool:
-        state.remove_value(x, a)
-        self.counters.value_removals += 1
-        ok = True
-        for side in self.fixpoint.var_sides[x]:
-            mask = state.dual_masks[side.owner]
-            live = [idx for idx in side.members[a] if mask[idx]]
-            if live and not self.pw.delete_tuples(state, side.owner, live):
-                ok = False
-        return ok
 
     def _maintain(self, current_vars=None) -> bool:
         """PW-AC and the value rule to a fixpoint, then one round of
@@ -637,8 +647,7 @@ class DoubleEngine(HveEngine):
                 return False
             if pw.value_queue:
                 x, a = pw.value_queue.pop()
-                if state.masks[x][a] and not (self._delete_value_via_pw(state, x, a)
-                                              and state.counts[x]):
+                if state.masks[x][a] and not self.delete_value(x, a):
                     return False
                 continue
             if residual_gac is None:
@@ -686,7 +695,7 @@ class Ac2001Engine(Engine):
     def __init__(self, enc: EncodedProblem, spec: AlgorithmSpec, **kw):
         super().__init__(enc, spec, **kw)
         view = BinaryView(enc)
-        self.ac = Ac2001(view, self.counters)
+        self.ac = Ac2001(view, self.counters, self.delete_value, self.delete_tuples)
         # the view numbers the originals, if any, then the duals
         self.first_dual = len(view.bvars) - len(enc.duals)
 

@@ -257,7 +257,7 @@ def test_mac_hybrid_expands_each_encoded_constraint_once(monkeypatch):
     assert set(calls.values()) == {1}
     assert (record.verdict, record.nodes, record.checks, record.microops,
             record.removals, result.counters.group_updates) == \
-        ("SAT", 48, 0, 0, 27989, 96806)
+        ("SAT", 48, 0, 96487, 27989, 96806)
 
 
 def test_hybrid_subset_budget_holds_on_a_relation_shared_from_a_larger_one(monkeypatch):

@@ -147,7 +147,8 @@ def test_ac1_already_consistent_problem_unchanged():
 def test_ac1_appendix_a_wipeout_after_assignment():
     p = appendix_a()
     state = DomainState.full(p)
-    state.assign_value(0, 0)  # x1 <- 0
+    for b in state.live_values(0)[1:]:  # x1 <- 0
+        state.remove_value(0, b)
     ok, state = ac1_fixpoint(p, state)
     assert not ok  # which variable registers the wipe depends on sweep order
 

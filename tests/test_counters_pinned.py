@@ -59,13 +59,13 @@ PINNED = {
     ("root", "MAC-PW-AC"): ("UNSAT", 0, 0, 0, 0, 823, 15635),
     ("root", "MAC-2001d"): ("UNSAT", 0, 112256, 68628, 23, 853, 0),
     ("root", "MAC-PW-ACd"): ("UNSAT", 0, 0, 0, 0, 823, 15635),
-    ("root", "dFC0"): ("NODE_LIMIT", 300, 0, 0, 897, 24010, 424637),
-    ("root", "dFC1"): ("UNSAT", 17, 8698, 2212, 111, 4047, 76959),
-    ("root", "dFC2"): ("UNSAT", 10, 6248, 1578, 99, 3614, 68762),
-    ("root", "dFC3"): ("UNSAT", 10, 6327, 1813, 100, 3631, 69052),
-    ("root", "dFC4"): ("UNSAT", 10, 5523, 1422, 86, 3357, 64115),
-    ("root", "dFC5"): ("UNSAT", 10, 5537, 1638, 86, 3357, 64115),
-    ("root", "MAC-hybrid"): ("UNSAT", 7, 4614, 4371, 90, 1950, 17638),
+    ("root", "dFC0"): ("NODE_LIMIT", 300, 0, 56827, 897, 24010, 424637),
+    ("root", "dFC1"): ("UNSAT", 17, 8698, 9384, 111, 4047, 76959),
+    ("root", "dFC2"): ("UNSAT", 10, 6248, 7677, 99, 3614, 68762),
+    ("root", "dFC3"): ("UNSAT", 10, 6327, 7961, 100, 3631, 69052),
+    ("root", "dFC4"): ("UNSAT", 10, 5523, 6736, 86, 3357, 64115),
+    ("root", "dFC5"): ("UNSAT", 10, 5537, 6952, 86, 3357, 64115),
+    ("root", "MAC-hybrid"): ("UNSAT", 7, 4614, 7126, 90, 1950, 17638),
     ("search", "MGAC-2001"): ("SAT", 49, 32434, 36553, 623, 0, 0),
     ("search", "nFC0"): ("SAT", 143, 48158, 14921, 896, 0, 0),
     ("search", "nFC1"): ("SAT", 143, 48158, 14921, 896, 0, 0),
@@ -84,14 +84,14 @@ PINNED = {
     ("search", "MAC-2001"): ("SAT", 47, 301668, 512675, 0, 8602, 0),
     ("search", "MAC-PW-AC"): ("SAT", 47, 0, 0, 0, 8205, 150096),
     ("search", "MAC-2001d"): ("SAT", 24, 275033, 258879, 161, 3754, 0),
-    ("search", "MAC-PW-ACd"): ("SAT", 24, 0, 0, 77, 3781, 67065),
-    ("search", "dFC0"): ("NODE_LIMIT", 300, 0, 0, 897, 17565, 289944),
-    ("search", "dFC1"): ("SAT", 177, 36066, 9862, 647, 13927, 239937),
-    ("search", "dFC2"): ("SAT", 100, 34566, 9599, 535, 12029, 207819),
-    ("search", "dFC3"): ("SAT", 100, 34566, 11224, 535, 12029, 207819),
-    ("search", "dFC4"): ("SAT", 34, 14156, 5389, 205, 4974, 87163),
-    ("search", "dFC5"): ("SAT", 33, 14022, 7094, 201, 4893, 85851),
-    ("search", "MAC-hybrid"): ("SAT", 49, 14983, 19165, 503, 4947, 36762),
+    ("search", "MAC-PW-ACd"): ("SAT", 24, 0, 5463, 77, 3781, 67065),
+    ("search", "dFC0"): ("NODE_LIMIT", 300, 0, 61282, 897, 17565, 289944),
+    ("search", "dFC1"): ("SAT", 177, 36066, 54421, 647, 13927, 239937),
+    ("search", "dFC2"): ("SAT", 100, 34566, 45983, 535, 12029, 207819),
+    ("search", "dFC3"): ("SAT", 100, 34566, 47608, 535, 12029, 207819),
+    ("search", "dFC4"): ("SAT", 34, 14156, 19007, 205, 4974, 87163),
+    ("search", "dFC5"): ("SAT", 33, 14022, 20507, 201, 4893, 85851),
+    ("search", "MAC-hybrid"): ("SAT", 49, 14983, 34396, 503, 4947, 36762),
 }
 
 PINNED_PATHS = {
@@ -201,12 +201,12 @@ RLFA_INSTANCES = {"prob1-d20": ("prob1", 20, 1), "prob2-d25": ("prob2", 25, 1)}
 RLFA_PINNED = {
     ("prob1-d20", "MGAC-2001"): ("SAT", 48, 1938, 1191405, 912, 0, 0),
     ("prob1-d20", "MHAC-2001"): ("SAT", 48, 1199588, 147722, 912, 27077, 0),
-    ("prob1-d20", "MAC-hybrid"): ("SAT", 48, 0, 0, 912, 27077, 96806),
-    ("prob1-d20", "MAC-PW-ACd"): ("SAT", 48, 0, 0, 912, 27077, 96806),
+    ("prob1-d20", "MAC-hybrid"): ("SAT", 48, 0, 96487, 912, 27077, 96806),
+    ("prob1-d20", "MAC-PW-ACd"): ("SAT", 48, 0, 96487, 912, 27077, 96806),
     ("prob2-d25", "MGAC-2001"): ("SAT", 44, 976, 1162193, 1056, 0, 0),
     ("prob2-d25", "MHAC-2001"): ("SAT", 44, 424187, 49927, 1056, 11262, 0),
-    ("prob2-d25", "MAC-hybrid"): ("SAT", 44, 0, 0, 1056, 11262, 35030),
-    ("prob2-d25", "MAC-PW-ACd"): ("SAT", 44, 0, 0, 1056, 11262, 35030),
+    ("prob2-d25", "MAC-hybrid"): ("SAT", 44, 0, 35086, 1056, 11262, 35030),
+    ("prob2-d25", "MAC-PW-ACd"): ("SAT", 44, 0, 35086, 1056, 11262, 35030),
 }
 
 

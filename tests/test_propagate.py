@@ -5,12 +5,11 @@ from bincsp.core import Constraint, Counters, DomainState, GapRows, Predicate, \
     Problem, ac1_fixpoint, enumerate_solutions, expand_predicate, is_valid
 from bincsp.encode import build_de, build_double, build_hve
 from bincsp.gen import ModelBParams, gen_model_b, gen_rlfa
-from bincsp.propagate import (Ac2001, BinaryView, Gac2001, Hac, PwAc,
-                              _pred_enum, constraint_has_valid_tuple)
+from bincsp.propagate import Ac2001, BinaryView, Gac2001, Hac, PwAc, _pred_enum
 from bincsp import search
-from bincsp.search import (ALGORITHMS, DUAL_DUAL, HIDDEN_ONLY, HveEngine,
-                           NonBinaryEngine, ac2001, double_ac, gac2001, hac,
-                           pwac, sgac_check)
+from bincsp.search import (ALGORITHMS, DUAL_DUAL, HIDDEN_ONLY, Ac2001Engine,
+                           HveEngine, NonBinaryEngine, ac2001, double_ac,
+                           gac2001, hac, pwac, sgac_check)
 
 from cases import (appendix_a, assert_counters_match_live_members,
                    criterion_1_suite, example_42, example_51, six_var_linear)
@@ -368,11 +367,23 @@ def test_double_ac_reaches_the_ac1_fixpoint_of_its_encoding():
                         (HIDDEN_ONLY, True), (HIDDEN_ONLY, False)}
 
 
+def _mhac_host(enc, counters=None):
+    """An MHAC-2001 engine, whose state and value deletion a standalone HAC
+    uses."""
+    return HveEngine(enc, ALGORITHMS["MHAC-2001"], counters=counters)
+
+
+def _mgac_host(p, counters=None):
+    """As `_mhac_host`, an MGAC-2001 engine for a standalone GAC-2001."""
+    return NonBinaryEngine(p, ALGORITHMS["MGAC-2001"], counters=counters)
+
+
 def test_hac_empty_seed_spends_no_checks():
     from cases import six_var_linear
     enc = build_hve(six_var_linear())
     counters = Counters()
-    assert Hac(enc, counters).run(enc.fresh_state(), queue_seed=[])
+    host = _mhac_host(enc, counters)
+    assert Hac(enc, counters, host.delete_value).run(host.state, queue_seed=[])
     assert counters.checks == 0
 
 
@@ -390,12 +401,14 @@ def test_only_hac_revise_arc_reports_the_dual_wipeout_it_causes():
     GAC-2001 deletes no tuples and reports none."""
     p = _two_arms()
     enc = build_hve(p)
-    state = enc.fresh_state()
-    assert Hac(enc).revise_arc(0, 0, state) == (True, True)
+    host = _mhac_host(enc)
+    state = host.state
+    assert Hac(enc, host.counters, host.delete_value).revise_arc(0, 0, state) == (True, True)
     assert state.counts == [1, 2, 2] and state.dual_counts == [2, 0]
 
-    state = DomainState.full(p)
-    assert Gac2001(p).revise_arc(0, 0, state) == (True, False)
+    host = _mgac_host(p)
+    state = host.state
+    assert Gac2001(p, host.counters, host.delete_value).revise_arc(0, 0, state) == (True, False)
     assert state.counts == [1, 2, 2]
     assert not gac2001(p).consistent and not hac(enc).consistent
 
@@ -407,8 +420,10 @@ def test_unit_fixpoint_subset_revises_and_queues_only_its_units():
     for subset, domains in (([0], [[0], [0, 1], [0, 1]]),
                             ([1], [[1], [0, 1], [0]])):
         for queue_seed in (None, subset):
-            state = DomainState.full(p)
-            assert Gac2001(p).run(state, queue_seed=queue_seed, subset=subset)
+            host = _mgac_host(p)
+            state = host.state
+            assert Gac2001(p, host.counters, host.delete_value).run(
+                state, queue_seed=queue_seed, subset=subset)
             assert state.domains_as_lists() == domains, (subset, queue_seed)
 
 
@@ -420,9 +435,10 @@ def test_gac2001_supports_start_unset_and_end_on_supporting_tuples():
                 [Constraint((0, 1), relation=[(0, 1), (1, 2), (2, 2)]),
                  Constraint((1, 2), predicate=Predicate(
                      "linear", coeffs=(1, 1), rel=">=", const=3))])
-    engine = Gac2001(p)
+    host = _mgac_host(p)
+    engine = Gac2001(p, host.counters, host.delete_value)
     assert engine.supports == [[[-1] * 3, [-1] * 3], [[None] * 3, [None] * 3]]
-    state = DomainState.full(p)
+    state = host.state
     assert engine.run(state)
     assert state.domains_as_lists() == [[0, 1, 2], [1, 2], [1, 2]]
     rel, pred = p.constraints
@@ -519,7 +535,8 @@ def test_every_propagator_reads_the_arcs_of_the_encoding():
     assert engine.pw.counts
     assert all(any(dec is side for side in sides) for dec in engine.pw.counts)
     # the eager deletion of value a of x walks group a of each dual side on x
-    for hac_engine in (Hac(enc), engine.fixpoint):
+    host = _mhac_host(enc)
+    for hac_engine in (Hac(enc, host.counters, host.delete_value), engine.fixpoint):
         for x in range(p.n):
             on_x = [arc.side1 for arc in hidden if arc.side2.owner == x]
             assert len(hac_engine.var_sides[x]) == len(on_x)
@@ -574,9 +591,9 @@ class _ScanAc2001(Ac2001):
     micro-op. With `group_pointers`, every value starts at its group's
     pointer there."""
 
-    def __init__(self, view, counters=None, group_pointers=None):
-        self.view = view
-        self.counters = counters if counters is not None else Counters()
+    def __init__(self, view, counters, delete_value, delete_tuples,
+                 group_pointers=None):
+        super().__init__(view, counters, delete_value, delete_tuples)
         self.pointers = [[[-1 if group_pointers is None else
                            group_pointers[arc_id][side][g] for g in sides[side][0]]
                           for side in (0, 1)]
@@ -587,7 +604,7 @@ class _ScanAc2001(Ac2001):
         bx, by = view.ends[arc_id][side], view.ends[arc_id][1 - side]
         xmask, ymask = masks[bx], masks[by]
         pointers = self.pointers[arc_id][side]
-        deleted, remaining = False, None
+        deleted = False
         for a in range(len(xmask)):
             if not xmask[a]:
                 continue
@@ -613,9 +630,10 @@ class _ScanAc2001(Ac2001):
             if found >= 0:
                 state.set_slot(pointers, a, found)
                 continue
-            remaining = view.remove(bx, a, state, counters)
             deleted = True
-        return deleted, remaining
+            if not self.delete(bx, [a]):
+                return True, True
+        return deleted, False
 
 
 def _indexed_suite():
@@ -647,15 +665,17 @@ def _scattered_pointers(view, state, seed):
 
 
 def _ac2001_outcome(engine_cls, enc, pointer_seed=None):
-    view = BinaryView(enc)
-    state = enc.fresh_state()
     counters = Counters(search_log=[])
+    # the engine whose state and deletions the run uses
+    host = Ac2001Engine(enc, ALGORITHMS["MAC-2001"], counters=counters)
+    view, state = host.ac.view, host.state
+    hooks = (host.delete_value, host.delete_tuples)
     group_pointers = None if pointer_seed is None else \
         _scattered_pointers(view, state, pointer_seed)
     if engine_cls is _ScanAc2001:
-        engine = _ScanAc2001(view, counters, group_pointers)
+        engine = _ScanAc2001(view, counters, *hooks, group_pointers)
     else:
-        engine = engine_cls(view, counters)
+        engine = engine_cls(view, counters, *hooks)
         if group_pointers is not None:
             engine.pointers = group_pointers
     ok = engine.run(state)
@@ -909,18 +929,20 @@ def test_pred_enum_counts_like_the_reference():
     assert found > 100 and tight_found > 30 and hand_gap_found > 20 and wide_found > 20
 
 
-def test_constraint_has_valid_tuple_counts_like_the_reference():
-    """Position -1 over the hand-built predicates, gap kinds included: the
-    same answer, checks and micro-ops as the reference enumeration."""
+def test_predicate_wipeout_test_counts_like_the_reference():
+    """nFC2-nFC5's wipe-out test enumerates a predicate at position -1.
+    Over the hand-built predicates, gap kinds included: the same answer,
+    checks and micro-ops as the reference enumeration."""
     rng = random.Random(11)
     answers = set()
     for p in _hand_predicate_problems() + _hand_gap_problems():
         c = p.constraints[0]
-        tables = GapRows().tables(p, c)
         for trial in range(20):
             state = _random_state(p, c.scope, rng, (0.3, 0.6, 1.0)[trial % 3])
             got, want = Counters(), Counters()
-            ok = constraint_has_valid_tuple(p, c, tables, state, got)
+            engine = NonBinaryEngine(p, ALGORITHMS["nFC3"], counters=got)
+            engine.state = state
+            ok = engine._no_empty_unit()
             ref = _reference_pred_enum(p, c, -1, -1, state, (-1,) * c.arity, False, want)
             assert ok == (ref is not None), (c, trial)
             assert (got.checks, got.microops) == (want.checks, want.microops), (c, trial)
@@ -1011,7 +1033,7 @@ class _ScanHac(Hac):
                 state.set_slot(self.supports[v][pos], a, idx)
                 continue
             deleted = True
-            if not self.delete(state, x, a):
+            if not self.delete_value(x, a):
                 return True, True
         return deleted, False
 
@@ -1040,7 +1062,7 @@ class _ScanGac2001(Gac2001):
                 state.set_slot(self.supports[ci][pos], a, idx)
                 continue
             deleted = True
-            if not self.delete(state, x, a):
+            if not self.delete_value(x, a):
                 return True, True
         return deleted, False
 
@@ -1071,8 +1093,9 @@ def _hac_outcome(engine_cls, enc):
     that searches also start from set pointers: verdicts, counters, support
     pointers and domains after every step."""
     counters = Counters()
-    engine = engine_cls(enc, counters)
-    state = enc.fresh_state()
+    host = _mhac_host(enc, counters)
+    engine = engine_cls(enc, counters, host.delete_value)
+    state = host.state
     assigned = [False] * enc.problem.n
     steps = [engine.run(state, assigned=assigned)]
     for _ in range(2):
@@ -1081,7 +1104,7 @@ def _hac_outcome(engine_cls, enc):
             break
         x, a = choice
         assigned[x] = True
-        ok = all([engine.delete(state, x, b) for b in state.live_values(x) if b != a])
+        ok = all([host.delete_value(x, b) for b in state.live_values(x) if b != a])
         steps.append(ok and engine.run(state, queue_seed=enc.duals_of_var[x],
                                        assigned=assigned))
     return (steps, counters.snapshot(), engine.supports, state.domains_as_lists(),
@@ -1091,8 +1114,9 @@ def _hac_outcome(engine_cls, enc):
 def _gac_outcome(engine_cls, p):
     """As `_hac_outcome`, for GAC-2001 on the non-binary problem."""
     counters = Counters()
-    engine = engine_cls(p, counters)
-    state = DomainState.full(p)
+    host = _mgac_host(p, counters)
+    engine = engine_cls(p, counters, host.delete_value)
+    state = host.state
     assigned = [False] * p.n
     steps = [engine.run(state, assigned=assigned)]
     for _ in range(2):
@@ -1101,7 +1125,9 @@ def _gac_outcome(engine_cls, p):
             break
         x, a = choice
         assigned[x] = True
-        state.assign_value(x, a)
+        for b in state.live_values(x):
+            if b != a:
+                state.remove_value(x, b)
         steps.append(engine.run(state, queue_seed=p.constraints_of_var[x],
                                 assigned=assigned))
     return (steps, counters.snapshot(), engine.supports, state.domains_as_lists())

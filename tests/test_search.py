@@ -8,7 +8,6 @@ from bincsp.encode import build_de, build_double, build_hve, induced_assignment
 from bincsp.gen import (CrosswordSpec, ModelBParams, gen_crossword,
                         gen_model_b, gen_parity_chain)
 from bincsp import propagate
-from bincsp.propagate import constraint_has_valid_tuple
 from bincsp.search import (ALGORITHMS, DOM_DEG, FIXED, double_ac, make_engine,
                            prepare_model, solve)
 
@@ -385,7 +384,7 @@ def test_residual_gac_stops_at_the_first_dual_wipeout(monkeypatch):
     from bincsp import propagate, search
     seen = {"revisions": 0, "wipeouts": 0, "late": 0, "failed": False}
     revise_arc = propagate.Gac2001.revise_arc
-    delete_value = search.DoubleEngine._delete_value_via_pw
+    delete_value = search.DoubleEngine.delete_value
     maintain = search.DoubleEngine._maintain
 
     def counted_revise_arc(self, *args):
@@ -405,7 +404,7 @@ def test_residual_gac_stops_at_the_first_dual_wipeout(monkeypatch):
         return maintain(self, *args)
 
     monkeypatch.setattr(propagate.Gac2001, "revise_arc", counted_revise_arc)
-    monkeypatch.setattr(search.DoubleEngine, "_delete_value_via_pw", watched_delete_value)
+    monkeypatch.setattr(search.DoubleEngine, "delete_value", watched_delete_value)
     monkeypatch.setattr(search.DoubleEngine, "_maintain", one_propagation)
     paths = []
     for seed in range(20):
@@ -537,15 +536,19 @@ def test_unsat_search_restores_state_exactly():
             engine = make_engine(model, spec, ordering=FIXED)
             if not engine.root_propagate():
                 continue  # refuted before any node: nothing to unwind
-            snapshot = engine.state.clone()
+            state = engine.state
+            masks, counts = [bytearray(m) for m in state.masks], list(state.counts)
+            if state.dual_masks is not None:
+                dual_masks = [bytearray(m) for m in state.dual_masks]
+                dual_counts = list(state.dual_counts)
             mark = len(engine.trail)
             assert not engine._descend()  # UNSAT
             assert len(engine.trail) == mark, algorithm
-            assert engine.state.masks == snapshot.masks, algorithm
-            assert engine.state.counts == snapshot.counts, algorithm
-            if snapshot.dual_masks is not None:
-                assert engine.state.dual_masks == snapshot.dual_masks, algorithm
-                assert engine.state.dual_counts == snapshot.dual_counts, algorithm
+            assert state.masks == masks, algorithm
+            assert state.counts == counts, algorithm
+            if state.dual_masks is not None:
+                assert state.dual_masks == dual_masks, algorithm
+                assert state.dual_counts == dual_counts, algorithm
             # group and value-support counters must equal fresh counts
             pw = getattr(engine, "pw", None)
             if pw is not None:
@@ -625,13 +628,73 @@ def test_fc1_reads_exactly_the_duals_that_lost_tuples_from_the_trail():
     assert set(checked) == {"hFC1", "dFC1"} and min(checked.values()) >= 20, checked
 
 
+def test_dfc0_and_dfc1_equal_hfc0_and_hfc1_but_in_group_updates():
+    """A value deletion scans its carrying tuples at one micro-op each on
+    the double encoding as on the HVE, so dFC0 and dFC1, which add no
+    propagation between duals, equal hFC0 and hFC1 in verdict, node paths
+    and every counter but group updates, which only PW-AC keeps."""
+    from test_counters_pinned import INSTANCES
+    problems = [gen_model_b(params) for params in INSTANCES.values()]
+    problems += [gen_model_b(ModelBParams(12, 4, 3, 10, 40 + s, s)) for s in range(20)]
+    problems.append(gen_parity_chain(4))
+    verdicts = set()
+    for p in problems:
+        hve, double = build_hve(p), build_double(p)
+        for level in (0, 1):
+            for ordering in (FIXED, DOM_DEG):
+                outcomes = []
+                for model, lane in ((hve, "hFC"), (double, "dFC")):
+                    r = solve(model, f"{lane}{level}", ordering=ordering,
+                              node_limit=500, record_nodes=True)
+                    counters = r.counters.snapshot()
+                    del counters["group_updates"]
+                    outcomes.append((r.verdict, r.node_paths, counters))
+                assert outcomes[0] == outcomes[1], (p.name, level, ordering)
+                verdicts.add(outcomes[0][0])
+    assert verdicts == {"SAT", "UNSAT", "NODE_LIMIT"}
+
+
+def test_every_deletion_reports_exactly_the_wipeout_it_causes():
+    """On every engine kind, `delete_value(x, a)` returns False exactly
+    when it empties x or some dual, and `delete_tuples(v, idxs)` exactly
+    when it empties v. Random deletions from the full domains, until one
+    empties a domain."""
+    rng = random.Random(23)
+    p = gen_model_b(ModelBParams(6, 3, 3, 30, 40, 4))
+    double = build_double(p)
+    hybrid = build_double(p, encoded_subset=range(0, len(p.constraints), 2))
+    lanes = [(p, "MGAC-2001"), (build_hve(p), "MHAC-2001"),
+             (double, "MAC-PW-ACd"), (hybrid, "MAC-hybrid"),
+             (build_de(p), "MAC-2001"), (double, "MAC-2001d")]
+    for model, algorithm in lanes:
+        seen = set()
+        for _ in range(30):
+            engine = make_engine(model, ALGORITHMS[algorithm])
+            state = engine.state
+            has_duals = bool(state.dual_counts)
+            ok = True
+            while ok:
+                if has_duals and rng.random() < 0.5:
+                    kind, v = "tuples", rng.randrange(len(state.dual_counts))
+                    live = state.live_tuples(v)
+                    ok = engine.delete_tuples(v, rng.sample(live, rng.randint(1, len(live))))
+                else:
+                    kind, x = "value", rng.choice(range(p.n))
+                    ok = engine.delete_value(x, rng.choice(state.live_values(x)))
+                assert ok == (all(state.counts) and all(state.dual_counts or ())), \
+                    (algorithm, kind)
+                seen.add((kind, ok))
+        kinds = ("value", "tuples") if has_duals else ("value",)
+        assert seen == {(kind, ok) for kind in kinds for ok in (True, False)}, algorithm
+
+
 def test_fc_lanes_on_the_double_encoding_queue_nothing():
     """dFCi revises pair sides itself and never drains the PW-AC queue, so
     nothing may be pushed onto it. Nodes and counters are those the lanes
     had while they still filled it."""
     p = gen_model_b(ModelBParams(20, 4, 3, 5, 55, 1001))
-    expected = {"dFC3": ("UNSAT", 142, (72121, 22647, 792, 25546, 541326)),
-                "dFC5": ("UNSAT", 59, (39058, 18628, 570, 19723, 417039))}
+    expected = {"dFC3": ("UNSAT", 142, (72121, 82759, 792, 25546, 541326)),
+                "dFC5": ("UNSAT", 59, (39058, 61316, 570, 19723, 417039))}
     keys = ("checks", "microops", "value_removals", "tuple_removals", "group_updates")
     for algorithm, pinned in expected.items():
         spec = ALGORITHMS[algorithm]
@@ -692,13 +755,22 @@ def test_zero_constraint_problem_is_sat_everywhere():
         assert r.verdict == "SAT" and r.nodes == 2
 
 
+def _relation_scan(c, state, counters):
+    """Any valid tuple left in the relation? One micro-op per tuple scanned."""
+    masks = state.masks
+    for t in c.relation:
+        counters.microops += 1
+        if all(masks[x][t[p]] for p, x in enumerate(c.scope)):
+            return True
+    return False
+
+
 def test_byte_lane_wipeout_test_counts_like_the_relation_scan():
-    """nFC2-nFC5's wipe-out test reads a relation through byte columns when
-    its domains have at most 256 values. On one-constraint problems under
-    random 0/1 masks it must give `constraint_has_valid_tuple`'s verdict
+    """nFC2-nFC5's wipe-out test reads a relation through columns, of bytes
+    up to 256 values and of 16-bit values beyond. On one-constraint problems
+    under random 0/1 masks it must give the tuple-by-tuple scan's verdict
     and count its micro-ops: the scan to the first valid tuple, or the
-    whole relation when none is valid. A domain of more than 256 values
-    takes the scan itself."""
+    whole relation when none is valid."""
     rng = random.Random(17)
     problems = []
     for _ in range(40):
@@ -718,14 +790,12 @@ def test_byte_lane_wipeout_test_counts_like_the_relation_scan():
             for x, d in enumerate(sizes):
                 engine.state.masks[x][:] = bytes(rng.random() < keep for _ in range(d))
             scan = Counters()
-            expected = constraint_has_valid_tuple(p, p.constraints[0], None,
-                                                  engine.state, scan)
+            expected = _relation_scan(p.constraints[0], engine.state, scan)
             before = engine.counters.microops
             assert engine._no_empty_unit() == expected, (sizes, rel)
             assert engine.counters.microops - before == scan.microops, (sizes, rel)
-            assert (engine.columns[0] is None) == (max(sizes) > 256)
-            outcomes.add((expected, bool(rel), engine.columns[0] is None))
-    # found and not found, on empty and non-empty relations, both paths
+            outcomes.add((expected, bool(rel), max(sizes) > 256))
+    # found and not found, on empty and non-empty relations, both column widths
     assert {(True, True, False), (False, True, False), (False, False, False),
             (True, True, True), (False, True, True)} <= outcomes
 
