@@ -7,8 +7,11 @@ matrices and validate documents.
     bincsp bench --matrix matrix.json --out-dir runs/ --jobs 2
     bincsp check --instance f.json
 
-Exit status is 0 on a completed run (whatever the verdicts) and 2 on
-configuration errors.
+Exit status is 0 when the command completed, whatever the verdicts (`bench`
+records a failed cell in its row and still exits 0); 1 when `solve`'s run
+failed, its row reading `ERROR:<Type>`, or `check` found propagation
+deleting a soluble instance; and 2 on configuration errors, among them
+`--hybrid-subset` with an algorithm other than MAC-hybrid.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ from .search import ALGORITHMS, gac2001
 
 
 def _cmd_solve(args) -> int:
+    if args.hybrid_subset is not None and args.algorithm != "MAC-hybrid":
+        raise ValueError(f"--hybrid-subset applies to MAC-hybrid only, "
+                         f"not {args.algorithm}")
     problem = load_instance(args.instance)
     subset = None
     if args.hybrid_subset:
@@ -40,7 +46,7 @@ def _cmd_solve(args) -> int:
         pairs = [f"{problem.variables[x]}={problem.domains[x][a]}"
                  for x, a in enumerate(result.solution)]
         print("solution:", " ".join(pairs))
-    return 0
+    return 1 if record.verdict.startswith("ERROR") else 0
 
 
 def _cmd_gen(args) -> int:

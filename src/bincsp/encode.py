@@ -130,9 +130,6 @@ class DualPair:
         self.side1: Optional[Decomposition] = None
         self.side2: Optional[Decomposition] = None
 
-    def side_for(self, owner: int) -> Decomposition:
-        return self.side1 if owner == self.v1 else self.side2
-
     def __repr__(self):
         return f"DualPair(v{self.v1}~v{self.v2} shared={self.shared})"
 

@@ -28,14 +28,14 @@ there, and count the last two levels of that enumeration from their
 candidate sets (`_gap_enum`, with `core.GapPair.union`) without walking
 them. PW-AC performs no tuple checks at all: its work is counter updates.
 
-AC-2001 runs on one binary view of any encoding, `BinaryView`: the duals,
-the originals when the encoding has them, and `EncodedProblem.arcs`. It
-deletes through its engine's `delete_value` (the same hook) and
-`delete_tuples`. It keeps one support pointer per piecewise group and
-revises the live values of a group together, but counts checks and
-micro-ops exactly as the lexicographic scan with one pointer per value
-would (see `Ac2001`), which relies on domain masks holding only 0 and 1
-bytes.
+AC-2001 runs on the binary constraints of any encoding: its variables are
+the originals, when the encoding has them, and the duals, and its arcs are
+`EncodedProblem.arcs`, which `Ac2001` reads itself. It deletes through its
+engine's `delete_value` (the same hook) and `delete_tuples`. It keeps one
+support pointer per piecewise group and revises the live values of a
+group together, but counts checks and micro-ops exactly as the
+lexicographic scan with one pointer per value would (see `Ac2001`), which
+relies on domain masks holding only 0 and 1 bytes.
 
 PW-AC keeps one counter array per piecewise decomposition, and a
 decomposition is shared by every pair in which its dual shares the same
@@ -48,7 +48,7 @@ an original value dies with its last supporting tuple) is
 supplies its parts: `Hac`, `PwAc` (which counts the value supports on the
 hidden arcs' dual sides, revises dFC's pair sides and is the engine's
 `delete_tuples`) and, for hybrids, `Gac2001`, both given the engine's value
-deletion. `BinaryView`, `PwAc`, `Hac` and the value rule all read one list
+deletion. `Ac2001`, `PwAc`, `Hac` and the value rule all read one list
 of arcs, `EncodedProblem.arcs`, with two decompositions as each arc's sides
 (see `encode`).
 
@@ -67,7 +67,7 @@ of its MAC lane's engine.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from operator import itemgetter, not_
 from typing import Iterable, Optional, Sequence
 
@@ -145,8 +145,8 @@ class UnitFixpoint:
                     requeue(x)
         return True
 
-    def run(self, state: DomainState, queue_seed: Optional[Iterable[int]] = None,
-            assigned: Optional[Sequence[bool]] = None,
+    def run(self, state: DomainState, assigned: Sequence[bool],
+            queue_seed: Optional[Iterable[int]] = None,
             subset: Optional[Sequence[int]] = None) -> bool:
         """Revise every unit once in index order, then the queued ones to a
         fixpoint; with `queue_seed`, start from the queue of those units
@@ -156,8 +156,6 @@ class UnitFixpoint:
         engine's root test and its failing assignments guarantee."""
         ids = list(subset) if subset is not None else range(len(self.scopes))
         idset = set(ids)
-        if assigned is None:
-            assigned = [False] * len(state.masks)
         if queue_seed is None:
             sweep, queue = ids, _Queue()
         else:
@@ -464,15 +462,18 @@ class Hac(UnitFixpoint):
         return deleted, False
 
 # ---------------------------------------------------------------------------
-# Generic AC-2001 over the binary view of an encoding
+# Generic AC-2001 over the binary constraints of an encoding
 
 
-class BinaryView:
-    """Binary view of an encoding. Its variables are the originals, when
-    the encoding has them, then the duals, so a dual encoding's variables
-    are its duals with ids 0..m-1. Its arcs are the encoding's `arcs`: the
-    hidden arcs (projection equality), then one per dual-dual constraint
-    (equal projection keys).
+class Ac2001:
+    """Generic AC-2001 with a variable-based queue over the binary
+    constraints of an encoding. Its binary variables are the originals,
+    when the encoding has them, then the duals: dual v is `first_dual + v`,
+    `first_dual` being n on an encoding with originals and 0 on a dual
+    encoding. Its arcs are the encoding's `arcs`: the hidden arcs
+    (projection equality), then one per dual-dual constraint (equal
+    projection keys). `ends[arc]` holds the arc's two binary variables, and
+    `adjacency[b]` the (arc, side) pairs with b on that side.
 
     sides[arc][side] is a (group_of, members, peer_members) triple for
     revising that side, read from the arc's two decompositions: value a is
@@ -480,31 +481,6 @@ class BinaryView:
     peer_members[g] the peer values compatible with every one of them, each
     in ascending order. On a hidden arc each value of x is a group of its
     own, and the dual's group a holds its tuples carrying a.
-    """
-
-    def __init__(self, enc: EncodedProblem):
-        self.enc = enc
-        n = enc.problem.n if enc.has_originals else 0
-        self.bvars = [("orig", x) for x in range(n)] + [("dual", v.id) for v in enc.duals]
-        self.ends = [(n + v, x) for v, x, pos in enc.hidden] + \
-                    [(n + pair.v1, n + pair.v2) for pair in enc.dual_pairs]
-        self.sides = [((arc.side1.tuple_group, arc.side1.members, arc.side2.members),
-                       (arc.side2.tuple_group, arc.side2.members, arc.side1.members))
-                      for arc in enc.arcs]
-        self.adjacency = [[] for _ in self.bvars]
-        for arc_id, (b0, b1) in enumerate(self.ends):
-            self.adjacency[b0].append((arc_id, 0))
-            self.adjacency[b1].append((arc_id, 1))
-
-    def masks(self, state):
-        """The domain mask of every binary variable, indexed like `bvars`."""
-        if self.enc.has_originals:
-            return state.masks + state.dual_masks
-        return state.dual_masks
-
-
-class Ac2001:
-    """Generic AC-2001 with a variable-based queue over a binary view.
 
     Every value of a group has the same supports, so the engine keeps one
     support pointer per (arc, side, group), and `revise` visits each live
@@ -525,30 +501,39 @@ class Ac2001:
     value, in value order.
     """
 
-    def __init__(self, view, counters: Counters, delete_value, delete_tuples):
-        self.view = view
+    def __init__(self, enc: EncodedProblem, counters: Counters, delete_value,
+                 delete_tuples):
+        n = self.first_dual = enc.problem.n if enc.has_originals else 0
         self.counters = counters
         self.delete_value = delete_value
         self.delete_tuples = delete_tuples
+        self.ends = [(n + v, x) for v, x, _ in enc.hidden] + \
+                    [(n + pair.v1, n + pair.v2) for pair in enc.dual_pairs]
+        self.sides = [((arc.side1.tuple_group, arc.side1.members, arc.side2.members),
+                       (arc.side2.tuple_group, arc.side2.members, arc.side1.members))
+                      for arc in enc.arcs]
+        self.adjacency = [[] for _ in range(n + len(enc.duals))]
+        for arc_id, (b0, b1) in enumerate(self.ends):
+            self.adjacency[b0].append((arc_id, 0))
+            self.adjacency[b1].append((arc_id, 1))
         self.pointers = [[[-1] * len(side0[1]), [-1] * len(side1[1])]
-                         for side0, side1 in view.sides]
+                         for side0, side1 in self.sides]
 
     def delete(self, b, vals) -> bool:
         """Delete the live values vals of binary variable b; False on the
         wipe-out this causes."""
-        kind, ident = self.view.bvars[b]
-        if kind == "dual":
-            return self.delete_tuples(ident, vals)
-        return all(self.delete_value(ident, a) for a in vals)
+        if b >= self.first_dual:
+            return self.delete_tuples(b - self.first_dual, vals)
+        return all(self.delete_value(b, a) for a in vals)
 
     def revise(self, arc_id, side, state, masks) -> tuple:
         """Revise the `side` endpoint against the other; (deleted, wiped),
         wiped as soon as a deletion reports a wipe-out."""
-        view, counters = self.view, self.counters
-        ends = view.ends[arc_id]
+        counters = self.counters
+        ends = self.ends[arc_id]
         bx, by = ends[side], ends[1 - side]
         xmask, ymask = masks[bx], masks[by]
-        group_of, members, peer_members = view.sides[arc_id][side]
+        group_of, members, peer_members = self.sides[arc_id][side]
         pointers = self.pointers[arc_id][side]
         gids = list(compress(group_of, xmask))
         log = counters.search_log
@@ -600,30 +585,22 @@ class Ac2001:
         those variables instead. False on a wipeout it causes: no domain may
         be empty on entry, which the engine's root test and its failing
         assignments guarantee."""
-        view = self.view
-        masks = view.masks(state)
-        queue = _Queue()
+        masks = state.masks + state.dual_masks if self.first_dual else state.dual_masks
+        ends, adjacency, revise = self.ends, self.adjacency, self.revise
         if queue_seed is None:
-            for arc_id in range(len(view.ends)):
-                for side in (0, 1):
-                    deleted, wiped = self.revise(arc_id, side, state, masks)
-                    if wiped:
-                        return False
-                    if deleted:
-                        queue.push(view.ends[arc_id][side])
+            sweep = ((arc_id, side) for arc_id in range(len(ends)) for side in (0, 1))
+            queue = _Queue()
         else:
-            for b in queue_seed:
-                queue.push(b)
-
-        while queue:
-            by = queue.pop()
-            for arc_id, yside in view.adjacency[by]:
-                side = 1 - yside
-                deleted, wiped = self.revise(arc_id, side, state, masks)
-                if wiped:
-                    return False
-                if deleted:
-                    queue.push(view.ends[arc_id][side])
+            sweep, queue = (), _Queue(queue_seed)
+        # after the sweep, the arcs of each popped variable, revised on the far side
+        popped = ((arc_id, 1 - yside) for by in _sweep_then_queue((), queue)
+                  for arc_id, yside in adjacency[by])
+        for arc_id, side in chain(sweep, popped):
+            deleted, wiped = revise(arc_id, side, state, masks)
+            if wiped:
+                return False
+            if deleted:
+                queue.push(ends[arc_id][side])
         return True
 
 

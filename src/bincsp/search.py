@@ -41,9 +41,9 @@ the root every forward-checking lane
 revises its units of arity 1 (unary constraints) once. The dual encoding
 is a double encoding without originals or hidden arcs, so its MAC lanes
 run on the double-encoding engines: MAC-PW-AC on `DoubleEngine`, MAC-2001 (like
-MAC-2001d) on `Ac2001Engine`, which runs AC-2001 on the
-`propagate.BinaryView` of its encoding. Every propagator reads the
-encoding's one list of binary arcs, `EncodedProblem.arcs`.
+MAC-2001d) on `Ac2001Engine`, which runs `propagate.Ac2001` on the binary
+constraints of its encoding. Every propagator reads the encoding's one
+list of binary arcs, `EncodedProblem.arcs`.
 
 Each propagator run alone is its MAC lane's root propagation:
 `gac2001` (MGAC-2001), `hac` (MHAC-2001), `ac2001` (MAC-2001), `pwac`
@@ -58,9 +58,9 @@ so deletions and pointer moves made by the propagators are trailed where
 they happen, and `undo_to` pops the trail through `DomainState.undo`. Tuple
 deletions are trailed in batches, one entry per call that deletes them.
 Counters derived from tuple liveness (PW-AC groups, value supports) are not
-trailed: when the engine has a PW-AC propagator (`pw`), `undo_to` counts
-each restored batch back into them through `pw.restore_tuples` and drops
-its stale queues.
+trailed: `DoubleEngine`, the one engine with PW-AC, overrides `undo_to` to
+count each restored batch back into them through `PwAc.restore_tuples`
+and to drop PW-AC's stale queues.
 """
 
 from __future__ import annotations
@@ -70,11 +70,10 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .core import (Counters, DEFAULT_EXPANSION_BUDGET, DomainState, Problem,
-                   _column, solution_check)
+from .core import Counters, DomainState, Problem, _column, solution_check
 from .encode import (DE, DOUBLE, HVE, HYBRID, EncodedProblem, build_de,
                      build_double, build_hve, induced_assignment)
-from .propagate import Ac2001, BinaryView, Gac2001, Hac, PwAc, _pred_enum
+from .propagate import Ac2001, Gac2001, Hac, PwAc, _pred_enum
 
 CONSISTENT = "CONSISTENT"
 INCONSISTENT = "INCONSISTENT"
@@ -192,8 +191,6 @@ class Engine:
             self.state = DomainState.full(model)
         self.assigned = [False] * self.problem.n
         self.degrees = self._original_degrees()
-        # the PW-AC propagator, if any, whose counters an undo re-derives
-        self.pw: Optional[PwAc] = None
 
     def _original_degrees(self) -> list:
         """Constraints on each original variable: its duals plus the
@@ -302,13 +299,7 @@ class Engine:
         raise NotImplementedError
 
     def undo_to(self, mark: int) -> None:
-        pw = self.pw
-        if pw is None:
-            self.state.undo(mark)
-        else:
-            self.state.undo(mark, pw.restore_tuples)
-            # drop queued work that referred to the undone deletions
-            pw.clear_queues()
+        self.state.undo(mark)
 
     def extract_solution(self) -> tuple:
         if self.enc is None:
@@ -492,15 +483,15 @@ class FixpointEngine(Engine):
         if current_vars is not None:
             units_of_var = self.fixpoint.units_of_var
             seed = [u for x in current_vars for u in units_of_var[x]]
-        return self.fixpoint.run(self.state, queue_seed=seed, assigned=self.assigned)
+        return self.fixpoint.run(self.state, self.assigned, queue_seed=seed)
 
     def _revise_selected(self, selected) -> bool:
         """One revision pass over the selected units, in order."""
         return self.fixpoint.revise_units(selected, self.state, self.assigned)
 
     def _restricted_fixpoint(self, selected) -> bool:
-        return self.fixpoint.run(self.state, queue_seed=selected,
-                                 assigned=self.assigned, subset=selected)
+        return self.fixpoint.run(self.state, self.assigned, queue_seed=selected,
+                                 subset=selected)
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +627,13 @@ class DoubleEngine(HveEngine):
     def delete_tuples(self, v, idxs) -> bool:
         return self.pw.delete_tuples(self.state, v, idxs)
 
+    def undo_to(self, mark: int) -> None:
+        """Undo as `Engine` does, counting each restored tuple batch back
+        into PW-AC's counters, then drop the queued work, which referred to
+        the undone deletions."""
+        self.state.undo(mark, self.pw.restore_tuples)
+        self.pw.clear_queues()
+
     def _maintain(self, current_vars=None) -> bool:
         """PW-AC and the value rule to a fixpoint, then one round of
         residual GAC-2001; again while that round deleted a value. The
@@ -653,7 +651,7 @@ class DoubleEngine(HveEngine):
             if residual_gac is None:
                 return True
             before = self.counters.value_removals
-            if not residual_gac.run(state, assigned=self.assigned,
+            if not residual_gac.run(state, self.assigned,
                                     subset=self.enc.residual_constraints):
                 return False
             if self.counters.value_removals == before:
@@ -689,22 +687,19 @@ class DoubleEngine(HveEngine):
 
 
 class Ac2001Engine(Engine):
-    """AC-2001 over the binary view of a dual or double encoding; it has no
-    propagation for the residual constraints of a hybrid."""
+    """AC-2001 over the binary constraints of a dual or double encoding; it
+    has no propagation for the residual constraints of a hybrid."""
 
     def __init__(self, enc: EncodedProblem, spec: AlgorithmSpec, **kw):
         super().__init__(enc, spec, **kw)
-        view = BinaryView(enc)
-        self.ac = Ac2001(view, self.counters, self.delete_value, self.delete_tuples)
-        # the view numbers the originals, if any, then the duals
-        self.first_dual = len(view.bvars) - len(enc.duals)
+        self.ac = Ac2001(enc, self.counters, self.delete_value, self.delete_tuples)
 
     def _propagate_root(self) -> bool:
         return self.ac.run(self.state)
 
     def lookahead(self, var) -> bool:
         if isinstance(var, tuple):
-            var = self.first_dual + var[1]
+            var = self.ac.first_dual + var[1]
         return self.ac.run(self.state, queue_seed=[var])
 
 
@@ -740,7 +735,7 @@ def hac(enc: EncodedProblem, counters: Optional[Counters] = None) -> Propagation
 
 
 def ac2001(enc: EncodedProblem, counters: Optional[Counters] = None) -> PropagationResult:
-    """AC-2001 on the `BinaryView` of an encoding: MAC-2001's root."""
+    """AC-2001 on the binary constraints of an encoding: MAC-2001's root."""
     return _root(Ac2001Engine(enc, ALGORITHMS["MAC-2001"], counters=counters))
 
 
@@ -796,17 +791,16 @@ def sgac_check(problem: Problem) -> bool:
 # public entry points
 
 
-def prepare_model(problem: Problem, spec: AlgorithmSpec, budget=None):
+def prepare_model(problem: Problem, spec: AlgorithmSpec):
     """Build the representation an algorithm searches."""
-    budget = budget if budget is not None else DEFAULT_EXPANSION_BUDGET
     if spec.representation == NONBINARY:
         return problem
     if spec.representation == HVE:
-        return build_hve(problem, budget)
+        return build_hve(problem)
     if spec.representation == DE:
-        return build_de(problem, budget)
+        return build_de(problem)
     if spec.representation == DOUBLE:
-        return build_double(problem, budget=budget)
+        return build_double(problem)
     raise ValueError("hybrid models must be built explicitly with build_double")
 
 

@@ -201,6 +201,43 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["check", "--instance", str(bad)]) == 2
 
 
+def _modelb_instance(tmp_path):
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--family", "modelb",
+                 "--params", '{"n": 8, "d": 3, "k": 3, "p": 10, "q": 40}',
+                 "--seed", "3", "--out", str(inst)]) == 0
+    return str(inst)
+
+
+def test_cli_solve_exits_1_when_its_run_fails(tmp_path, capsys):
+    """The failed run still prints its `ERROR:<Type>` row, and the exit
+    status says it failed; a valid subset runs and exits 0."""
+    inst = _modelb_instance(tmp_path)
+    capsys.readouterr()
+    assert main(["solve", "--instance", inst, "--algorithm", "MAC-hybrid",
+                 "--hybrid-subset", "99"]) == 1
+    row, = parse_report(capsys.readouterr().out)
+    assert row.verdict == "ERROR:ValueError" and "99 out of range" in row.error
+    assert main(["solve", "--instance", inst, "--algorithm", "MAC-hybrid",
+                 "--hybrid-subset", "0,2"]) == 0
+    row, = parse_report(capsys.readouterr().out)
+    assert not row.verdict.startswith("ERROR")
+
+
+def test_cli_hybrid_subset_is_a_configuration_error_off_mac_hybrid(tmp_path, capsys):
+    """`--hybrid-subset` names MAC-hybrid's double-encoded constraints; with
+    another algorithm it is refused before any run, not ignored."""
+    inst = _modelb_instance(tmp_path)
+    capsys.readouterr()
+    for algorithm in ("MAC-PW-ACd", "dFC3", "MGAC-2001"):
+        assert main(["solve", "--instance", inst, "--algorithm", algorithm,
+                     "--hybrid-subset", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "MAC-hybrid only" in err, algorithm
+        assert main(["solve", "--instance", inst, "--algorithm", algorithm]) == 0
+        capsys.readouterr()
+
+
 def test_cli_parity_gen_and_unsat(tmp_path, capsys):
     inst = tmp_path / "parity.json"
     assert main(["gen", "--family", "parity", "--params", '{"n": 2}',

@@ -16,7 +16,7 @@ from cases import criterion_1_suite, example_41, example_42, six_var_linear
 def _side(enc, vi, vj):
     """The decomposition of D(v_i) in the dual-dual constraint with v_j."""
     pair, = [pair for pair in enc.dual_pairs if {pair.v1, pair.v2} == {vi, vj}]
-    return pair.side_for(vi)
+    return pair.side1 if vi == pair.v1 else pair.side2
 
 
 def _projections(enc, pair):

@@ -5,7 +5,7 @@ from bincsp.core import Constraint, Counters, DomainState, GapRows, Predicate, \
     Problem, ac1_fixpoint, enumerate_solutions, expand_predicate, is_valid
 from bincsp.encode import build_de, build_double, build_hve
 from bincsp.gen import ModelBParams, gen_model_b, gen_rlfa
-from bincsp.propagate import Ac2001, BinaryView, Gac2001, Hac, PwAc, _pred_enum
+from bincsp.propagate import Ac2001, Gac2001, Hac, PwAc, _pred_enum
 from bincsp import search
 from bincsp.search import (ALGORITHMS, DUAL_DUAL, HIDDEN_ONLY, Ac2001Engine,
                            HveEngine, NonBinaryEngine, ac2001, double_ac,
@@ -383,7 +383,8 @@ def test_hac_empty_seed_spends_no_checks():
     enc = build_hve(six_var_linear())
     counters = Counters()
     host = _mhac_host(enc, counters)
-    assert Hac(enc, counters, host.delete_value).run(host.state, queue_seed=[])
+    assert Hac(enc, counters, host.delete_value).run(host.state, host.assigned,
+                                                     queue_seed=[])
     assert counters.checks == 0
 
 
@@ -423,7 +424,7 @@ def test_unit_fixpoint_subset_revises_and_queues_only_its_units():
             host = _mgac_host(p)
             state = host.state
             assert Gac2001(p, host.counters, host.delete_value).run(
-                state, queue_seed=queue_seed, subset=subset)
+                state, host.assigned, queue_seed=queue_seed, subset=subset)
             assert state.domains_as_lists() == domains, (subset, queue_seed)
 
 
@@ -439,7 +440,7 @@ def test_gac2001_supports_start_unset_and_end_on_supporting_tuples():
     engine = Gac2001(p, host.counters, host.delete_value)
     assert engine.supports == [[[-1] * 3, [-1] * 3], [[None] * 3, [None] * 3]]
     state = host.state
-    assert engine.run(state)
+    assert engine.run(state, host.assigned)
     assert state.domains_as_lists() == [[0, 1, 2], [1, 2], [1, 2]]
     rel, pred = p.constraints
     for pos, x in enumerate(rel.scope):
@@ -453,33 +454,52 @@ def test_gac2001_supports_start_unset_and_end_on_supporting_tuples():
             assert pred.predicate.holds(p.tuple_labels(pred, t))
 
 
-def test_binary_view_numbers_the_originals_only_when_the_encoding_has_them():
+def _recording_ac2001(enc):
+    """AC-2001 on `enc` whose deletion hooks only record their calls, and
+    whose `revise` records the masks it is given and deletes nothing."""
+    calls = []
+    ac = Ac2001(enc, Counters(),
+                lambda x, a: calls.append(("value", x, a)) or True,
+                lambda v, idxs: calls.append(("tuples", v, idxs)) or True)
+    ac.revise = lambda arc_id, side, state, masks: calls.append(masks) or (False, False)
+    return ac, calls
+
+
+def test_ac2001_numbers_the_originals_only_when_the_encoding_has_them():
     """On the dual encoding the binary variables are the duals, ids 0..m-1;
     on the double encoding the originals come first, then the duals, and
-    the hidden arcs precede the dual-dual arcs."""
+    the hidden arcs precede the dual-dual arcs. A deletion reaches the
+    engine's value deletion on an original and its tuple deletion on a
+    dual, under the dual's own id."""
     p = example_51()
     de, double = build_de(p), build_double(p)
-    view = BinaryView(de)
+    ac, calls = _recording_ac2001(de)
     m = len(de.duals)
-    assert view.bvars == [("dual", v) for v in range(m)]
-    assert all(0 <= b < m for ends in view.ends for b in ends)
-    assert len(view.sides) == len(de.arcs) == len(de.dual_pairs)
+    assert ac.first_dual == 0 and len(ac.adjacency) == m
+    assert all(0 <= b < m for ends in ac.ends for b in ends)
+    assert len(ac.sides) == len(de.arcs) == len(de.dual_pairs)
+    assert ac.delete(m - 1, [0]) and calls == [("tuples", m - 1, [0])]
     state = de.fresh_state()
-    assert view.masks(state) is state.dual_masks
+    calls.clear()
+    assert ac.run(state)
+    assert calls and all(masks is state.dual_masks for masks in calls)
 
-    view = BinaryView(double)
+    ac, calls = _recording_ac2001(double)
     n = p.n
-    assert view.bvars == [("orig", x) for x in range(n)] + \
-        [("dual", v) for v in range(len(double.duals))]
-    assert len(view.sides) == len(double.arcs) == \
+    assert ac.first_dual == n and len(ac.adjacency) == n + len(double.duals)
+    assert ac.delete(n - 1, [0, 1]) and ac.delete(n, [2])
+    assert calls == [("value", n - 1, 0), ("value", n - 1, 1), ("tuples", 0, [2])]
+    assert len(ac.sides) == len(double.arcs) == \
         len(double.hidden) + len(double.dual_pairs)
     # the dual-dual arcs follow the hidden ones, in pair order
     assert all(sides[0][1] is pair.side1.members and sides[1][1] is pair.side2.members
-               for sides, pair in zip(view.sides[len(double.hidden):], double.dual_pairs))
-    assert view.ends[:len(double.hidden)] == \
+               for sides, pair in zip(ac.sides[len(double.hidden):], double.dual_pairs))
+    assert ac.ends[:len(double.hidden)] == \
         [(n + v, x) for v, x, _ in double.hidden]
     state = double.fresh_state()
-    assert view.masks(state) == state.masks + state.dual_masks
+    calls.clear()
+    assert ac.run(state)
+    assert calls and all(masks == state.masks + state.dual_masks for masks in calls)
 
 
 def test_pwac_no_empty_groups_means_zero_iterations():
@@ -517,16 +537,16 @@ def test_group_and_value_support_counts_match_live_members():
 
 
 def test_every_propagator_reads_the_arcs_of_the_encoding():
-    """One arc-side table: on a double encoding, BinaryView's triples of the
+    """One arc-side table: on a double encoding, AC-2001's triples of the
     hidden arcs, every PW-AC counter key and every list HAC's eager
     deletion walks are objects of `enc.arcs` itself, not copies."""
     p = next(criterion_1_suite())
     enc = build_double(p)
     hidden = enc.arcs[:len(enc.hidden)]
     sides = [side for arc in enc.arcs for side in (arc.side1, arc.side2)]
-    view = BinaryView(enc)
+    ac = search.make_engine(enc, search.ALGORITHMS["MAC-2001d"]).ac
     for arc_id, arc in enumerate(hidden):
-        for triple, own, peer in zip(view.sides[arc_id], (arc.side1, arc.side2),
+        for triple, own, peer in zip(ac.sides[arc_id], (arc.side1, arc.side2),
                                      (arc.side2, arc.side1)):
             group_of, members, peer_members = triple
             assert group_of is own.tuple_group and members is own.members
@@ -572,16 +592,16 @@ def test_dual_encoding_lanes_build_no_value_index(monkeypatch):
 # indexed AC-2001 against the lexicographic scan it replaces
 
 
-def _compatible(view, arc_id, side, a, b):
-    hidden = view.enc.hidden
+def _compatible(enc, arc_id, side, a, b):
+    hidden = enc.hidden
     if arc_id < len(hidden):
         v, _, pos = hidden[arc_id]
-        tuples = view.enc.duals[v].tuples
+        tuples = enc.duals[v].tuples
         return tuples[a][pos] == b if side == 0 else tuples[b][pos] == a
-    data = view.enc.dual_pairs[arc_id - len(hidden)]
+    data = enc.dual_pairs[arc_id - len(hidden)]
     ends = ((data.v1, data.pos1), (data.v2, data.pos2))
     (va, pos_a), (vb, pos_b) = ends[side], ends[1 - side]
-    ta, tb = view.enc.duals[va].tuples[a], view.enc.duals[vb].tuples[b]
+    ta, tb = enc.duals[va].tuples[a], enc.duals[vb].tuples[b]
     return [ta[p] for p in pos_a] == [tb[p] for p in pos_b]
 
 
@@ -591,17 +611,18 @@ class _ScanAc2001(Ac2001):
     micro-op. With `group_pointers`, every value starts at its group's
     pointer there."""
 
-    def __init__(self, view, counters, delete_value, delete_tuples,
+    def __init__(self, enc, counters, delete_value, delete_tuples,
                  group_pointers=None):
-        super().__init__(view, counters, delete_value, delete_tuples)
+        super().__init__(enc, counters, delete_value, delete_tuples)
+        self.enc = enc
         self.pointers = [[[-1 if group_pointers is None else
                            group_pointers[arc_id][side][g] for g in sides[side][0]]
                           for side in (0, 1)]
-                         for arc_id, sides in enumerate(view.sides)]
+                         for arc_id, sides in enumerate(self.sides)]
 
     def revise(self, arc_id, side, state, masks):
-        view, counters = self.view, self.counters
-        bx, by = view.ends[arc_id][side], view.ends[arc_id][1 - side]
+        counters = self.counters
+        bx, by = self.ends[arc_id][side], self.ends[arc_id][1 - side]
         xmask, ymask = masks[bx], masks[by]
         pointers = self.pointers[arc_id][side]
         deleted = False
@@ -620,7 +641,7 @@ class _ScanAc2001(Ac2001):
                     continue
                 counters.checks += 1
                 scanned += 1
-                if _compatible(view, arc_id, side, a, b):
+                if _compatible(self.enc, arc_id, side, a, b):
                     found = b
                     break
             if counters.search_log is not None:
@@ -655,27 +676,27 @@ def _group_rich_suite(count):
         yield gen_model_b(ModelBParams(14, 5, 3, 8, 40 + (seed * 7) % 15, seed))
 
 
-def _scattered_pointers(view, state, seed):
-    """Arbitrary start pointers per group, so that searches start mid-domain."""
+def _scattered_pointers(enc, seed):
+    """Arbitrary start pointers per group, so that searches start mid-domain.
+    A side's peer domain has one `tuple_group` entry per value."""
     rng = random.Random(seed)
-    masks = view.masks(state)
-    return [[[rng.randrange(-1, len(masks[ends[1 - side]]))
-              for _ in sides[side][1]] for side in (0, 1)]
-            for ends, sides in zip(view.ends, view.sides)]
+    return [[[rng.randrange(-1, len(peer.tuple_group)) for _ in own.members]
+             for own, peer in ((arc.side1, arc.side2), (arc.side2, arc.side1))]
+            for arc in enc.arcs]
 
 
 def _ac2001_outcome(engine_cls, enc, pointer_seed=None):
     counters = Counters(search_log=[])
     # the engine whose state and deletions the run uses
     host = Ac2001Engine(enc, ALGORITHMS["MAC-2001"], counters=counters)
-    view, state = host.ac.view, host.state
+    state = host.state
     hooks = (host.delete_value, host.delete_tuples)
     group_pointers = None if pointer_seed is None else \
-        _scattered_pointers(view, state, pointer_seed)
+        _scattered_pointers(enc, pointer_seed)
     if engine_cls is _ScanAc2001:
-        engine = _ScanAc2001(view, counters, *hooks, group_pointers)
+        engine = _ScanAc2001(enc, counters, *hooks, group_pointers)
     else:
-        engine = engine_cls(view, counters, *hooks)
+        engine = engine_cls(enc, counters, *hooks)
         if group_pointers is not None:
             engine.pointers = group_pointers
     ok = engine.run(state)
@@ -710,13 +731,12 @@ def test_group_major_ac2001_counts_like_the_linear_scan_on_large_groups():
     for p in problems:
         enc = build_de(p)
         state = enc.fresh_state()
-        view, masks = BinaryView(enc), state.dual_masks
         values = groups = 0
-        for arc_id, (b0, b1) in enumerate(view.ends):
-            for side, b in ((0, b0), (1, b1)):
-                live = set(itertools.compress(view.sides[arc_id][side][0], masks[b]))
-                values += sum(masks[b])
-                groups += len(live)
+        for arc in enc.arcs:
+            for dec in (arc.side1, arc.side2):
+                mask = state.dual_masks[dec.owner]
+                values += sum(mask)
+                groups += len(set(itertools.compress(dec.tuple_group, mask)))
         assert values / groups >= 5
 
 
