@@ -14,6 +14,12 @@ The rlfa cells run the lanes of the intensional benchmark workload
 through `bench.run_one` (dom/deg, node limit 100, the default hybrid
 subset); MGAC-2001 searches the separation predicates for supports and the
 other lanes expand them. They were recorded before the pairwise-gap table.
+`RLFA_PINNED_PATHS` holds, per rlfa cell, its verdict, nodes, checks and
+node-path digest; besides the cells of `RLFA_PINNED` it pins MGAC-2001 and
+MAC-hybrid on prob1 with the 8-ary adjacent-channel constraints, whose
+four residual constraints MAC-hybrid's GAC-2001 enumerates. They were
+recorded before the support search cut a prefix that leaves a later
+position empty, which moves micro-ops only.
 
 `PINNED_PATHS` holds, per cell of `PINNED`, the first 16 hex digits of the
 sha256 of `repr(node_paths)`, so a change is checked node for node, not
@@ -196,7 +202,8 @@ def test_node_paths_match_the_pinned_digests(results, label, algorithm):
 
 
 RLFA_NODE_LIMIT = 100
-RLFA_INSTANCES = {"prob1-d20": ("prob1", 20, 1), "prob2-d25": ("prob2", 25, 1)}
+RLFA_INSTANCES = {"prob1-d20": ("prob1", 20, 1), "prob2-d25": ("prob2", 25, 1),
+                  "prob1-d20-adj8": ("prob1", 20, 0, True)}
 
 RLFA_PINNED = {
     ("prob1-d20", "MGAC-2001"): ("SAT", 48, 1938, 1191405, 912, 0, 0),
@@ -209,11 +216,50 @@ RLFA_PINNED = {
     ("prob2-d25", "MAC-PW-ACd"): ("SAT", 44, 0, 35086, 1056, 11262, 35030),
 }
 
+# (verdict, nodes, checks, node-path digest)
+RLFA_PINNED_PATHS = {
+    ("prob1-d20", "MGAC-2001"): ("SAT", 48, 1938, "a42fc8e7ab8d0b60"),
+    ("prob1-d20", "MHAC-2001"): ("SAT", 48, 1199588, "a42fc8e7ab8d0b60"),
+    ("prob1-d20", "MAC-hybrid"): ("SAT", 48, 0, "a42fc8e7ab8d0b60"),
+    ("prob1-d20", "MAC-PW-ACd"): ("SAT", 48, 0, "a42fc8e7ab8d0b60"),
+    ("prob2-d25", "MGAC-2001"): ("SAT", 44, 976, "6cbb170d1d13b8c7"),
+    ("prob2-d25", "MHAC-2001"): ("SAT", 44, 424187, "6cbb170d1d13b8c7"),
+    ("prob2-d25", "MAC-hybrid"): ("SAT", 44, 0, "6cbb170d1d13b8c7"),
+    ("prob2-d25", "MAC-PW-ACd"): ("SAT", 44, 0, "6cbb170d1d13b8c7"),
+    ("prob1-d20-adj8", "MGAC-2001"): ("SAT", 60, 5519, "df95ff12d188eadd"),
+    ("prob1-d20-adj8", "MAC-hybrid"): ("SAT", 60, 2229, "37d7ee1f50bc868b"),
+}
+
+
+@pytest.fixture(scope="module")
+def rlfa_results():
+    """Each rlfa cell's SearchResult, with node paths, run once."""
+    cache = {}
+
+    def result(label, algorithm):
+        if (label, algorithm) not in cache:
+            _, cache[label, algorithm] = run_one(
+                gen_rlfa(*RLFA_INSTANCES[label]), algorithm, "heuristic", 0,
+                node_limit=RLFA_NODE_LIMIT, record_nodes=True)
+        return cache[label, algorithm]
+    return result
+
+
+def test_every_rlfa_cell_is_path_pinned():
+    assert set(RLFA_PINNED) <= set(RLFA_PINNED_PATHS)
+
 
 @pytest.mark.parametrize("label,algorithm", sorted(RLFA_PINNED))
-def test_rlfa_counters_match_the_pinned_table(label, algorithm):
-    record, result = run_one(gen_rlfa(*RLFA_INSTANCES[label]), algorithm,
-                             "heuristic", 0, node_limit=RLFA_NODE_LIMIT)
+def test_rlfa_counters_match_the_pinned_table(rlfa_results, label, algorithm):
+    result = rlfa_results(label, algorithm)
     snapshot = result.counters.snapshot()
     got = (result.verdict, result.nodes) + tuple(snapshot[k] for k in COUNTER_KEYS)
     assert got == RLFA_PINNED[(label, algorithm)]
+
+
+@pytest.mark.parametrize("label,algorithm", sorted(RLFA_PINNED_PATHS))
+def test_rlfa_node_paths_match_the_pinned_digests(rlfa_results, label, algorithm):
+    result = rlfa_results(label, algorithm)
+    digest = hashlib.sha256(repr(result.node_paths).encode()).hexdigest()[:16]
+    got = (result.verdict, result.nodes, result.counters.checks, digest)
+    assert got == RLFA_PINNED_PATHS[(label, algorithm)]
