@@ -409,12 +409,12 @@ class GapRows:
     Rows are keyed by label content and gap, so every constraint whose
     positions carry the same labels reads the same rows. The last two
     positions of a constraint read one `GapPair`, keyed by both label lists
-    and their gap. `relations` maps a predicate's `key()` and the label
-    lists of its scope to the tuple list `expand_predicate` made for them,
-    so equal relations are expanded once. One object serves one run (an
-    encoding build, one GAC-2001 engine) and nothing is stored on the
-    problem, its constraints or its predicates: each run builds the rows it
-    reads.
+    and their gap, with the unions and selections it keeps. `relations`
+    maps a predicate's `key()` and the label lists of its scope to the
+    tuple list `expand_predicate` made for them, so equal relations are
+    expanded once. One object serves one run (an encoding build, one
+    GAC-2001 engine) and nothing is stored on the problem, its constraints
+    or its predicates: each run builds the rows it reads.
     """
 
     def __init__(self):
@@ -489,13 +489,15 @@ class GapPair:
     compatible index pairs (a, b) in lexicographic order, with a byte column
     of a's and one of b's; `select` picks from it the pairs whose a and b are
     both candidates, and `union` is the set of p's values compatible with
-    some value of a set of q's, cached per set.
+    some value of a set of q's. Both are kept per argument, on this object
+    only: a `GapPair` belongs to one `GapRows`, so to one run.
     """
 
     def __init__(self, back: _RowsByLabel, fwd: _RowsByLabel):
         self.back = back
         self.fwd = fwd
         self._unions = {}
+        self._selections = {}
 
     @cached_property
     def table(self) -> tuple:
@@ -507,13 +509,19 @@ class GapPair:
         return (pairs, _column([a for a, _ in pairs], len(back.labels)),
                 _column([b for _, b in pairs], size_q))
 
-    def select(self, cand_p: int, cand_q: int):
+    def select(self, cand_p: int, cand_q: int) -> list:
         """The pairs (a, b) of `table` with a in cand_p and b in cand_q, in
-        order."""
-        pairs, col_a, col_b = self.table
-        picked = (int.from_bytes(_pick(col_a, cand_p, len(self.back.labels)), "little")
-                  & int.from_bytes(_pick(col_b, cand_q, len(self.fwd.labels)), "little"))
-        return itertools.compress(pairs, picked.to_bytes(len(pairs), "little"))
+        order. The list is kept per (cand_p, cand_q) and must not be
+        modified."""
+        key = (cand_p, cand_q)
+        selected = self._selections.get(key)
+        if selected is None:
+            pairs, col_a, col_b = self.table
+            picked = (int.from_bytes(_pick(col_a, cand_p, len(self.back.labels)), "little")
+                      & int.from_bytes(_pick(col_b, cand_q, len(self.fwd.labels)), "little"))
+            selected = self._selections[key] = list(
+                itertools.compress(pairs, picked.to_bytes(len(pairs), "little")))
+        return selected
 
     def union(self, cand_q: int) -> int:
         """The OR of the back rows of the labels of cand_q's values."""
@@ -544,7 +552,8 @@ def expand_predicate(problem: Problem, c: Constraint,
     of its values still far enough from the values placed so far (ANDed
     with the placed label's `GapRows` row, and dropped when it reaches 0).
     The search stops at position k - 2 and emits the last two positions of
-    each prefix in one batch, `GapPair.select` over their candidate sets.
+    each prefix in one batch, `GapPair.select` over their candidate sets,
+    which selects each pair of sets once per `rows`.
     More than `budget` tuples raise CapacityError. Every other kind
     enumerates d^k, which must fit the budget.
     """

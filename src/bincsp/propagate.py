@@ -24,9 +24,12 @@ therefore differ in micro-ops (per-position probes vs one dual-domain
 lookup) but never in checks, which is what the check-count comparisons
 rely on. On a predicate, GAC-2001 enumerates candidate tuples instead (see
 `_pred_enum`). The separation kinds read byte-lane rows of `core.GapRows`
-there, and count the last two levels of that enumeration from their
-candidate sets (`_gap_enum`, with `core.GapPair.union`) without walking
-them. PW-AC performs no tuple checks at all: its work is counter updates.
+there, step over a value that leaves a later position without candidates
+without counting its subtree (forward checking: supports and checks stay
+those of the plain enumeration, micro-ops fall), and count the last two
+levels from their candidate sets (`_gap_enum`, with `core.GapPair.union`)
+without walking them. PW-AC performs no tuple checks at all: its work is
+counter updates.
 
 AC-2001 runs on the binary constraints of any encoding: its variables are
 the originals, when the encoding has them, and the duals, and its arcs are
@@ -187,7 +190,9 @@ def _pred_enum(problem, c, pos, a, state, after, tight0, counters, tables):
     completed candidate evaluated is one check; a level costs one micro-op
     per value index it steps over, from its start to the value it returns
     at, or to the end of the domain. Gap kinds are searched by `_gap_enum`,
-    which counts the same search without walking all of it.
+    which forward checks: it does not enter, and so does not count, the
+    subtree of a value that leaves a later position without a compatible
+    live value. It finds the same tuple at the same checks.
     """
     scope = c.scope
     k = len(scope)
@@ -234,19 +239,26 @@ def _pred_enum(problem, c, pos, a, state, after, tight0, counters, tables):
 
 
 def _gap_enum(doms, sizes, lives, after, tight0, counters, tables):
-    """`_pred_enum` on a gap kind. Each level holds one byte-lane candidate
-    int per later position: its live values far enough from every label
-    placed so far. A full tuple reached that way holds, so a last level with
-    candidates returns its first one at one check.
+    """`_pred_enum` on a gap kind, with forward checking. Each level holds
+    one byte-lane candidate int per later position: its live values far
+    enough from every label placed so far. A full tuple reached that way
+    holds, so a last level with candidates returns its first one at one
+    check.
 
-    While the prefix equals `after`, levels step as `_pred_enum` describes.
-    Once it leaves `after`, the last two levels p and q are closed
+    A level steps as `_pred_enum` describes, except that a value whose
+    placement leaves some later position without candidates is stepped over
+    without entering its subtree: no tuple completes under it, so the
+    support and the checks are those of the plain enumeration, and only the
+    micro-ops of the levels under it are not counted. The root level is
+    always walked.
+
+    Once the prefix leaves `after`, the last two levels p and q are closed
     arithmetically from their candidates c_p and c_q. hit = c_p &
     `GapPair.union`(c_q) holds the values of p that some value of q
-    completes. If it is set, its lowest value v is the answer at p, each
-    candidate of p below v cost a failed q level (size[q] micro-ops), and
-    the answer at q is the lowest w of c_q compatible with v: v + 1 and
-    w + 1 more. Otherwise both levels fail at size[p] + |c_p| * size[q].
+    completes, and every other value of c_p is stepped over. If hit is set,
+    its lowest value v is the answer at p and the lowest w of c_q
+    compatible with v the answer at q: v + 1 and w + 1 micro-ops.
+    Otherwise level p fails at size[p].
     """
     k = len(sizes)
     last, later, pair = k - 1, tables.later, tables.pair
@@ -266,14 +278,13 @@ def _gap_enum(doms, sizes, lives, after, tight0, counters, tables):
         cand_p, cand_q = cands
         hit = cand_p & pair.union(cand_q)
         if not hit:
-            counters.microops += sizes[last - 1] + cand_p.bit_count() * sizes[last]
+            counters.microops += sizes[last - 1]
             return None
-        low = hit & -hit
-        values[last - 1] = v = (low.bit_length() - 1) >> 3
+        values[last - 1] = v = ((hit & -hit).bit_length() - 1) >> 3
         cand_q &= pair.fwd[doms[last - 1][v]]
         values[last] = w = ((cand_q & -cand_q).bit_length() - 1) >> 3
         counters.checks += 1
-        counters.microops += (cand_p & (low - 1)).bit_count() * sizes[last] + v + w + 2
+        counters.microops += v + w + 2
         return tuple(values)
 
     def rec(depth, tight, cands):
@@ -294,14 +305,21 @@ def _gap_enum(doms, sizes, lives, after, tight0, counters, tables):
         dom, rows_later, rest = doms[depth], later[depth], cands[1:]
         while live:
             low = live & -live
-            values[depth] = v = lo + ((low.bit_length() - 1) >> 3)
-            label = dom[v]
-            found = rec(depth + 1, tight and v == lo,
-                        [cand & by_label[label] for cand, by_label in zip(rest, rows_later)])
-            if found is not None:
-                counters.microops += v - lo + 1
-                return found
             live ^= low
+            v = lo + ((low.bit_length() - 1) >> 3)
+            label = dom[v]
+            kept = []
+            for cand, by_label in zip(rest, rows_later):
+                cand &= by_label[label]
+                if not cand:
+                    break
+                kept.append(cand)
+            else:
+                values[depth] = v
+                found = rec(depth + 1, tight and v == lo, kept)
+                if found is not None:
+                    counters.microops += v - lo + 1
+                    return found
         counters.microops += sizes[depth] - lo
         return None
 

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from bincsp import core
 from bincsp.core import (CapacityError, Constraint, Counters, DomainState,
-                         Predicate, Problem, ac1_fixpoint, enumerate_solutions,
-                         expand_predicate, is_valid, project, solution_check)
+                         GapRows, Predicate, Problem, ac1_fixpoint,
+                         enumerate_solutions, expand_predicate, is_valid, project,
+                         solution_check)
 from bincsp.search import gac2001
 
 from cases import SIX_VAR_SOLUTIONS, appendix_a, example_51, six_var_linear
@@ -365,6 +367,85 @@ def test_gap_expansion_budget_is_exact():
     with pytest.raises(CapacityError):
         expand_predicate(q, q.constraints[0], budget=1)
     assert expand_predicate(q, q.constraints[0], budget=2) == [(0, 2), (2, 0)]
+
+
+def _seeded_gap_constraints(rng):
+    """Separation and rich_separation constraints at arities 2-5 over
+    scattered labels, with `subset` at the first, the last and a middle
+    position."""
+    for arity in (2, 3, 4, 5):
+        size = (9, 8, 7, 6)[arity - 2]
+        labels = [rng.sample(range(30), size) for _ in range(arity)]
+        preds = [Predicate("separation", s=rng.choice((1, 2, 3)))]
+        for subset in sorted({(0,), (arity - 1,), (arity // 2,)}):
+            preds.append(Predicate("rich_separation", s=1, s2=rng.choice((2, 3, 4)),
+                                   subset=subset))
+        for pred in preds:
+            yield _scattered_labels_problem(pred, labels)
+
+
+def test_gap_expansion_matches_the_product_on_seeded_constraints():
+    """Expansions sharing one `GapRows`, and so its kept selections, list
+    exactly the product tuples the predicate holds."""
+    rng, rows, nonempty = random.Random(13), GapRows(), 0
+    for p in _seeded_gap_constraints(rng):
+        c = p.constraints[0]
+        got = expand_predicate(p, c, 100_000, rows)
+        assert got == _product_expand(p, c), c
+        nonempty += bool(got)
+    assert nonempty > 10
+
+
+def test_gap_expansion_reads_selections_kept_by_an_earlier_one(monkeypatch):
+    """Two separations end on the same two variables, so their last two
+    positions share one `GapPair`. The second lists its first two variables
+    the other way round, so each of its prefixes leaves the candidates of a
+    prefix of the first: it selects no pair anew, and still lists exactly
+    the product tuples."""
+    labels = [[7, 0, 3, 12, 18], [12, 5, 0, 9, 2, 16], [1, 14, 8, 20], [3, 10, 0, 6, 13]]
+    pred = Predicate("separation", s=2)
+    p = Problem([f"z{i}" for i in range(4)], labels,
+                [Constraint((0, 1, 2, 3), predicate=pred),
+                 Constraint((1, 0, 2, 3), predicate=pred)])
+    first, second = p.constraints
+    rows = GapRows()
+    assert rows.tables(p, first).pair is rows.tables(p, second).pair
+    picks = []
+    pick = core._pick
+    monkeypatch.setattr(core, "_pick", lambda *args: picks.append(args) or pick(*args))
+    assert expand_predicate(p, first, 10_000, rows) == _product_expand(p, first)
+    assert picks
+    picks.clear()
+    got = expand_predicate(p, second, 10_000, rows)
+    assert got == _product_expand(p, second) and len(got) > 20
+    assert picks == []
+
+
+def test_two_builds_of_one_problem_share_no_gap_pair(monkeypatch):
+    """Each encoding build and each GAC-2001 engine reads its own
+    `GapPair`s, so selections kept by one run are never read by another."""
+    from bincsp import encode
+    from bincsp.gen import gen_rlfa
+    from bincsp.search import NonBinaryEngine, ALGORITHMS
+
+    built = []
+
+    class RecordedRows(GapRows):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(encode, "GapRows", RecordedRows)
+    p = gen_rlfa("prob1", 20, 0)
+    encode.build_hve(p)
+    encode.build_hve(p)
+    assert len(built) == 2
+    first, second = ({id(pair) for pair in rows._pairs.values()} for rows in built)
+    assert first and second and not first & second
+    engines = [NonBinaryEngine(p, ALGORITHMS["MGAC-2001"]) for _ in range(2)]
+    first, second = ({id(t.pair) for t in engine.fixpoint.gap_tables if t is not None}
+                     for engine in engines)
+    assert first and second and not first & second
 
 
 def test_solution_check_rejects_a_malformed_assignment():

@@ -13,7 +13,10 @@ removals, group updates).
 The rlfa cells run the lanes of the intensional benchmark workload
 through `bench.run_one` (dom/deg, node limit 100, the default hybrid
 subset); MGAC-2001 searches the separation predicates for supports and the
-other lanes expand them. They were recorded before the pairwise-gap table.
+other lanes expand them. They were recorded before the pairwise-gap table;
+the micro-ops of the two MGAC-2001 rows were re-recorded when the support
+search began to skip a prefix that leaves a later position empty
+(1 191 405 -> 150 700 and 1 162 193 -> 201 643).
 `RLFA_PINNED_PATHS` holds, per rlfa cell, its verdict, nodes, checks and
 node-path digest; besides the cells of `RLFA_PINNED` it pins MGAC-2001 and
 MAC-hybrid on prob1 with the 8-ary adjacent-channel constraints, whose
@@ -206,11 +209,11 @@ RLFA_INSTANCES = {"prob1-d20": ("prob1", 20, 1), "prob2-d25": ("prob2", 25, 1),
                   "prob1-d20-adj8": ("prob1", 20, 0, True)}
 
 RLFA_PINNED = {
-    ("prob1-d20", "MGAC-2001"): ("SAT", 48, 1938, 1191405, 912, 0, 0),
+    ("prob1-d20", "MGAC-2001"): ("SAT", 48, 1938, 150700, 912, 0, 0),
     ("prob1-d20", "MHAC-2001"): ("SAT", 48, 1199588, 147722, 912, 27077, 0),
     ("prob1-d20", "MAC-hybrid"): ("SAT", 48, 0, 96487, 912, 27077, 96806),
     ("prob1-d20", "MAC-PW-ACd"): ("SAT", 48, 0, 96487, 912, 27077, 96806),
-    ("prob2-d25", "MGAC-2001"): ("SAT", 44, 976, 1162193, 1056, 0, 0),
+    ("prob2-d25", "MGAC-2001"): ("SAT", 44, 976, 201643, 1056, 0, 0),
     ("prob2-d25", "MHAC-2001"): ("SAT", 44, 424187, 49927, 1056, 11262, 0),
     ("prob2-d25", "MAC-hybrid"): ("SAT", 44, 0, 35086, 1056, 11262, 35030),
     ("prob2-d25", "MAC-PW-ACd"): ("SAT", 44, 0, 35086, 1056, 11262, 35030),

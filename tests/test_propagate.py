@@ -789,10 +789,15 @@ def test_ac2001_on_the_hve_reaches_the_hac_fixpoint():
 # predicate support search against the enumeration it replaced
 
 
-def _reference_pred_enum(problem, c, pos, a, state, after, tight0, counters):
+def _reference_pred_enum(problem, c, pos, a, state, after, tight0, counters,
+                         forward_check=False):
     """`_pred_enum` before the gap table: every value index of a level costs
     one micro-op, dead values and values other than a at pos are skipped in
-    the loop, and each new label is tested against every earlier one."""
+    the loop, and each new label is tested against every earlier one.
+
+    With `forward_check` on a gap kind, a placed value's subtree is skipped
+    when some later position has no live value compatible with every placed
+    label."""
     pred = c.predicate
     doms = [problem.domains[x] for x in c.scope]
     sizes = [len(d) for d in doms]
@@ -801,19 +806,28 @@ def _reference_pred_enum(problem, c, pos, a, state, after, tight0, counters):
     scope = c.scope
     labels = [None] * k
     prefix = []
+    gap_kind = pred.kind in ("separation", "rich_separation")
+
+    def gap(i, j):
+        if pred.kind == "separation":
+            return pred.s
+        return pred.s2 if (i in pred.subset or j in pred.subset) else pred.s
+
+    def allowed(j, b):
+        return masks[scope[j]][b] and (j != pos or b == a)
 
     def partial_ok(upto):
-        if pred.kind not in ("separation", "rich_separation"):
+        if not gap_kind:
             return True
         v, j = labels[upto - 1], upto - 1
-        for i in range(upto - 1):
-            if pred.kind == "separation":
-                gap = pred.s
-            else:
-                gap = pred.s2 if (i in pred.subset or j in pred.subset) else pred.s
-            if abs(v - labels[i]) <= gap:
-                return False
-        return True
+        return all(abs(v - labels[i]) > gap(i, j) for i in range(upto - 1))
+
+    def later_open(upto):
+        # every later position keeps a live value far enough from each label
+        return all(any(allowed(j, b) and all(abs(doms[j][b] - labels[i]) > gap(i, j)
+                                             for i in range(upto))
+                       for b in range(sizes[j]))
+                   for j in range(upto, k))
 
     def rec(depth, tight):
         if depth == k:
@@ -826,14 +840,13 @@ def _reference_pred_enum(problem, c, pos, a, state, after, tight0, counters):
         lo = after[depth] if tight else 0
         for v in range(lo, sizes[depth]):
             counters.microops += 1
-            if depth == pos and v != a:
-                continue
-            if not masks[scope[depth]][v]:
+            if not allowed(depth, v):
                 continue
             prefix.append(v)
             labels[depth] = doms[depth][v]
             res = None
-            if partial_ok(depth + 1):
+            if partial_ok(depth + 1) and not (forward_check and gap_kind
+                                              and not later_open(depth + 1)):
                 res = rec(depth + 1, tight and v == lo)
             prefix.pop()
             if res is not None:
@@ -841,6 +854,15 @@ def _reference_pred_enum(problem, c, pos, a, state, after, tight0, counters):
         return None
 
     return rec(0, tight0)
+
+
+def _reference_fc_pred_enum(problem, c, pos, a, state, after, tight0, counters):
+    """`_reference_pred_enum` with forward checking: a placed value of a gap
+    kind whose placement leaves a later position without a compatible live
+    value, found by brute force from the predicate, is stepped over without
+    entering its subtree."""
+    return _reference_pred_enum(problem, c, pos, a, state, after, tight0, counters,
+                                forward_check=True)
 
 
 def _hand_predicate_problems():
@@ -919,9 +941,10 @@ def _random_state(p, scope, rng, density):
 
 def test_pred_enum_counts_like_the_reference():
     """Random masks, positions, values and `after` tuples, tight or not:
-    the same tuple, checks and micro-ops."""
+    the tuple and checks of the plain enumeration, the micro-ops of the
+    forward-checking one, and never more micro-ops than the plain one."""
     rng = random.Random(5)
-    kinds, found, tight_found, hand_gap_found, wide_found = set(), 0, 0, 0, 0
+    kinds, found, tight_found, hand_gap_found, wide_found, cut = set(), 0, 0, 0, 0, 0
     for p in _pred_enum_suite():
         for c in p.constraints:
             kinds.add(c.predicate.kind)
@@ -936,36 +959,44 @@ def test_pred_enum_counts_like_the_reference():
                          if tight else (-1,) * c.arity)
                 if tight and pos >= 0 and rng.random() < 0.8:
                     after = after[:pos] + (a,) + after[pos + 1:]
-                got, want = Counters(), Counters()
+                got, plain, fc = Counters(), Counters(), Counters()
                 t = _pred_enum(p, c, pos, a, state, after, tight, got, tables)
-                assert t == _reference_pred_enum(p, c, pos, a, state, after, tight, want)
-                assert (got.checks, got.microops) == (want.checks, want.microops), \
+                assert t == _reference_pred_enum(p, c, pos, a, state, after, tight, plain)
+                assert t == _reference_fc_pred_enum(p, c, pos, a, state, after, tight, fc)
+                assert (got.checks, got.microops) == (plain.checks, fc.microops), \
                     (p.name, c, pos, a, after, tight)
+                assert got.microops <= plain.microops
+                cut += got.microops < plain.microops
                 found += t is not None
                 tight_found += t is not None and tight
                 hand_gap_found += t is not None and p.name == "hand_gap"
                 wide_found += t is not None and max(map(p.domain_size, c.scope)) > 256
     assert kinds == set(Predicate.KINDS)
     assert found > 100 and tight_found > 30 and hand_gap_found > 20 and wide_found > 20
+    assert cut > 500
 
 
 def test_predicate_wipeout_test_counts_like_the_reference():
     """nFC2-nFC5's wipe-out test enumerates a predicate at position -1.
-    Over the hand-built predicates, gap kinds included: the same answer,
-    checks and micro-ops as the reference enumeration."""
+    Over the hand-built predicates, gap kinds included: the answer and
+    checks of the plain reference enumeration, the micro-ops of the
+    forward-checking one, and never more micro-ops than the plain one."""
     rng = random.Random(11)
     answers = set()
     for p in _hand_predicate_problems() + _hand_gap_problems():
         c = p.constraints[0]
         for trial in range(20):
             state = _random_state(p, c.scope, rng, (0.3, 0.6, 1.0)[trial % 3])
-            got, want = Counters(), Counters()
+            got, plain, fc = Counters(), Counters(), Counters()
             engine = NonBinaryEngine(p, ALGORITHMS["nFC3"], counters=got)
             engine.state = state
             ok = engine._no_empty_unit()
-            ref = _reference_pred_enum(p, c, -1, -1, state, (-1,) * c.arity, False, want)
+            ref = _reference_pred_enum(p, c, -1, -1, state, (-1,) * c.arity, False, plain)
+            assert ref == _reference_fc_pred_enum(p, c, -1, -1, state, (-1,) * c.arity,
+                                                  False, fc)
             assert ok == (ref is not None), (c, trial)
-            assert (got.checks, got.microops) == (want.checks, want.microops), (c, trial)
+            assert (got.checks, got.microops) == (plain.checks, fc.microops), (c, trial)
+            assert got.microops <= plain.microops
             answers.add((c.predicate.kind in Predicate.GAP_KINDS, ok))
     assert answers == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -993,10 +1024,12 @@ def test_pred_enum_union_is_kept_apart_by_the_last_labels():
         for c, table in zip(p.constraints, tables):
             pos = rng.randrange(-1, 3)
             a = rng.randrange(p.domain_size(c.scope[pos])) if pos >= 0 else -1
-            got, want = Counters(), Counters()
+            got, plain, fc = Counters(), Counters(), Counters()
             t = _pred_enum(p, c, pos, a, state, (-1,) * 3, False, got, table)
-            assert t == _reference_pred_enum(p, c, pos, a, state, (-1,) * 3, False, want)
-            assert (got.checks, got.microops) == (want.checks, want.microops)
+            assert t == _reference_pred_enum(p, c, pos, a, state, (-1,) * 3, False, plain)
+            assert t == _reference_fc_pred_enum(p, c, pos, a, state, (-1,) * 3, False, fc)
+            assert (got.checks, got.microops) == (plain.checks, fc.microops)
+            assert got.microops <= plain.microops
             found += t is not None
     assert found > 40
 
