@@ -8,10 +8,9 @@ Three scenes:
   3. a wipeout that the hidden encoding detects checks earlier than GAC.
 """
 
-from bincsp import (ALGORITHMS, CONSISTENT, DUAL_DUAL, INCONSISTENT,
-                    Constraint, Counters, Problem, ac2001, build_de,
-                    build_double, build_hve, double_ac, gac2001, pwac,
-                    sgac_check)
+from bincsp import (ALGORITHMS, CONSISTENT, INCONSISTENT, Constraint, Counters,
+                    Problem, ac2001, build_de, build_double, build_hve,
+                    gac2001, pwac, sgac_check)
 from bincsp.search import HveEngine, NonBinaryEngine
 
 
@@ -54,7 +53,7 @@ def scene_sgac():
                  Constraint((0, 1, 2), relation=even, name="even")])
     print(f"flat GAC verdict: {gac2001(p).verdict}")
     print(f"singleton GAC holds: {sgac_check(p)}")
-    result = double_ac(build_double(p), DUAL_DUAL)
+    result = pwac(build_double(p))
     print(f"dual-dual AC on the double encoding: {result.verdict}\n")
 
 

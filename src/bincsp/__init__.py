@@ -15,9 +15,8 @@ from .core import (CapacityError, Constraint, Counters, DomainState, Predicate,
                    is_valid, project, solution_check)
 from .encode import (Decomposition, DualVariable, EncodedProblem, build_de,
                      build_double, build_hve, induced_assignment)
-from .search import (ALGORITHMS, CONSISTENT, DUAL_DUAL, HIDDEN_ONLY,
-                     INCONSISTENT, AlgorithmSpec, PropagationResult,
-                     SearchResult, ac2001, double_ac, gac2001, hac,
+from .search import (ALGORITHMS, CONSISTENT, INCONSISTENT, AlgorithmSpec,
+                     PropagationResult, SearchResult, ac2001, gac2001, hac,
                      make_engine, prepare_model, pwac, sgac_check, solve)
 from .gen import (CrosswordSpec, ModelBParams, gen_clique_embedded,
                   gen_config_like, gen_crossword, gen_model_b,

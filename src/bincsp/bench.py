@@ -24,14 +24,14 @@ import os
 from multiprocessing import Pool
 from typing import Optional
 
-from . import core
-from .core import CapacityError, GapRows, Problem
-from .encode import EncodedProblem, build_double
+from .core import Problem
+# nothing here calls build_double; perfbench/tracing.py wraps it by this name
+from .encode import EncodedProblem, build_double  # noqa: F401
 from .gen import (CrosswordSpec, ModelBParams, gen_clique_embedded,
                   gen_config_like, gen_crossword, gen_model_b,
                   gen_parity_chain, gen_rlfa)
 from .interchange import RunRecord, emit_report, load_instance
-from .search import ALGORITHMS, DOM_DEG, FIXED, make_engine, prepare_model
+from .search import ALGORITHMS, make_engine, prepare_model
 from .words import WORDS
 
 HIERARCHY_SUBSET_EDGES = [
@@ -89,33 +89,6 @@ def tuple_table_bytes(model) -> int:
     return total
 
 
-def _default_hybrid_subset(problem: Problem, max_arity: int = 5,
-                           budget: int = 200_000) -> tuple:
-    """Constraints worth double-encoding: low arity and expandable within
-    budget; the rest stay intensional. Returns the subset and the tuple
-    lists expanded to test it, by constraint id, for the build to reuse.
-    The expansions share one `GapRows`, so equal relations are one list,
-    and each is tested against `budget` even when it was expanded for an
-    earlier constraint. `materialize` is read from the `core` module at
-    call time, so a wrapper installed there sees these expansions too."""
-    subset, expanded = [], {}
-    rows = GapRows()
-    for ci, c in enumerate(problem.constraints):
-        if c.arity > max_arity:
-            continue
-        if c.relation is None:
-            try:
-                expanded[ci] = core.materialize(problem, c, budget, rows)
-            except CapacityError:
-                continue
-        subset.append(ci)
-    return subset, expanded
-
-
-# a cell's "ordering" and the search ordering it names
-ORDERINGS = {"heuristic": DOM_DEG, "fixed": FIXED}
-
-
 def _failed_record(instance: str, algorithm: str, ordering: str, seed: int,
                    e: Exception) -> RunRecord:
     """The row of a failed run: verdict `ERROR:<Type>`, "Type: message" in
@@ -135,26 +108,16 @@ def run_one(problem: Problem, algorithm: str, ordering: str, seed: int,
             encode_subset: Optional[list] = None,
             record_nodes: bool = False,
             instance_id: str = "", time_mode: str = "wall"):
-    """One matrix cell run; returns (RunRecord, SearchResult or None), the
-    result being None when the run failed, as it does for an unknown
-    algorithm or an ordering not in `ORDERINGS`."""
+    """One matrix cell run on the model `prepare_model` builds (for
+    MAC-hybrid, double-encoding `encode_subset`, or else the default
+    subset). Returns (RunRecord, SearchResult or None), the result being None when
+    the run failed, as it does for an unknown algorithm or ordering."""
     try:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
-        if ordering not in ORDERINGS:
-            raise ValueError(f"unknown ordering {ordering!r}")
-        spec, order = ALGORITHMS[algorithm], ORDERINGS[ordering]
-        if spec.representation == "HYBRID":
-            if encode_subset is not None:
-                model = build_double(problem, encode_subset)
-            else:
-                subset, expanded = _default_hybrid_subset(problem)
-                model = build_double(problem, subset, expanded=expanded)
-        elif spec.representation == "NONBINARY":
-            model = problem
-        else:
-            model = prepare_model(problem, spec)
-        engine = make_engine(model, spec, ordering=order, node_limit=node_limit,
+        spec = ALGORITHMS[algorithm]
+        model = prepare_model(problem, spec, encode_subset)
+        engine = make_engine(model, spec, ordering=ordering, node_limit=node_limit,
                              time_limit_ms=time_limit_ms, record_nodes=record_nodes)
         result = engine.solve()
         counters = result.counters

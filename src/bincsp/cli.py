@@ -11,7 +11,8 @@ Exit status is 0 when the command completed, whatever the verdicts (`bench`
 records a failed cell in its row and still exits 0); 1 when `solve`'s run
 failed, its row reading `ERROR:<Type>`, or `check` found propagation
 deleting a soluble instance; and 2 on configuration errors, among them
-`--hybrid-subset` with an algorithm other than MAC-hybrid.
+`--hybrid-subset` with an algorithm other than MAC-hybrid and `check
+--limit` below 1.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ import argparse
 import json
 import sys
 
-from .bench import ORDERINGS, instance_from_generator, run_bench, run_one
-from .core import CapacityError, enumerate_solutions
+from .bench import instance_from_generator, run_bench, run_one
+from .core import DEFAULT_ENUMERATION_BOUND, CapacityError, enumerate_solutions
 from .gen import is_connected
 from .interchange import (InstanceFormatError, emit_report, load_instance,
                           save_instance)
-from .search import ALGORITHMS, gac2001
+from .search import ALGORITHMS, DOM_DEG, FIXED, gac2001
 
 
 def _cmd_solve(args) -> int:
@@ -100,7 +101,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("solve", help="run one algorithm on one instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--algorithm", required=True, choices=sorted(ALGORITHMS))
-    p.add_argument("--ordering", choices=list(ORDERINGS), default="heuristic")
+    p.add_argument("--ordering", choices=[DOM_DEG, FIXED], default=DOM_DEG)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--time-limit", type=float, default=None, metavar="MS",
                    dest="time_limit")
@@ -131,7 +132,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("check", help="validate an instance and compare the "
                                      "brute-force oracle with propagation")
     p.add_argument("--instance", required=True)
-    p.add_argument("--bound", type=int, default=1 << 20)
+    p.add_argument("--bound", type=int, default=DEFAULT_ENUMERATION_BOUND)
     p.add_argument("--limit", type=int, default=None)
     p.set_defaults(func=_cmd_check)
 

@@ -224,7 +224,6 @@ class Problem:
         self.name = name
         if len(self.variables) != len(self.domains):
             raise ValueError("one domain per variable required")
-        self.var_index = {v: i for i, v in enumerate(self.variables)}
         n = len(self.variables)
         for c in self.constraints:
             for x in c.scope:
@@ -637,8 +636,10 @@ def enumerate_solutions(problem: Problem, limit: Optional[int] = None,
 
     Backtracks over variables in index order, checking each constraint as
     soon as its scope is fully assigned. Refuses instances whose domain
-    product exceeds the bound.
+    product exceeds the bound, and a limit below 1.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"solution limit must be at least 1, got {limit}")
     space = 1
     for x in range(problem.n):
         space *= problem.domain_size(x)

@@ -47,7 +47,7 @@ its dual once.
 
 Propagation on the double encoding (PW-AC between duals plus the rule that
 an original value dies with its last supporting tuple) is
-`search.DoubleEngine`; `search.double_ac` is its root-only call. This module
+`search.DoubleEngine`; `search.pwac` is its root-only call. This module
 supplies its parts: `Hac`, `PwAc` (which counts the value supports on the
 hidden arcs' dual sides, revises dFC's pair sides and is the engine's
 `delete_tuples`) and, for hybrids, `Gac2001`, both given the engine's value
@@ -63,8 +63,8 @@ and detect only the wipe-outs they cause, as the deletions report them.
 one empty-domain test; below
 the root, an assignment that wipes a domain out fails before lookahead
 runs. The root entry points (`gac2001`, `hac`, `ac2001`, `pwac`,
-`double_ac`, `sgac_check`) live in `search`: each is the root propagation
-of its MAC lane's engine.
+`sgac_check`) live in `search`: each is the root propagation of its MAC
+lane's engine.
 """
 
 from __future__ import annotations

@@ -46,12 +46,17 @@ constraints of its encoding. Every propagator reads the encoding's one
 list of binary arcs, `EncodedProblem.arcs`.
 
 Each propagator run alone is its MAC lane's root propagation:
-`gac2001` (MGAC-2001), `hac` (MHAC-2001), `ac2001` (MAC-2001), `pwac`
-(MAC-PW-AC) and `double_ac` (MAC-PW-ACd) build that engine and call
+`gac2001` (MGAC-2001), `hac` (MHAC-2001), `ac2001` (MAC-2001) and `pwac`
+(`DoubleEngine`: MAC-PW-AC on a dual encoding, MAC-PW-ACd on a double or
+hybrid one, HAC's filtering on the HVE) build that engine and call
 `root_propagate`, and `sgac_check` probes each value as MGAC-2001's first
 node. So they all share the one empty-domain test, and the propagators
 never make one: below the root, an assignment that wipes a domain out
 fails before lookahead runs.
+
+`prepare_model` is the one place that turns a `Problem` into the model a
+lane searches, the hybrid's double-encoded subset included; `solve` and
+`bench.run_one` both call it.
 
 Search below the root attaches the engine's trail to its `DomainState`,
 so deletions and pointer moves made by the propagators are trailed where
@@ -68,9 +73,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
+from typing import Optional, Sequence
 
-from .core import Counters, DomainState, Problem, _column, solution_check
+from . import core
+from .core import (CapacityError, Counters, DomainState, GapRows, Problem,
+                   _column, solution_check)
 from .encode import (DE, DOUBLE, HVE, HYBRID, EncodedProblem, build_de,
                      build_double, build_hve, induced_assignment)
 from .propagate import Ac2001, Gac2001, Hac, PwAc, _pred_enum
@@ -87,7 +94,7 @@ ALL_VARIABLES = "ALL_VARIABLES"
 DUALS = "DUALS"
 
 FIXED = "fixed"
-DOM_DEG = "dom_deg"
+DOM_DEG = "heuristic"
 
 
 @dataclass(frozen=True)
@@ -162,6 +169,8 @@ class Engine:
                  time_limit_ms: Optional[float] = None,
                  record_nodes: bool = False,
                  counters: Optional[Counters] = None):
+        if ordering not in (FIXED, DOM_DEG):
+            raise ValueError(f"unknown ordering {ordering!r}")
         self.spec = spec
         self.ordering = ordering
         self.node_limit = node_limit
@@ -603,7 +612,7 @@ class HveEngine(FixpointEngine):
 
 class DoubleEngine(HveEngine):
     """The one propagator of the double encoding, for search and, through
-    `double_ac`, at the root alone.
+    `pwac`, at the root alone.
 
     HVE machinery plus piecewise group counters; lookahead additionally
     propagates through the dual-dual constraints. MAC mode adds the
@@ -740,33 +749,15 @@ def ac2001(enc: EncodedProblem, counters: Optional[Counters] = None) -> Propagat
 
 
 def pwac(enc: EncodedProblem, counters: Optional[Counters] = None) -> PropagationResult:
-    """AC on the dual encoding via the piecewise-functional structure:
-    MAC-PW-AC's root."""
-    return _root(DoubleEngine(enc, ALGORITHMS["MAC-PW-AC"], counters=counters))
-
-
-HIDDEN_ONLY = "HIDDEN_ONLY"
-DUAL_DUAL = "DUAL_DUAL"
-
-
-def double_ac(enc: EncodedProblem, mode: str = DUAL_DUAL) -> PropagationResult:
-    """AC on the double (or hybrid) encoding: the root propagation of a MAC
-    `DoubleEngine`, in one of two modes.
-
-    DUAL_DUAL runs PW-AC between the duals plus the rule that an original
-    value dies with its last supporting tuple in some adjacent dual. That
-    rule enforces exactly the hidden constraints' filtering, so this is AC
-    on the whole double encoding. HIDDEN_ONLY (HVE-level consistency) runs
-    the engine on the encoding without its dual-dual constraints, where the
-    value rule alone is HAC's filtering. Residual non-binary constraints of
-    a hybrid are propagated by GAC-2001 to a joint fixpoint.
-    """
-    if mode not in (HIDDEN_ONLY, DUAL_DUAL):
-        raise ValueError(f"unknown double AC mode: {mode!r}")
-    if mode == HIDDEN_ONLY:
-        enc = EncodedProblem(enc.kind, enc.problem, enc.duals, enc.hidden, [],
-                             enc.residual_constraints, enc.decompositions)
-    return _root(DoubleEngine(enc, ALGORITHMS["MAC-PW-ACd"]))
+    """The root propagation of a MAC `DoubleEngine`: PW-AC between the duals
+    plus the rule that an original value dies with its last supporting
+    tuple in some adjacent dual, which enforces exactly the hidden
+    constraints' filtering. So on a dual encoding it is MAC-PW-AC's root
+    (the value rule is empty), on a double encoding MAC-PW-ACd's (AC on the
+    whole encoding), on a hybrid MAC-hybrid's (residual constraints by
+    GAC-2001 to a joint fixpoint), and on the HVE HAC's filtering (no
+    dual-dual constraints)."""
+    return _root(DoubleEngine(enc, ALGORITHMS["MAC-PW-ACd"], counters=counters))
 
 
 def sgac_check(problem: Problem) -> bool:
@@ -791,17 +782,49 @@ def sgac_check(problem: Problem) -> bool:
 # public entry points
 
 
-def prepare_model(problem: Problem, spec: AlgorithmSpec):
-    """Build the representation an algorithm searches."""
-    if spec.representation == NONBINARY:
-        return problem
-    if spec.representation == HVE:
+def _default_hybrid_subset(problem: Problem, max_arity: int = 5,
+                           budget: int = 200_000) -> tuple:
+    """Constraints worth double-encoding: low arity and expandable within
+    budget; the rest stay intensional. Returns the subset and the tuple
+    lists expanded to test it, by constraint id, for the build to reuse.
+    The expansions share one `GapRows`, so equal relations are one list,
+    and each is tested against `budget` even when it was expanded for an
+    earlier constraint. `materialize` is read from the `core` module at
+    call time, so a wrapper installed there sees these expansions too."""
+    subset, expanded = [], {}
+    rows = GapRows()
+    for ci, c in enumerate(problem.constraints):
+        if c.arity > max_arity:
+            continue
+        if c.relation is None:
+            try:
+                expanded[ci] = core.materialize(problem, c, budget, rows)
+            except CapacityError:
+                continue
+        subset.append(ci)
+    return subset, expanded
+
+
+def prepare_model(problem: Problem, spec: AlgorithmSpec,
+                  encode_subset: Optional[Sequence[int]] = None):
+    """Build the representation an algorithm searches. A hybrid
+    double-encodes `encode_subset`, or by default the constraints of
+    `_default_hybrid_subset`; other representations ignore it. The
+    builders are read from this module at call time, so a wrapper
+    installed here sees every build."""
+    rep = spec.representation
+    if rep == HYBRID:
+        if encode_subset is not None:
+            return build_double(problem, encode_subset)
+        subset, expanded = _default_hybrid_subset(problem)
+        return build_double(problem, subset, expanded=expanded)
+    if rep == HVE:
         return build_hve(problem)
-    if spec.representation == DE:
+    if rep == DE:
         return build_de(problem)
-    if spec.representation == DOUBLE:
+    if rep == DOUBLE:
         return build_double(problem)
-    raise ValueError("hybrid models must be built explicitly with build_double")
+    return problem  # NONBINARY; `make_engine` refuses an unknown one
 
 
 # per representation, the model kinds its lanes search (a `Problem` is NONBINARY)
@@ -841,14 +864,15 @@ def solve(model, algorithm: str, ordering: str = DOM_DEG,
           record_nodes: bool = False) -> SearchResult:
     """Solve a Problem or EncodedProblem with a named algorithm.
 
-    A plain Problem is encoded automatically when the algorithm needs it;
-    pass a prebuilt EncodedProblem (required for MAC-hybrid) to reuse one.
+    A plain Problem is built into the algorithm's representation by
+    `prepare_model` (MAC-hybrid double-encoding the default subset); pass a
+    prebuilt EncodedProblem to reuse one or to choose the hybrid's subset.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; "
                          f"known: {', '.join(sorted(ALGORITHMS))}")
     spec = ALGORITHMS[algorithm]
-    if isinstance(model, Problem) and spec.representation != NONBINARY:
+    if isinstance(model, Problem):
         model = prepare_model(model, spec)
     engine = make_engine(model, spec, ordering=ordering, node_limit=node_limit,
                          time_limit_ms=time_limit_ms, record_nodes=record_nodes)

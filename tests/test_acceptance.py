@@ -13,9 +13,8 @@ from bincsp.core import Counters, ac1_fixpoint, enumerate_solutions, \
 from bincsp.encode import build_de, build_double, build_hve
 from bincsp.gen import (CrosswordSpec, ModelBParams, gen_crossword,
                         gen_model_b, gen_parity_chain)
-from bincsp.search import (ALGORITHMS, DUAL_DUAL, FIXED, HveEngine,
-                           NonBinaryEngine, ac2001, double_ac, gac2001, hac,
-                           pwac, sgac_check, solve)
+from bincsp.search import (ALGORITHMS, FIXED, HveEngine, NonBinaryEngine,
+                           ac2001, gac2001, hac, pwac, sgac_check, solve)
 from bincsp.words import WORDS
 
 from cases import appendix_a, example_42, example_51, prop_51, six_var_linear
@@ -190,7 +189,7 @@ def test_criterion_3_example_42():
 def test_criterion_4_example_51():
     p = example_51()
     enc = build_double(p)
-    assert double_ac(enc, DUAL_DUAL).verdict == "INCONSISTENT"
+    assert pwac(enc).verdict == "INCONSISTENT"
     g = gac2001(p)
     assert g.verdict == "CONSISTENT" and g.counters.value_removals == 0
     assert sgac_check(p)

@@ -6,6 +6,7 @@ import pytest
 import bincsp.bench as bench
 import bincsp.core as core
 import bincsp.encode as encode
+import bincsp.search as search
 from bincsp.bench import run_bench, run_one, tuple_table_bytes
 from bincsp.cli import main
 from bincsp.encode import build_de
@@ -192,13 +193,22 @@ def test_cli_bench(tmp_path):
     assert (out_dir / "report.csv").exists()
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["solve", "--instance", str(missing),
                  "--algorithm", "MGAC-2001"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["check", "--instance", str(bad)]) == 2
+    # the oracle refuses a solution limit below 1
+    inst = _modelb_instance(tmp_path)
+    capsys.readouterr()
+    assert main(["check", "--instance", inst, "--limit", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "oracle:" not in captured.out
+    assert "limit must be at least 1" in captured.err
+    assert main(["check", "--instance", inst, "--limit", "2"]) == 0
+    assert "oracle: 2+ solutions" in capsys.readouterr().out
 
 
 def _modelb_instance(tmp_path):
@@ -312,5 +322,5 @@ def test_hybrid_subset_budget_holds_on_a_relation_shared_from_a_larger_one(monke
     assert core.materialize(problem, c1, len(shared), rows) is shared
     with pytest.raises(core.CapacityError):
         core.materialize(problem, c1, 200_000, rows)
-    monkeypatch.setattr(bench, "GapRows", lambda: rows)
-    assert bench._default_hybrid_subset(problem) == ([], {})
+    monkeypatch.setattr(search, "GapRows", lambda: rows)
+    assert search._default_hybrid_subset(problem) == ([], {})

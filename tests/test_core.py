@@ -137,6 +137,10 @@ def test_enumerate_limit_and_bound():
     assert len(enumerate_solutions(p, limit=3)) == 3
     with pytest.raises(CapacityError):
         enumerate_solutions(p, bound=3)
+    # a limit below 1 is refused, not read as 1
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            enumerate_solutions(p, limit=limit)
 
 
 def test_ac1_already_consistent_problem_unchanged():

@@ -22,7 +22,8 @@ node-path digest; besides the cells of `RLFA_PINNED` it pins MGAC-2001 and
 MAC-hybrid on prob1 with the 8-ary adjacent-channel constraints, whose
 four residual constraints MAC-hybrid's GAC-2001 enumerates. They were
 recorded before the support search cut a prefix that leaves a later
-position empty, which moves micro-ops only.
+position empty, which moves micro-ops only. The MAC-hybrid cells also run
+through `search.solve` on the problem and read the same pins.
 
 `PINNED_PATHS` holds, per cell of `PINNED`, the first 16 hex digits of the
 sha256 of `repr(node_paths)`, so a change is checked node for node, not
@@ -35,9 +36,8 @@ import hashlib
 import pytest
 
 from bincsp.bench import run_one
-from bincsp.encode import build_double
 from bincsp.gen import ModelBParams, gen_model_b, gen_rlfa
-from bincsp.search import ALGORITHMS, DOM_DEG, make_engine, prepare_model
+from bincsp.search import ALGORITHMS, DOM_DEG, make_engine, prepare_model, solve
 
 NODE_LIMIT = 300
 COUNTER_KEYS = ("checks", "microops", "value_removals", "tuple_removals",
@@ -173,10 +173,7 @@ def results(problems):
         if (label, algorithm) not in cache:
             p = problems[label]
             spec = ALGORITHMS[algorithm]
-            if spec.representation == "HYBRID":
-                model = build_double(p, encoded_subset=range(0, len(p.constraints), 2))
-            else:
-                model = prepare_model(p, spec)
+            model = prepare_model(p, spec, range(0, len(p.constraints), 2))
             cache[label, algorithm] = make_engine(
                 model, spec, ordering=DOM_DEG, node_limit=NODE_LIMIT,
                 record_nodes=True).solve()
@@ -266,3 +263,15 @@ def test_rlfa_node_paths_match_the_pinned_digests(rlfa_results, label, algorithm
     digest = hashlib.sha256(repr(result.node_paths).encode()).hexdigest()[:16]
     got = (result.verdict, result.nodes, result.counters.checks, digest)
     assert got == RLFA_PINNED_PATHS[(label, algorithm)]
+
+
+@pytest.mark.parametrize("label", sorted(label for label, algorithm in RLFA_PINNED_PATHS
+                                         if algorithm == "MAC-hybrid"))
+def test_rlfa_hybrid_solved_from_the_problem_matches_the_pins(label):
+    """`solve` on the plain problem builds the default hybrid subset as
+    `run_one` does, and reads the same pins."""
+    result = solve(gen_rlfa(*RLFA_INSTANCES[label]), "MAC-hybrid",
+                   node_limit=RLFA_NODE_LIMIT, record_nodes=True)
+    digest = hashlib.sha256(repr(result.node_paths).encode()).hexdigest()[:16]
+    got = (result.verdict, result.nodes, result.counters.checks, digest)
+    assert got == RLFA_PINNED_PATHS[(label, "MAC-hybrid")]

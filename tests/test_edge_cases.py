@@ -21,8 +21,8 @@ from bincsp.core import (LINEAR_RELATIONS, Constraint, Predicate, Problem,
                          ac1_fixpoint, enumerate_solutions, solution_check)
 from bincsp.encode import build_de, build_double, build_hve
 from bincsp.interchange import emit_instance
-from bincsp.search import (ALGORITHMS, DOM_DEG, DUAL_DUAL, FIXED, HIDDEN_ONLY,
-                           ac2001, double_ac, gac2001, hac, pwac, solve)
+from bincsp.search import (ALGORITHMS, DOM_DEG, FIXED, ac2001, gac2001, hac,
+                           prepare_model, pwac, solve)
 
 SEED = 16
 COUNT = 400
@@ -92,9 +92,8 @@ def _failure(p, subset):
 
 def _check(p, subset):
     expected = "SAT" if enumerate_solutions(p, limit=1) else "UNSAT"
-    hybrid = build_double(p, subset)
-    for name in ALGORITHMS:
-        model = hybrid if name == "MAC-hybrid" else p
+    for name, spec in ALGORITHMS.items():
+        model = prepare_model(p, spec, subset)
         for ordering in (FIXED, DOM_DEG):
             r = solve(model, name, ordering=ordering)
             if r.verdict != expected:
@@ -116,10 +115,10 @@ def _check(p, subset):
                     ("ac2001 on the HVE", ac2001(hve))):
         if r.consistent != ok or ok and r.state.domains_as_lists() != domains:
             return f"{name} differs from ac1_fixpoint ({ok})"
-    for mode in (DUAL_DUAL, HIDDEN_ONLY):
-        r = double_ac(build_double(p), mode)
+    for name, enc in (("double", build_double(p)), ("HVE", hve)):
+        r = pwac(enc)
         if r.consistent and not (ok and _within(r.state.domains_as_lists(), domains)):
-            return f"double_ac {mode} is not within ac1_fixpoint ({ok})"
+            return f"pwac on the {name} is not within ac1_fixpoint ({ok})"
     ok, oracle = ac1_fixpoint(de)
     for name, r in (("ac2001 on the DE", ac2001(de)), ("pwac", pwac(de))):
         if r.consistent != ok or ok and \

@@ -3,13 +3,12 @@ import random
 
 from bincsp.core import Constraint, Counters, DomainState, GapRows, Predicate, \
     Problem, ac1_fixpoint, enumerate_solutions, expand_predicate, is_valid
-from bincsp.encode import build_de, build_double, build_hve
+from bincsp.encode import EncodedProblem, build_de, build_double, build_hve
 from bincsp.gen import ModelBParams, gen_model_b, gen_rlfa
 from bincsp.propagate import Ac2001, Gac2001, Hac, PwAc, _pred_enum
 from bincsp import search
-from bincsp.search import (ALGORITHMS, DUAL_DUAL, HIDDEN_ONLY, Ac2001Engine,
-                           HveEngine, NonBinaryEngine, ac2001, double_ac,
-                           gac2001, hac, pwac, sgac_check)
+from bincsp.search import (ALGORITHMS, Ac2001Engine, HveEngine, NonBinaryEngine,
+                           ac2001, gac2001, hac, pwac, sgac_check)
 
 from cases import (appendix_a, assert_counters_match_live_members,
                    criterion_1_suite, example_42, example_51, six_var_linear)
@@ -81,7 +80,7 @@ def test_pwac_counter_integrity_after_run():
 def test_example_51_dual_dual_refutes():
     p = example_51()
     enc = build_double(p)
-    assert double_ac(enc, DUAL_DUAL).verdict == "INCONSISTENT"
+    assert pwac(enc).verdict == "INCONSISTENT"
 
 
 def test_example_51_gac_sees_nothing():
@@ -89,7 +88,7 @@ def test_example_51_gac_sees_nothing():
     result = gac2001(p)
     assert result.verdict == "CONSISTENT"
     assert result.counters.value_removals == 0
-    hidden = double_ac(build_double(p), HIDDEN_ONLY)
+    hidden = pwac(build_hve(p))
     assert hidden.consistent and hidden.counters.value_removals == 0
 
 
@@ -114,14 +113,14 @@ def test_sgac_true_when_every_value_extends_to_a_solution():
             assert sgac_check(p)
 
 
-def test_double_ac_dual_dual_equals_hidden_only_without_intersections():
+def test_pwac_on_the_double_equals_the_hve_without_intersections():
     p = Problem(["a", "b", "c", "d", "e", "f"], [[0, 1]] * 6,
                 [Constraint((0, 1, 2), relation=[(0, 0, 0), (1, 1, 1)]),
                  Constraint((3, 4, 5), relation=[(0, 1, 0), (1, 0, 1)])])
     enc = build_double(p)
     assert enc.dual_pairs == []
-    rb = double_ac(enc, DUAL_DUAL)
-    rh = double_ac(enc, HIDDEN_ONLY)
+    rb = pwac(enc)
+    rh = pwac(build_hve(p))
     assert rb.consistent == rh.consistent
     assert rb.state.domains_as_lists() == rh.state.domains_as_lists()
     assert rb.state.dual_domains_as_lists() == rh.state.dual_domains_as_lists()
@@ -165,7 +164,7 @@ def test_appendix_a_consistent_before_assignment():
 
 def test_a_domain_empty_from_the_start_is_a_wipeout_everywhere():
     """Variable a has no value: in no constraint, then under an empty unary
-    relation. Every root propagator, double_ac in both modes and the AC-1
+    relation. Every root propagator, pwac on each encoding and the AC-1
     oracle on each representation report a wipe-out."""
     for c in (Constraint((1,), relation=[(0,)]), Constraint((0,), relation=[])):
         p = Problem(["a", "b"], [[], [0, 1]], [c])
@@ -175,8 +174,8 @@ def test_a_domain_empty_from_the_start_is_a_wipeout_everywhere():
             "hac": hac(hve).consistent,
             "ac2001": ac2001(de).consistent,
             "pwac": pwac(de).consistent,
-            "double_ac": double_ac(double, DUAL_DUAL).consistent,
-            "double_ac hidden": double_ac(double, HIDDEN_ONLY).consistent,
+            "pwac double": pwac(double).consistent,
+            "pwac hve": pwac(hve).consistent,
         }
         for name, target in (("problem", p), ("hve", hve), ("de", de),
                              ("double", double)):
@@ -214,21 +213,6 @@ def test_fixpoint_equivalence_pwac_ac2001_on_de():
         if a.consistent:
             assert (_live_tuples_by_constraint(enc, a.state)
                     == _live_tuples_by_constraint(enc, w.state))
-
-
-def test_double_ac_on_the_de_is_pwac():
-    """The dual encoding is a double encoding without originals or hidden
-    arcs, so the double-encoding propagator run on it is PW-AC: same
-    verdict, dual domains and counters on every instance."""
-    verdicts = set()
-    for p in _random_suite():
-        enc = build_de(p)
-        d, w = double_ac(enc), pwac(enc)
-        assert d.consistent == w.consistent, p.name
-        assert d.state.dual_domains_as_lists() == w.state.dual_domains_as_lists(), p.name
-        assert d.counters.snapshot() == w.counters.snapshot(), p.name
-        verdicts.add(d.consistent)
-    assert verdicts == {True, False}
 
 
 def test_check_counts_equal_on_arc_consistent_instances():
@@ -321,13 +305,15 @@ def test_pwac_dual_domains_within_hac_surviving_tuples():
 
 
 def test_hidden_only_with_residuals_matches_flat_gac():
-    # hybrid: half the constraints encoded; hidden-level AC plus residual
-    # GAC must land on the flat GAC fixpoint for the original domains
-    from bincsp.search import HIDDEN_ONLY
+    # hybrid: half the constraints encoded, without their dual-dual
+    # constraints; hidden-level AC plus residual GAC must land on the flat
+    # GAC fixpoint for the original domains
     for p in _random_suite(20):
         subset = list(range(0, len(p.constraints), 2))
-        enc = build_double(p, encoded_subset=subset)
-        r = double_ac(enc, HIDDEN_ONLY)
+        hybrid = build_double(p, encoded_subset=subset)
+        enc = EncodedProblem(hybrid.kind, p, hybrid.duals, hybrid.hidden, [],
+                             hybrid.residual_constraints, hybrid.decompositions)
+        r = pwac(enc)
         g = gac2001(p)
         assert r.consistent == g.consistent, p.name
         if g.consistent:
@@ -335,11 +321,10 @@ def test_hidden_only_with_residuals_matches_flat_gac():
 
 
 def test_dual_dual_with_residuals_at_least_as_strong_as_flat_gac():
-    from bincsp.search import DUAL_DUAL
     for p in _random_suite(20):
         subset = list(range(0, len(p.constraints), 2))
         enc = build_double(p, encoded_subset=subset)
-        r = double_ac(enc, DUAL_DUAL)
+        r = pwac(enc)
         g = gac2001(p)
         if not g.consistent:
             assert not r.consistent, p.name
@@ -349,22 +334,21 @@ def test_dual_dual_with_residuals_at_least_as_strong_as_flat_gac():
                     set(g.state.live_values(x)), (p.name, x)
 
 
-def test_double_ac_reaches_the_ac1_fixpoint_of_its_encoding():
-    """DUAL_DUAL is AC on the double encoding and HIDDEN_ONLY is AC on the HVE,
-    as the brute-force oracle computes them, on original domains."""
+def test_pwac_reaches_the_ac1_fixpoint_of_its_encoding():
+    """pwac is AC on the double encoding and on the HVE, as the brute-force
+    oracle computes them, on original domains."""
     verdicts = set()
     for p in _random_suite():
-        enc = build_double(p)
-        for mode, oracle_enc in ((DUAL_DUAL, enc), (HIDDEN_ONLY, build_hve(p))):
-            r = double_ac(enc, mode)
-            ok, oracle = ac1_fixpoint(oracle_enc)
-            assert r.consistent == ok, (p.name, mode)
+        for enc in (build_double(p), build_hve(p)):
+            r = pwac(enc)
+            ok, oracle = ac1_fixpoint(enc)
+            assert r.consistent == ok, (p.name, enc.kind)
             if ok:
                 assert r.state.domains_as_lists() == oracle.domains_as_lists(), \
-                    (p.name, mode)
-            verdicts.add((mode, ok))
-    assert verdicts == {(DUAL_DUAL, True), (DUAL_DUAL, False),
-                        (HIDDEN_ONLY, True), (HIDDEN_ONLY, False)}
+                    (p.name, enc.kind)
+            verdicts.add((enc.kind, ok))
+    assert verdicts == {("DOUBLE", True), ("DOUBLE", False),
+                        ("HVE", True), ("HVE", False)}
 
 
 def _mhac_host(enc, counters=None):

@@ -8,8 +8,8 @@ from bincsp.encode import build_de, build_double, build_hve, induced_assignment
 from bincsp.gen import (CrosswordSpec, ModelBParams, gen_crossword,
                         gen_model_b, gen_parity_chain)
 from bincsp import propagate
-from bincsp.search import (ALGORITHMS, DOM_DEG, FIXED, double_ac, make_engine,
-                           prepare_model, solve)
+from bincsp.search import (ALGORITHMS, DOM_DEG, FIXED, make_engine,
+                           prepare_model, pwac, solve)
 
 from cases import (assert_counters_match_live_members, criterion_1_suite,
                    prop_51, six_var_linear)
@@ -217,12 +217,10 @@ def test_degrees_counted_at_build_order_like_a_recount(monkeypatch):
     """MAC-hybrid on an rlfa instance whose four 8-ary constraints stay
     residual: dom/deg reads degrees counted once, and visits the nodes of
     a recount per call."""
-    from bincsp.bench import _default_hybrid_subset
     from bincsp.gen import gen_rlfa
     from bincsp import search
     p = gen_rlfa("prob1", 20, 0, adjacent8=True)
-    subset, expanded = _default_hybrid_subset(p)
-    enc = build_double(p, subset, expanded=expanded)
+    enc = prepare_model(p, ALGORITHMS["MAC-hybrid"])
     assert len(enc.residual_constraints) == 4
     engine = make_engine(enc, ALGORITHMS["MAC-hybrid"], ordering=DOM_DEG)
     assert [engine.degree(x) for x in range(p.n)] == \
@@ -287,10 +285,9 @@ def test_a_declared_empty_domain_is_refuted_by_every_lane():
     p = Problem(["a", "b", "c"], [[0, 1], [0, 1], []],
                 [Constraint((0, 1), relation=[(0, 1), (1, 0)])])
     for algorithm in ALGORITHMS:
-        model = build_double(p, [0]) if algorithm == "MAC-hybrid" else p
-        result = solve(model, algorithm)
+        result = solve(p, algorithm)
         assert (result.verdict, result.nodes) == ("UNSAT", 0), algorithm
-    assert not double_ac(build_double(p)).consistent
+    assert not pwac(build_double(p)).consistent
 
 
 def test_mhac_full_branches_on_duals_and_assigns_their_scope():
@@ -335,10 +332,7 @@ def test_induced_assignment_is_the_first_live_values_at_sat():
     for p in problems:
         for algorithm in lanes:
             spec = ALGORITHMS[algorithm]
-            if spec.representation == "HYBRID":
-                model = build_double(p, encoded_subset=range(0, len(p.constraints), 2))
-            else:
-                model = prepare_model(p, spec)
+            model = prepare_model(p, spec, range(0, len(p.constraints), 2))
             engine = make_engine(model, spec, ordering=FIXED)
             result = engine.solve()
             if result.verdict != "SAT":
@@ -432,14 +426,30 @@ def test_hybrid_requires_mac():
     for algorithm in ("dFC3", "MAC-2001d"):
         with pytest.raises(ValueError, match="cannot search a hybrid model"):
             solve(enc, algorithm)
+    solutions = set(enumerate_solutions(six_var_linear()))
     result = solve(enc, "MAC-hybrid", ordering=FIXED)
     assert result.verdict == "SAT"
-    assert tuple(result.solution) in set(enumerate_solutions(six_var_linear()))
+    assert tuple(result.solution) in solutions
+    # on the plain problem, `solve` builds the default subset itself
+    result = solve(six_var_linear(), "MAC-hybrid")
+    assert result.verdict == "SAT"
+    assert tuple(result.solution) in solutions
 
 
 def test_unknown_algorithm_rejected():
     with pytest.raises(ValueError):
         solve(six_var_linear(), "MAC-42")
+
+
+def test_unknown_ordering_rejected():
+    """A misspelt ordering is refused, not run under dom/deg."""
+    p = gen_model_b(ModelBParams(12, 4, 3, 15, 45, 2))
+    for ordering in ("fixd", "dom_deg"):
+        with pytest.raises(ValueError, match=f"unknown ordering '{ordering}'"):
+            solve(p, "MGAC-2001", ordering=ordering)
+    fixed, heuristic = solve(p, "MGAC-2001", ordering=FIXED), solve(p, "MGAC-2001")
+    assert (fixed.nodes, fixed.counters.checks) == (16, 17586)
+    assert (heuristic.nodes, heuristic.counters.checks) == (9, 11504)
 
 
 def test_lookahead_set_operation():
@@ -527,12 +537,7 @@ def test_unsat_search_restores_state_exactly():
         for algorithm in ("MGAC-2001", "MHAC-2001", "hFC3", "dFC4",
                           "MAC-PW-ACd", "MAC-PW-AC", "MAC-2001d", "MAC-hybrid"):
             spec = ALGORITHMS[algorithm]
-            from bincsp.search import prepare_model
-            if spec.representation == "HYBRID":
-                model = build_double(p, encoded_subset=range(0, len(p.constraints), 2))
-            else:
-                model = p if spec.representation == "NONBINARY" else \
-                    prepare_model(p, spec)
+            model = prepare_model(p, spec, range(0, len(p.constraints), 2))
             engine = make_engine(model, spec, ordering=FIXED)
             if not engine.root_propagate():
                 continue  # refuted before any node: nothing to unwind
@@ -578,10 +583,7 @@ def test_derived_counters_are_right_after_every_undo():
         for algorithm in ("MAC-PW-AC", "MAC-PW-ACd", "dFC1", "dFC3", "dFC5",
                           "MAC-hybrid"):
             spec = ALGORITHMS[algorithm]
-            if spec.representation == "HYBRID":
-                model = build_double(p, encoded_subset=range(0, len(p.constraints), 2))
-            else:
-                model = prepare_model(p, spec)
+            model = prepare_model(p, spec, range(0, len(p.constraints), 2))
             engine = make_engine(model, spec, ordering=DOM_DEG, node_limit=200)
 
             def checked_undo(mark, engine=engine, undo=engine.undo_to):
